@@ -12,14 +12,19 @@ real subwindows, so the restore reasoning stays local.
 
 Declared scalar budgets: plain statements hold at most four locals; in
 addition two fixed-size kernels run on Python locals, a balanced product
-kernel of width <= _KERNEL coefficients and twiddle blocks of width _TW.
-Neither grows with the input and neither touches arena registers.
+kernel of width <= _KERNEL coefficients and the blocks of at most BLOCK
+(dense_ref) scalars used by butterflies, twiddle tables and fold sums.
+Neither grows with the input and neither touches arena registers.  The
+truncated FFT's virtual reads hold a few such blocks per level of their
+recursion, so their budget grows with the pointer stack, not the input.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .coeff_ring import RootOfUnity, Zq
-from .dense_ref import ntt
+from .dense_ref import BLOCK, _butterflies, _powers, bit_reverse, ntt
 from .errors import (
     BadParams,
     BadSlice,
@@ -29,7 +34,7 @@ from .errors import (
     NonUnitLeading,
     SizeContract,
 )
-from .reg_arena import PolyView, _slc, vadd, vcopy, vneg, vscale, vzero
+from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vneg, vscale, vzero
 
 _BASE = 16
 _KERNEL = 32  # balanced products at or below this size run on Python locals
@@ -343,14 +348,6 @@ def cumulative_convolution(f: PolyView, g: PolyView, h: PolyView, lam: int):
 # ---------------------------------------------------------------------------
 
 
-def _bitrev(i: int, k: int) -> int:
-    out = 0
-    for _ in range(k):
-        out = (out << 1) | (i & 1)
-        i >>= 1
-    return out
-
-
 def partial_ft(f: PolyView, k: int, ell: int, root: RootOfUnity, direction: str = "fwd"):
     """Replace the first 2^ell slots of f by f(omega^{[k*2^ell + i]_p}).
 
@@ -368,125 +365,153 @@ def partial_ft(f: PolyView, k: int, ell: int, root: RootOfUnity, direction: str 
     size = 1 << ell
     if size > n or (k + 1) * size > order:
         raise BadParams(f"need 2^ell <= {n} and (k+1)*2^ell <= {order}")
-    theta = pow(w, _bitrev(k, p - ell), q)
+    if direction not in ("fwd", "inv"):
+        raise BadParams(f"unknown direction {direction!r}")
+    theta = pow(w, bit_reverse(k, p - ell), q)
     sub = f.sub(0, size)
     subroot = RootOfUnity(pow(w, 1 << (p - ell), q), size)
-    f._writable_or_raise(0, min(size, n))
-    regs = f.arena.regs
-    off, d = f.off, f.dir
-    # Only the output prefix is rewritten: the prefix is twisted in place
-    # while coefficients beyond it contribute theta^i * f_i on the fly, so
-    # the inverse recomputes and subtracts the same products.
+    f._writable_or_raise(0, size)
+    # Only the output prefix is rewritten: coefficients beyond it are read
+    # in place, so the inverse recomputes and subtracts the same sums.
     if direction == "fwd":
-        if theta != 1:
-            _twist_prefix(regs, off, d, min(size, n), theta, q)
-        _fold_fused(f, size, n, theta, q, 1)
+        _twist_fold(f, size, theta, q, False)
         ntt(sub, subroot, "fwd")
-    elif direction == "inv":
-        ntt(sub, subroot, "inv")
-        _fold_fused(f, size, n, theta, q, -1)
-        if theta != 1:
-            _twist_prefix(regs, off, d, min(size, n), pow(theta, q - 2, q), q)
     else:
-        raise BadParams(f"unknown direction {direction!r}")
+        ntt(sub, subroot, "inv")
+        _twist_fold(f, size, theta, q, True)
 
 
-_TW = 128  # fixed block-kernel width for twiddle tables (scalar budget)
+# Column sums cost a call per column, row comprehensions a call per row.
+# A tail is summed by columns when it has at least min(size, this many)
+# rows: measured for n from 64 to 16384, columns won from about `size`
+# rows up to size 64 and at 63 rows and size 256; rows won at 31 rows and
+# size 512.
+_FOLD_COLUMNS = 40
 
 
-def _twist_prefix(regs, off, d, n, theta, q):
-    """regs[i] *= theta^i for i < n, in blocks of _TW."""
-    table = [1] * min(_TW, n)
-    for j in range(1, len(table)):
-        table[j] = table[j - 1] * theta % q
-    step = table[-1] * theta % q
-    cur = 1
-    i = 0
-    while i < n:
-        b = min(_TW, n - i)
-        s = _slc(off, d, i, i + b)
-        if cur == 1:
-            regs[s] = [x * c % q for x, c in zip(regs[s], table)]
-        else:
-            factors = [cur * c % q for c in table[:b]]
-            regs[s] = [x * c % q for x, c in zip(regs[s], factors)]
-        cur = cur * step % q if b == _TW else cur
-        i += b
+def _twist_fold(f: PolyView, size: int, theta: int, q: int, inverse: bool):
+    """prefix[c] = theta^c * (f[c] + S[c]) for c < size, where
+    S[c] = sum over j >= 1 of T^j * f[c + j*size] and T = theta^size;
+    inverse: f[c] = prefix[c] * theta^-c - S[c].
 
-
-def _fold_fused(f: PolyView, size: int, n: int, theta: int, q: int, sign: int):
-    """prefix[i mod size] += sign * theta^i * f[i] for i in [size, n).
-
-    Upper coefficients are read untouched; contributions are independent,
-    so blocks can go in any order.  Small prefixes are folded through a
-    local accumulator of at most _TW scalars.
+    The tail (index >= size) is only read.  The prefix is done in blocks
+    of at most BLOCK columns; S of a block comes from one comprehension per
+    tail row when the rows are few (see _FOLD_COLUMNS), else from one
+    sum(map(mul, ...)) per column and BLOCK rows, with a BLOCK-entry table
+    of powers of T.
     """
-    if n <= size:
+    n = len(f)
+    rows = (n - 1) // size
+    if rows == 0 and theta == 1:
         return
     regs = f.arena.regs
     off, d = f.off, f.dir
-    if size <= _TW:
-        # accumulate wraps locally, then fold once into the prefix
-        acc = [0] * size
-        blk = 4 * _TW
-        table = [1] * min(blk, n - size)
-        for j in range(1, len(table)):
-            table[j] = table[j - 1] * theta % q
-        cur = pow(theta, size, q)
-        step = pow(theta, len(table), q)
-        i = size
-        while i < n:
-            b = min(blk, n - i)
-            ss = _slc(off, d, i, i + b)
-            if theta == 1:
-                prods = regs[ss]
-            elif cur == 1:
-                prods = [y * c % q for y, c in zip(regs[ss], table)]
+    big_t = pow(theta, size, q)
+    tw_root = pow(theta, q - 2, q) if inverse else theta
+    table = _powers(tw_root, min(BLOCK, size), q) if theta != 1 else None
+    cur = 1
+    by_columns = rows >= min(size, _FOLD_COLUMNS)
+    if by_columns and big_t != 1:
+        tpow = [big_t * t % q for t in _powers(big_t, min(BLOCK, rows), q)]  # T^1, T^2, ...
+        t_blk = tpow[-1]
+    for c0 in range(0, size, BLOCK):
+        b = min(BLOCK, size - c0)
+        if rows == 0:
+            sums = [0] * b
+        elif by_columns:
+            sums = []
+            for c in range(c0, c0 + b):
+                acc = 0
+                scale = 1
+                for r0 in range(1, rows + 1, BLOCK):
+                    col = regs[_slc_step(off, d, c + r0 * size, min(n, c + (r0 + BLOCK) * size), size)]
+                    if big_t == 1:
+                        acc += sum(col)
+                    else:
+                        acc += sum(map(mul, col, tpow)) * scale
+                        scale = scale * t_blk % q
+                sums.append(acc % q)
+        else:
+            sums = [0] * b
+            t_row = 1
+            for r in range(1, rows + 1):
+                t_row = t_row * big_t % q
+                lo = c0 + r * size
+                cnt = min(b, n - lo)
+                if cnt <= 0:
+                    break
+                row = regs[_slc(off, d, lo, lo + cnt)]
+                if r == 1:
+                    sums[:cnt] = [y * t_row for y in row]
+                else:
+                    sums[:cnt] = [s + y * t_row for s, y in zip(sums, row)]
+        ps = _slc(off, d, c0, c0 + b)
+        if table is None:
+            if inverse:
+                regs[ps] = [(x - s) % q for x, s in zip(regs[ps], sums)]
             else:
-                prods = [y * cur * c % q for y, c in zip(regs[ss], table)]
-            base = i % size
-            for j0 in range(min(size, b)):
-                k0 = (base + j0) % size
-                acc[k0] = (acc[k0] + sum(prods[j0::size])) % q
-            cur = cur * step % q
-            i += b
-        ds = _slc(off, d, 0, size)
+                regs[ps] = [(x + s) % q for x, s in zip(regs[ps], sums)]
+            continue
+        tw = table if cur == 1 else [cur * t % q for t in table]
+        if inverse:
+            regs[ps] = [(x * t - s) % q for x, s, t in zip(regs[ps], sums, tw)]
+        else:
+            regs[ps] = [(x + s) * t % q for x, s, t in zip(regs[ps], sums, tw)]
+        cur = tw[-1] * tw_root % q
+
+
+def _twiddles(table, w, start, step, count, q):
+    """w^(start + k*step) for k < count; table holds w^0, w^1, ..."""
+    a = pow(w, start, q)
+    last = step * (count - 1)
+    if last < len(table):
+        seq = table[: last + 1 : step]
+        return seq if a == 1 else [a * t % q for t in seq]
+    out = [a] * count
+    ws = pow(w, step, q)
+    for k in range(1, count):
+        out[k] = out[k - 1] * ws % q
+    return out
+
+
+def _vread(src, start, step, count, q):
+    """V(start + k*step) for k < count <= BLOCK, for a virtual source
+    src = (read, stride, copies) with V(i) = sum of read(i + j*stride)
+    over j < copies; read(start, step, count) returns a list."""
+    read, stride, copies = src
+    if copies == 1:
+        return read(start, step, count)
+    if copies <= count:
+        acc = read(start, step, count)
+        for j in range(1, copies):
+            acc = [a + v for a, v in zip(acc, read(start + j * stride, step, count))]
+        return [a % q for a in acc]
+    out = []
+    for k in range(count):
+        i = start + k * step
+        tot = 0
+        for j0 in range(0, copies, BLOCK):
+            tot += sum(read(i + j0 * stride, stride, min(BLOCK, copies - j0)))
+        out.append(tot % q)
+    return out
+
+
+def _add_virtual(buf: PolyView, lo: int, hi: int, src, shift: int, sign: int):
+    """buf[i] += sign * V(i + shift) for i in [lo, hi), in blocks."""
+    q = buf.arena.q
+    regs = buf.arena.regs
+    for a in range(lo, hi, BLOCK):
+        b = min(hi, a + BLOCK)
+        s = _slc(buf.off, buf.dir, a, b)
+        vs = _vread(src, a + shift, 1, b - a, q)
         if sign > 0:
-            regs[ds] = [(x + y) % q for x, y in zip(regs[ds], acc)]
+            regs[s] = [(x + v) % q for x, v in zip(regs[s], vs)]
         else:
-            regs[ds] = [(x - y) % q for x, y in zip(regs[ds], acc)]
-        return
-    table = [1] * _TW
-    for j in range(1, _TW):
-        table[j] = table[j - 1] * theta % q
-    i = size
-    cur = pow(theta, size, q)
-    while i < n:
-        b = min(_TW, n - i, size - (i % size))
-        i0 = i % size
-        ds = _slc(off, d, i0, i0 + b)
-        ss = _slc(off, d, i, i + b)
-        if theta == 1:
-            if sign > 0:
-                regs[ds] = [(x + y) % q for x, y in zip(regs[ds], regs[ss])]
-            else:
-                regs[ds] = [(x - y) % q for x, y in zip(regs[ds], regs[ss])]
-        else:
-            factors = [cur * c % q for c in table[:b]]
-            if sign > 0:
-                regs[ds] = [(x + y * c) % q for x, y, c in zip(regs[ds], regs[ss], factors)]
-            else:
-                regs[ds] = [(x - y * c) % q for x, y, c in zip(regs[ds], regs[ss], factors)]
-        cur = cur * pow(theta, b, q) % q
-        i += b
+            regs[s] = [(x - v) % q for x, v in zip(regs[s], vs)]
 
 
-def _fft_span(view: PolyView, w: int, inverse: bool):
-    """In-place size-2^k FFT on a fully backed view with root w (an int)."""
-    n = len(view)
-    if n <= 1:
-        return
-    ntt(view, RootOfUnity(w, n), "inv" if inverse else "fwd")
+def _strided(view: PolyView, start: int, step: int, count: int) -> list[int]:
+    return view.arena.regs[_slc_step(view.off, view.dir, start, start + step * (count - 1) + 1, step)]
 
 
 def _tft(view: PolyView, root: RootOfUnity, inverse: bool):
@@ -506,124 +531,190 @@ def _tft(view: PolyView, root: RootOfUnity, inverse: bool):
     if N > (1 << p):
         raise BadParams(f"transform length {N} exceeds root order {1 << p}")
     if N == (1 << p):
-        _fft_span(view, w, inverse)
+        if N > 1:
+            ntt(view, RootOfUnity(w, N), "inv" if inverse else "fwd")
         return
     h = 1 << (p - 1)
     M = N - h
-    inv2 = (q + 1) >> 1
+    ww = w * w % q
     regs = view.arena.regs
     off, d = view.off, view.dir
     view._writable_or_raise(0, N)
+    table = _powers(w, min(BLOCK, h), q)
 
-    def leaf_virt(i):
+    def leaf(start, step, count):
         # b_i for the untouched zone: x_i * w^i
-        return regs[off + d * i] * pow(w, i, q) % q
+        xs = _strided(view, start, step, count)
+        return [x * t % q for x, t in zip(xs, _twiddles(table, w, start, step, count, q))]
 
     with view.arena.call():
         if not inverse:
-            cur = 1
-            for i in range(M):
-                ja = off + d * i
-                jb = off + d * (i + h)
-                x, y = regs[ja], regs[jb]
-                regs[ja] = (x + y) % q
-                regs[jb] = (x - y) * cur % q
-                cur = cur * w % q
-            _otfft(view.sub(h, N), leaf_virt, h, w * w % q, False)
-            _fft_span(view.sub(0, h), w * w % q, False)
+            _butterflies(regs, off, d, N, h, w, q, pairs=M)
+            _otfft(view.sub(h, N), (leaf, h, 1), h, ww, False)
+            ntt(view.sub(0, h), RootOfUnity(ww, h), "fwd")
         else:
-            _fft_span(view.sub(0, h), w * w % q, True)
-            _otfft(view.sub(h, N), leaf_virt, h, w * w % q, True)
-            winv = pow(w, q - 2, q)
-            cur = 1
-            for i in range(M):
-                ja = off + d * i
-                jb = off + d * (i + h)
-                x = regs[ja]
-                y = regs[jb] * cur % q
-                regs[ja] = (x + y) * inv2 % q
-                regs[jb] = (x - y) * inv2 % q
-                cur = cur * winv % q
+            ntt(view.sub(0, h), RootOfUnity(ww, h), "inv")
+            _otfft(view.sub(h, N), (leaf, h, 1), h, ww, True)
+            _butterflies(regs, off, d, N, h, pow(w, q - 2, q), q, inverse=True, pairs=M, scale=(q + 1) >> 1)
 
 
-def _otfft(buf: PolyView, virt, h: int, ww: int, inverse: bool):
+def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
     """First len(buf) bit-reversed outputs of an h-point FFT whose inputs
-    are buf extended by the virtual tail virt(i), i in [len(buf), h)."""
+    are buf extended by the virtual source src (see _vread, stride h) at
+    the indices [len(buf), h)."""
     M = len(buf)
     q = buf.arena.q
     if h == 1 or M == 0:
         return
     if M == h:
-        _fft_span(buf, ww, inverse)
+        ntt(buf, RootOfUnity(ww, h), "inv" if inverse else "fwd")
         return
     h2 = h >> 1
-    regs = buf.arena.regs
-    off, d = buf.off, buf.dir
+    ww2 = ww * ww % q
     with buf.arena.call():
         if M <= h2:
+            # only the low half's outputs: its inputs are V(i) + V(i + h2)
+            read, _, copies = src
+            half_src = (read, h2, 2 * copies)
             if not inverse:
-                for i in range(M):
-                    j = off + d * i
-                    regs[j] = (regs[j] + virt(i + h2)) % q
-
-                def virt2(i):
-                    return (virt(i) + virt(i + h2)) % q
-
-                _otfft(buf, virt2, h2, ww * ww % q, False)
+                _add_virtual(buf, 0, M, src, h2, 1)
+                _otfft(buf, half_src, h2, ww2, False)
             else:
-
-                def virt2(i):
-                    return (virt(i) + virt(i + h2)) % q
-
-                _otfft(buf, virt2, h2, ww * ww % q, True)
-                for i in range(M):
-                    j = off + d * i
-                    regs[j] = (regs[j] - virt(i + h2)) % q
+                _otfft(buf, half_src, h2, ww2, True)
+                _add_virtual(buf, 0, M, src, h2, -1)
             return
         # M > h2: dense butterflies for the stored pairs, virtual adds for
         # the rest; the high half's missing inputs are recomputed from the
         # low half, which stays put until the high recursion is done.
         t = M - h2
+        regs = buf.arena.regs
+        off, d = buf.off, buf.dir
+        table = _powers(ww, min(BLOCK, h2), q)
 
-        def virt_b(i):
-            return (regs[off + d * i] - 2 * virt(i + h2)) * pow(ww, i, q) % q
+        def virt_b(start, step, count):
+            xs = _strided(buf, start, step, count)
+            vs = _vread(src, start + h2, step, count, q)
+            tw = _twiddles(table, ww, start, step, count, q)
+            return [(x - v - v) * c % q for x, v, c in zip(xs, vs, tw)]
 
         if not inverse:
-            cur = 1
-            for i in range(t):
-                ja = off + d * i
-                jb = off + d * (i + h2)
-                x, y = regs[ja], regs[jb]
-                regs[ja] = (x + y) % q
-                regs[jb] = (x - y) * cur % q
-                cur = cur * ww % q
-            for i in range(t, h2):
-                j = off + d * i
-                regs[j] = (regs[j] + virt(i + h2)) % q
-            _otfft(buf.sub(h2, M), virt_b, h2, ww * ww % q, False)
-            _fft_span(buf.sub(0, h2), ww * ww % q, False)
+            _butterflies(regs, off, d, M, h2, ww, q, pairs=t)
+            _add_virtual(buf, t, h2, src, h2, 1)
+            _otfft(buf.sub(h2, M), (virt_b, h2, 1), h2, ww2, False)
+            ntt(buf.sub(0, h2), RootOfUnity(ww2, h2), "fwd")
         else:
-            inv2 = (q + 1) >> 1
-            _fft_span(buf.sub(0, h2), ww * ww % q, True)
-            _otfft(buf.sub(h2, M), virt_b, h2, ww * ww % q, True)
-            for i in range(t, h2):
-                j = off + d * i
-                regs[j] = (regs[j] - virt(i + h2)) % q
-            winv = pow(ww, q - 2, q)
-            cur = 1
-            for i in range(t):
-                ja = off + d * i
-                jb = off + d * (i + h2)
-                x = regs[ja]
-                y = regs[jb] * cur % q
-                regs[ja] = (x + y) * inv2 % q
-                regs[jb] = (x - y) * inv2 % q
-                cur = cur * winv % q
+            ntt(buf.sub(0, h2), RootOfUnity(ww2, h2), "inv")
+            _otfft(buf.sub(h2, M), (virt_b, h2, 1), h2, ww2, True)
+            _add_virtual(buf, t, h2, src, h2, -1)
+            _butterflies(regs, off, d, M, h2, pow(ww, q - 2, q), q, inverse=True, pairs=t, scale=(q + 1) >> 1)
+
+
+# The evaluation points of one chunk of h form a coset, a node (k, e) of the
+# tree of x^(2^p) - 1: its points are theta * z^[i]_e for i < 2^e, with
+# theta = omega^([k]_{p-e}) and z = omega^(2^(p-e)), the roots of
+# x^(2^e) - c(k, e) for c(k, e) = theta^(2^e).  The children (2k, e-1) and
+# (2k+1, e-1) have constants d and -d with d^2 = c(k, e).  An operand's
+# residue modulo x^(2^e) - c(k, e), twisted by theta^i, has the node's
+# values as its plain NTT.  The operand is carried from one chunk's node to
+# the next by reducing its prefix one tree level at a time, so consecutive
+# chunks share the work of their common ancestors instead of each folding
+# the whole operand again; the twists ride on the first and last steps.
+
+
+def _node_const(w: int, q: int, p: int, k: int, e: int) -> int:
+    """c(k, e) = omega^([k]_{p-e} * 2^e), the value of x^(2^e) on node (k, e)."""
+    return pow(w, bit_reverse(k, p - e) << e, q)
+
+
+def _step(v: PolyView, s: int, coef: int, q: int, pre: int = 1, post: int = 1):
+    """lo[c] = (lo[c] * pre^c + coef * hi[c]) * post^c for c < min(s, len(v)),
+    where lo[c] = v[c] and hi[c] = v[c + s], 0 past len(v); at most one of
+    pre and post differs from 1.  In blocks, with one power table.
+
+    With coef = c(child) this turns the residue at a node of size 2s into
+    the residue at that child; -c(child) undoes it.  A view no longer than
+    s is already its own residue: only the twists touch it.
+    """
+    n_len = len(v)
+    cnt = min(s, n_len - s) if coef else 0  # indices below this have a hi partner
+    u = pre if pre != 1 else post
+    n = cnt if u == 1 else min(s, n_len)
+    if n <= 0:
+        return
+    regs = v.arena.regs
+    off, d = v.off, v.dir
+    table = _powers(u, min(BLOCK, n), q) if u != 1 else None
+    step = table[-1] * u % q if u != 1 else 1
+    cur = 1
+    for a in range(0, n, BLOCK):
+        b = min(n, a + BLOCK)
+        m = min(b, cnt) - a
+        ls = _slc(off, d, a, b)
+        xs = regs[ls]
+        if m <= 0:
+            regs[ls] = [x * t * cur % q for x, t in zip(xs, table)]
+        else:
+            ys = regs[_slc(off, d, a + s, a + s + m)]
+            if m < b - a:
+                ys += [0] * (b - a - m)
+            if u == 1:
+                regs[ls] = [(x + coef * y) % q for x, y in zip(xs, ys)]
+            elif post != 1:
+                regs[ls] = [(x + coef * y) * t * cur % q for x, y, t in zip(xs, ys, table)]
+            else:
+                regs[ls] = [(x * t * cur + coef * y) % q for x, y, t in zip(xs, ys, table)]
+        cur = cur * step % q
+
+
+def _walk(v: PolyView, node: tuple[int, int], target: tuple[int, int], w: int, q: int, p: int):
+    """Carry v's prefix from the twisted residue at node to the one at
+    target: up to their lowest common ancestor, then down.  The last step
+    up and the first step down act on the same level and share one pass;
+    the untwist rides on the first step, the twist on the last."""
+    ka, ea = node
+    kb, eb = target
+    top = max(ea, eb)
+    while (ka >> (top - ea)) != (kb >> (top - eb)):
+        top += 1
+    pre = pow(w, q - 1 - bit_reverse(ka, p - ea), q)  # theta(node)^-1
+    post = pow(w, bit_reverse(kb, p - eb), q)  # theta(target)
+    if top == ea and pre != 1:
+        _step(v, 1 << ea, 0, q, pre)
+    shared = ea < top and eb < top
+    for e in range(ea, top):
+        coef = q - _node_const(w, q, p, ka >> (e - ea), e)
+        first = pre if e == ea else 1
+        if not (shared and e == top - 1):
+            _step(v, 1 << e, coef, q, first)
+            continue
+        coef = (coef + _node_const(w, q, p, kb >> (e - eb), e)) % q
+        last = post if e == eb else 1
+        if first != 1 and last != 1:
+            _step(v, 1 << e, 0, q, first)
+            first = 1
+        _step(v, 1 << e, coef, q, first, last)
+    for e in range(top - 1 - shared, eb - 1, -1):
+        _step(v, 1 << e, _node_const(w, q, p, kb >> (e - eb), e), q, 1, post if e == eb else 1)
+    if top == eb and post != 1:
+        _step(v, 1 << eb, 0, q, 1, post)
+
+
+def _node_ft(v: PolyView, node: tuple[int, int], w: int, q: int, p: int, inverse: bool):
+    """The twisted residue at node (k, e) in v's prefix <-> its values at
+    the node's points, slot i holding the value at omega^([k*2^e + i]_p),
+    as partial_ft leaves them."""
+    size = 1 << node[1]
+    ntt(v.sub(0, size), RootOfUnity(pow(w, 1 << (p - node[1]), q), size), "inv" if inverse else "fwd")
 
 
 def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
     """h += f * g by transforming h once and streaming partial transforms
-    of f and g over it; everything happens inside the three operands."""
+    of f and g over it; everything happens inside the three operands.
+
+    The chunks of h are nodes of the coset tree, visited left to right; f
+    and g are walked from node to node (see _walk) and restored by walking
+    back to the root.
+    """
     m, n = len(f), len(g)
     if len(h) != m + n - 1:
         raise SizeContract("need len(h) = len(f) + len(g) - 1")
@@ -637,6 +728,11 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
     N = m + n - 1
     p = max(0, (N - 1).bit_length())
     root = ring.find_principal_root(1 << p)
+    w = root.omega
+    # every chunk transform writes inside the largest power-of-two prefix
+    g._writable_or_raise(0, 1 << (n.bit_length() - 1))
+    f._writable_or_raise(0, 1 << (m.bit_length() - 1))
+    f_at = g_at = (0, p)
     with h.arena.call():
         _tft(h, root, False)
         r = N
@@ -644,11 +740,15 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
             ell = min(r, m).bit_length() - 1
             t = min(r, n).bit_length() - 1 - ell
             off = N - r
-            kg = off >> (ell + t)
-            partial_ft(g, kg, ell + t, root, "fwd")
+            g_node = (off >> (ell + t), ell + t)
+            _walk(g, g_at, g_node, w, q, p)
+            g_at = g_node
+            _node_ft(g, g_node, w, q, p, False)
             for s in range(1 << t):
-                kf = (off >> ell) + s
-                partial_ft(f, kf, ell, root, "fwd")
+                f_node = ((off >> ell) + s, ell)
+                _walk(f, f_at, f_node, w, q, p)
+                f_at = f_node
+                _node_ft(f, f_node, w, q, p, False)
                 base = off + (s << ell)
                 cnt = 1 << ell
                 h._writable_or_raise(base, base + cnt)
@@ -660,9 +760,11 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
                     (x + a * b) % q for x, a, b in zip(hregs[hs], f.arena.regs[fs], g.arena.regs[gs])
                 ]
                 h.arena.metrics.base_products += cnt
-                partial_ft(f, kf, ell, root, "inv")
-            partial_ft(g, kg, ell + t, root, "inv")
+                _node_ft(f, f_node, w, q, p, True)
+            _node_ft(g, g_node, w, q, p, True)
             r -= 1 << (ell + t)
+        _walk(f, f_at, (0, p), w, q, p)
+        _walk(g, g_at, (0, p), w, q, p)
         _tft(h, root, True)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     SizeOrder,
 )
-from .reg_arena import PolyView, _slc, vadd, vcopy, vzero
+from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +224,133 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 
+BLOCK = 128  # width of every butterfly block and twiddle table (scalar budget)
+
+
+def _powers(w: int, k: int, q: int) -> list[int]:
+    """[w^0, ..., w^(k-1)]; callers keep k <= BLOCK."""
+    table = [1] * k
+    for j in range(1, k):
+        table[j] = table[j - 1] * w % q
+    return table
+
+
+def _butterflies(regs, off, d, n, half, w, q, inverse=False, pairs=None, scale=None, lazy=False):
+    """One butterfly stage over logical [0, n) of a view (off, d) of regs.
+
+    The pairs are (s + i, s + i + half) for every block start s = 0,
+    2*half, ... below n and every i < pairs (default: half), with twiddle
+    w^i.  Forward (DIF): (x, y) -> (x + y, (x - y) w^i).  Inverse (DIT):
+    (x, y) -> (x + y w^i, x - y w^i), both multiplied by scale when it is
+    given.  Each run of at most BLOCK pairs (see _pair_runs) is two
+    list-slice comprehensions.  A lazy inverse stage without scale leaves
+    x + y w^i unreduced, in (-q, 2q) for reduced inputs, so a later stage
+    must reduce every slot; any stage accepts unreduced inputs.
+    """
+    if pairs is None:
+        pairs = half
+    if ((n - 1) // (2 * half) + 1) * pairs < BLOCK:
+        # fewer pairs than one block do not pay for building lists (measured
+        # slower up to 64 pairs, break-even at 128): one pair at a time
+        for s in range(0, n, 2 * half):
+            t = 1
+            for i in range(s, s + pairs):
+                ja = off + d * i
+                jb = ja + d * half
+                x = regs[ja]
+                if inverse:
+                    y = regs[jb] * t
+                    x, y = x + y, x - y
+                    if scale is not None:
+                        x, y = x * scale, y * scale
+                else:
+                    y = regs[jb]
+                    x, y = x + y, (x - y) * t
+                regs[ja] = x % q
+                regs[jb] = y % q
+                t = t * w % q
+        return
+    # x + y w = 2x - (x - y w), so one product per pair; y w is reduced
+    # first so that the difference stays a one-digit int
+    two = None if scale is None else 2 * scale % q
+    for lo, hi, tw in _pair_runs(off, d, n, half, pairs, w, q):
+        xs = regs[lo]
+        ys = regs[hi]
+        if not inverse:
+            regs[lo] = [(x + y) % q for x, y in zip(xs, ys)]
+            if tw is None:
+                regs[hi] = [(x - y) % q for x, y in zip(xs, ys)]
+            elif type(tw) is int:
+                regs[hi] = [(x - y) * tw % q for x, y in zip(xs, ys)]
+            else:
+                regs[hi] = [(x - y) * t % q for x, y, t in zip(xs, ys, tw)]
+            continue
+        if scale is None:
+            if tw is None:
+                hs = [(x - y) % q for x, y in zip(xs, ys)]
+            elif type(tw) is int:
+                hs = [(x - y * tw % q) % q for x, y in zip(xs, ys)]
+            else:
+                hs = [(x - y * t % q) % q for x, y, t in zip(xs, ys, tw)]
+            if lazy:
+                regs[lo] = [x + x - h for x, h in zip(xs, hs)]
+            else:
+                regs[lo] = [(x + x - h) % q for x, h in zip(xs, hs)]
+        else:
+            if tw is None:
+                hs = [(x - y) * scale % q for x, y in zip(xs, ys)]
+            elif type(tw) is int:
+                hs = [(x - y * tw % q) * scale % q for x, y in zip(xs, ys)]
+            else:
+                hs = [(x - y * t % q) * scale % q for x, y, t in zip(xs, ys, tw)]
+            if two == 1:
+                regs[lo] = [(x - h) % q for x, h in zip(xs, hs)]
+            else:
+                regs[lo] = [(x * two - h) % q for x, h in zip(xs, hs)]
+        regs[hi] = hs
+
+
+def _pair_runs(off, d, n, half, pairs, w, q):
+    """Yield (lo slice, hi slice, twiddles) runs of at most BLOCK pairs
+    covering the stage _butterflies describes; twiddles is None when all
+    are 1, an int when one twiddle serves the whole run, else a list.
+
+    Contiguous runs take up to BLOCK consecutive i of one block, with a
+    BLOCK-entry table of powers of w scaled once per run offset; when the
+    blocks are many and short, strided runs take one i across up to BLOCK
+    blocks with a single twiddle.  The layout needing fewer runs is used.
+    """
+    size = 2 * half
+    blocks = (n - 1) // size + 1
+    if blocks * (-(-pairs // BLOCK)) <= pairs * (-(-blocks // BLOCK)):
+        table = _powers(w, min(BLOCK, pairs), q)
+        step = table[-1] * w % q
+        cur = 1
+        for j0 in range(0, pairs, BLOCK):
+            b = min(BLOCK, pairs - j0)
+            tw = table if cur == 1 else [cur * t % q for t in table]
+            for s in range(j0, n, size):
+                yield _slc(off, d, s, s + b), _slc(off, d, s + half, s + half + b), tw
+            cur = cur * step % q
+        return
+    t = 1
+    span = BLOCK * size
+    for i in range(pairs):
+        tw = None if t == 1 else t
+        for s in range(i, n, span):
+            e = min(n, s + span)
+            yield _slc_step(off, d, s, e, size), _slc_step(off, d, s + half, e, size), tw
+        t = t * w % q
+
+
 def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
     """Replace view by its DFT at bit-reversed powers of root, in place.
 
     No permutation pass: forward output slot j holds f(omega**[j]_k) where
     [j]_k is the k-bit reversal of j.  "inv" undoes "fwd" exactly.
-    Scalar budget: 4 locals per butterfly.
+    Scalar budget: each stage holds one twiddle table of at most BLOCK
+    entries, its scaled copy, and the lists of one block of at most BLOCK
+    butterflies, so at most 6 * BLOCK scalars whatever the length.
     """
     n = len(view)
     if n & (n - 1):
@@ -238,6 +359,8 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
         raise BadOrder(f"root order {root.order} != length {n}")
     if view.rlo != 0 or view.rhi != n:
         raise BadLength("ntt requires a fully backed view")
+    if direction not in ("fwd", "inv"):
+        raise BadLength(f"unknown direction {direction!r}")
     if n <= 1:
         return
     view._writable_or_raise(0, n)
@@ -246,45 +369,22 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
     regs = arena.regs
     off, d = view.off, view.dir
     if direction == "fwd":
-        w = root.omega
-        size = n
-        while size > 1:
-            half = size >> 1
-            wbase = pow(w, n // size, q)
-            for start in range(0, n, size):
-                wcur = 1
-                for i in range(start, start + half):
-                    ja = off + d * i
-                    jb = off + d * (i + half)
-                    a = regs[ja]
-                    b = regs[jb]
-                    regs[ja] = (a + b) % q
-                    regs[jb] = (a - b) * wcur % q
-                    wcur = wcur * wbase % q
-            size = half
-    elif direction == "inv":
-        winv = pow(root.omega, q - 2, q)
-        size = 2
-        while size <= n:
-            half = size >> 1
-            wbase = pow(winv, n // size, q)
-            for start in range(0, n, size):
-                wcur = 1
-                for i in range(start, start + half):
-                    ja = off + d * i
-                    jb = off + d * (i + half)
-                    a = regs[ja]
-                    b = regs[jb] * wcur % q
-                    regs[ja] = (a + b) % q
-                    regs[jb] = (a - b) % q
-                    wcur = wcur * wbase % q
-            size <<= 1
-        # the halving from each stage is deferred to one final pass
-        ninv = pow(n, q - 2, q)
-        s = _slc(off, d, 0, n)
-        regs[s] = [x * ninv % q for x in regs[s]]
-    else:
-        raise BadLength(f"unknown direction {direction!r}")
+        half = n >> 1
+        while half:
+            _butterflies(regs, off, d, n, half, pow(root.omega, n // (2 * half), q), q)
+            half >>= 1
+        return
+    winv = pow(root.omega, q - 2, q)
+    half = 1
+    lazy = True
+    while half < n:
+        # the halving from each stage is deferred to the last one, which
+        # scales by 1/n; every other stage leaves its sums unreduced, which
+        # keeps them one-digit ints for the next stage when q < 2^29
+        scale = pow(n, q - 2, q) if 2 * half == n else None
+        _butterflies(regs, off, d, n, half, pow(winv, n // (2 * half), q), q, inverse=True, scale=scale, lazy=lazy)
+        lazy = not lazy
+        half <<= 1
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,14 @@ def _slc(off: int, d: int, a: int, b: int) -> slice:
     return slice(off - a, stop if stop >= 0 else None, -1)
 
 
+def _slc_step(off: int, d: int, a: int, b: int, step: int) -> slice:
+    """Physical slice of the logical indices a, a+step, ... below b."""
+    if d == 1:
+        return slice(off + a, off + b, step)
+    stop = off - b
+    return slice(off - a, stop if stop >= 0 else None, -step)
+
+
 def vadd(dst: PolyView, src: PolyView, sign: int = 1, length: int | None = None):
     """dst[i] += sign * src[i] over the overlap (trimmed to src's real zone)."""
     n = min(dst.L, src.L)

@@ -35,3 +35,21 @@ def log_uniform_size(rng: random.Random, lo_exp: float = 0.0, hi_exp: float = 9.
     else:
         e = rng.uniform(min(6.5, hi_exp), hi_exp)
     return max(1, min(512, round(2.0 ** e)))
+
+
+def distinct_nonzero(rng: random.Random, q: int, n: int) -> list[int]:
+    """n distinct values in [1, q), drawn by rejection.
+
+    rng.sample(range(1, q), n) fails once q exceeds 2^63; this works for
+    any q with n < q.
+    """
+    if n >= q:
+        raise ValueError(f"cannot draw {n} distinct nonzero values mod {q}")
+    seen: set[int] = set()
+    out = []
+    while len(out) < n:
+        v = rng.randrange(1, q)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
