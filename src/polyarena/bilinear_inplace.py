@@ -28,7 +28,7 @@ from .errors import (
     RegionMismatch,
     ZeroRow,
 )
-from .reg_arena import PolyView, vadd, vscale
+from .reg_arena import RO_RW, PolyView, vadd, vscale
 
 # instruction kinds
 ADD = "add"  # dst += coeff * src
@@ -340,7 +340,6 @@ def exec_program(
     """
     m, n, s = dims
     B = block_len
-    q = x.arena.q
     ring = x.arena.ring
     if len(x) != m * B or len(y) != n * B:
         raise RegionMismatch("x or y region does not match the program dims")
@@ -356,14 +355,7 @@ def exec_program(
     for ins in instrs:
         dst = block(regions[ins.dst[0]], ins.dst[1])
         if ins.kind == ADD:
-            c = ins.coeff % q
-            src = block(regions[ins.src[0]], ins.src[1])
-            if c == 1:
-                vadd(dst, src)
-            elif c == q - 1:
-                vadd(dst, src, -1)
-            else:
-                _vaxpy(dst, src, c)
+            vadd(dst, block(regions[ins.src[0]], ins.src[1]), ins.coeff)
         elif ins.kind == SCALE:
             vscale(dst, ins.coeff)
         elif ins.kind == DIV:
@@ -384,13 +376,6 @@ def exec_program(
             pair_op(target, block(regions["x"], ins.src[1]), block(regions["y"], ins.src2[1]))
         else:
             raise BadParams(f"unknown instruction kind {ins.kind!r}")
-
-
-def _vaxpy(dst: PolyView, src: PolyView, c: int):
-    n = min(len(dst), len(src))
-    q = dst.arena.q
-    for i in range(n):
-        dst.set(i, dst.get(i) + c * src.get(i))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +462,18 @@ def mat_on_arena(arena, off: int, n: int) -> MatView:
     return MatView(arena, off, n, n)
 
 
+def _check_rows(M: MatView, touch: bool = True):
+    for i in range(M.n):
+        row = M.off + i * M.stride
+        M.arena.check_span(row, row + M.n, touch)
+
+
 def _madd(dst: MatView, src: MatView, sign: int = 1):
-    q = dst.arena.q
-    regs = dst.arena.regs
+    arena = dst.arena
+    if arena.model == RO_RW or arena.has_scratch:
+        _check_rows(dst)
+    q = arena.q
+    regs = arena.regs
     n = dst.n
     for i in range(n):
         d0 = dst.off + i * dst.stride
@@ -494,12 +488,17 @@ def _madd(dst: MatView, src: MatView, sign: int = 1):
 
 def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
     """Z += X * Y with seven recursive products and no matrix temporaries;
-    X and Y are nudged and restored by pre/post block additions."""
+    X and Y are nudged and restored by pre/post block additions, so all
+    three must be writable: under ro/rw an input-only register in any of
+    them raises before the first write."""
     n = X.n
     if n & (n - 1):
         raise NotPowerOfTwo(f"matrix dimension {n}")
     if Y.n != n or Z.n != n:
         raise DimMismatch("need three n x n operands")
+    for M in (X, Y, Z):
+        if M.arena.model == RO_RW:
+            _check_rows(M, touch=False)
     with Z.arena.call():
         _sw(X, Y, Z, sign)
 

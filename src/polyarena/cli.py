@@ -22,9 +22,9 @@ import time
 from . import bilinear_inplace as bilinear
 from . import cs_rorw, cs_rwrw, dense_ref
 from .coeff_ring import DEFAULT_TEST_PRIME, Zq
-from .dense_ref import MulKit, poly_from_text, poly_to_text
+from .dense_ref import MulKit, _slice_naive, ntt, poly_from_text, poly_to_text
 from .errors import PolyArenaError
-from .reg_arena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, build_arena
+from .reg_arena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, build_arena, vadd, vcopy, vzero
 
 
 class UsageError(Exception):
@@ -77,7 +77,7 @@ def _run_mul(ring, args):
     algo = args.algo
     if algo == "schoolbook":
         arena, (fv, gv, hv) = build_arena(ring, RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (h, INOUT))
-        MulKit()._schoolbook_acc(hv, fv, gv, len(h), 1)
+        _slice_naive(hv, gv, fv, 0)
     elif algo == "karatsuba-ref":
         kit = MulKit()
         s = max(len(f), len(g))
@@ -385,9 +385,6 @@ def _bench_case(ring, op: str, n: int, rng: random.Random):
             ([0] * p2, SCRATCH), ([0] * p2, SCRATCH),
         )
         t0 = time.perf_counter()
-        from .dense_ref import ntt
-        from .reg_arena import vadd, vcopy, vzero
-
         vzero(wf)
         vcopy(wf.sub(0, n), fv, n)
         vzero(wg)

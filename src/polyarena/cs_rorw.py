@@ -16,7 +16,7 @@ holds one block of at most twelve coefficients.
 from __future__ import annotations
 
 from .coeff_ring import Zq
-from .dense_ref import MulKit
+from .dense_ref import MulKit, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -31,10 +31,6 @@ from .errors import (
 from .reg_arena import PolyView, vadd, vcopy, vneg, vzero
 
 _KIT = MulKit()
-
-
-def _ring(view: PolyView) -> Zq:
-    return view.arena.ring
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit =
             c = kit.c
             k = (n + 1) // (c + 3)
             if k == 0:
-                kit._schoolbook_acc(h, f, g, 2 * n - 1, 1)
+                _slice_naive(h, g, f, 0)
                 return
             ws = h.sub(n + k - 1, 2 * n - 1)
             fb = f.sub(0, k)
@@ -191,7 +187,7 @@ def series_inv_cs(f: PolyView, g: PolyView, kit: MulKit = _KIT, ladder=None):
     n = len(f)
     if len(g) != n:
         raise SizeContract("output must match input precision")
-    ring = _ring(f)
+    ring = f.arena.ring
     f0 = f.get(0)
     if f0 == 0:
         raise NonUnitConstant("series has no inverse")
@@ -247,7 +243,7 @@ def series_div_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, lad
     n = len(f)
     if len(g) != n or len(h) != n:
         raise SizeContract("need three size-n operands")
-    ring = _ring(f)
+    ring = f.arena.ring
     if g.get(0) == 0:
         raise NonUnitConstant("divisor constant term is zero")
     with h.arena.call():
@@ -337,7 +333,7 @@ def _revdiv_inplace(u: PolyView, div_rev: PolyView, scratch: PolyView, kit: MulK
     b = len(u)
     if b == 0:
         return
-    ring = _ring(u)
+    ring = u.arena.ring
     if len(scratch) >= kit.c + 3 and b > kit.c + 3:
         inplace_div_smallspace(u, div_rev, scratch, kit)
         return
@@ -368,7 +364,7 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView, kit: M
         raise SizeContract("output sizes must be (m, n-1)")
     if n == 0 or g.get(n - 1) == 0:
         raise NonUnitLeading("divisor leading coefficient is zero")
-    ring = _ring(f)
+    ring = f.arena.ring
     with q_out.arena.call():
         if n == 1:
             lead = ring.inv(g.get(0))
@@ -505,12 +501,7 @@ def mp_eval_cs(f: PolyView, points, out: PolyView, kit: MulKit = _KIT):
             rview = out.sub(done + k + 1, done + 2 * k + 1)
             tview = out.sub(done + 2 * k + 1, done + 3 * k + 1)
             batch = pts[done : done + k]
-            mview.set(0, 1)
-            for idx, a in enumerate(batch):
-                mview.set(idx + 1, mview.get(idx))
-                for d in range(idx, 0, -1):
-                    mview.set(d, mview.get(d - 1) - a * mview.get(d))
-                mview.set(0, -a * mview.get(0))
+            _build_modulus(mview, batch)
             remainder_smallspace(f, mview, rview, tview, kit)
             for i, a in enumerate(batch):
                 out.set(done + i, _horner_view(rview, a, q))
@@ -525,7 +516,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView,
     last may be short), and each block contributes n_i * s_i mod x^k.
     Scratch requirement: 8k + 4 registers.
     """
-    ring = _ring(out)
+    ring = out.arena.ring
     q = ring.q
     s = len(g)
     pts = [(int(a) % q, int(b) % q) for a, b in pairs]
@@ -585,7 +576,6 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView,
 
 def _build_modulus(dst: PolyView, roots):
     """dst[0, len(roots)+1) = prod (x - a)."""
-    q = dst.arena.q
     dst.set(0, 1)
     for idx, a in enumerate(roots):
         dst.set(idx + 1, dst.get(idx))
@@ -628,7 +618,7 @@ def interp_cs(pairs, out: PolyView, kit: MulKit = _KIT):
     a_i ** s).  Small tails fall back to direct Lagrange combination over
     at most a dozen points, held in Python locals (declared budget).
     """
-    ring = _ring(out)
+    ring = out.arena.ring
     q = ring.q
     pts = [(int(a) % q, int(b) % q) for a, b in pairs]
     P = len(pts)

@@ -12,8 +12,9 @@ real subwindows, so the restore reasoning stays local.
 
 Declared scalar budgets: plain statements hold at most four locals; in
 addition two fixed-size kernels run on Python locals, a balanced product
-kernel of width <= _KERNEL coefficients and the blocks of at most BLOCK
-(dense_ref) scalars used by butterflies, twiddle tables and fold sums.
+kernel of width <= BASE coefficients and the blocks of at most BLOCK
+scalars (both dense_ref constants) used by butterflies, twiddle tables and
+fold sums.
 Neither grows with the input and neither touches arena registers.  The
 truncated FFT's virtual reads hold a few such blocks per level of their
 recursion, so their budget grows with the pointer stack, not the input.
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from .coeff_ring import RootOfUnity, Zq
-from .dense_ref import BLOCK, _butterflies, _powers, bit_reverse, ntt
+from .coeff_ring import RootOfUnity
+from .dense_ref import BASE, BLOCK, _butterflies, _powers, _slice_naive, bit_reverse, ntt
 from .errors import (
     BadParams,
     BadSlice,
@@ -35,14 +36,6 @@ from .errors import (
     SizeContract,
 )
 from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vneg, vscale, vzero
-
-_BASE = 16
-_KERNEL = 32  # balanced products at or below this size run on Python locals
-
-
-def _ring(view: PolyView) -> Zq:
-    return view.arena.ring
-
 
 # ---------------------------------------------------------------------------
 # cumulative full products
@@ -88,13 +81,8 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
     if n == 0:
         return
     arena = h.arena
-    if n == 1:
-        v = f.get(0) * g.get(0)
-        h.set(0, h.get(0) + (v if sign > 0 else -v))
-        arena.metrics.base_products += 1
-        return
-    if n <= _KERNEL:
-        # constant-size kernel on Python locals (bounded by 3 * _KERNEL
+    if n <= BASE:
+        # constant-size kernel on Python locals (bounded by 3 * BASE
         # scalars); the recursion shape and product count are unchanged
         regs = arena.regs
         fs = _slc(f.off, f.dir, 0, n)
@@ -178,35 +166,6 @@ def _kara_vals(fa: list[int], gb: list[int]) -> tuple[list[int], int]:
     return out, c1 + c2 + c3
 
 
-def _naive_slice(f: PolyView, g: PolyView, h: PolyView, s: int, sign: int):
-    """h[d] += sign * (f*g)[s+d], direct loops; operands only read."""
-    arena = h.arena
-    q = arena.q
-    r = len(h)
-    a = len(f)
-    h._writable_or_raise(0, r)
-    dregs = arena.regs
-    doff, dd = h.off, h.dir
-    fregs, foff, fd = f.arena.regs, f.off, f.dir
-    gregs, goff, gd = g.arena.regs, g.off, g.dir
-    prods = 0
-    for j in range(len(g)):
-        c = gregs[goff + gd * j]
-        if not c:
-            continue
-        if sign < 0:
-            c = q - c
-        dlo = max(0, j - s)
-        dhi = min(r, j - s + a)
-        if dhi <= dlo:
-            continue
-        ds = _slc(doff, dd, dlo, dhi)
-        fs = _slc(foff + fd * (s - j), fd, dlo, dhi)
-        dregs[ds] = [(x + c * y) % q for x, y in zip(dregs[ds], fregs[fs])]
-        prods += dhi - dlo
-    arena.metrics.base_products += prods
-
-
 # ---------------------------------------------------------------------------
 # cumulative slices (quadtree decomposition into full products)
 # ---------------------------------------------------------------------------
@@ -260,8 +219,8 @@ def _cum_slice(f: PolyView, g: PolyView, h: PolyView, s: int, sign: int):
     if s == 0 and r == a + b - 1:
         _cum_full(f, g, h, sign)
         return
-    if min(a, b) <= 2 * _BASE or r <= 2:
-        _naive_slice(f, g, h, s, sign)
+    if min(a, b) <= BASE or r <= 2:
+        _slice_naive(h, f, g, s, sign)
         return
     sigma = (min(a, b) + 1) // 2
     ca = min(sigma, a)
@@ -293,12 +252,8 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
         f0, g0, h0 = f, g, h
         while True:
             n = len(f0)
-            if n == 0:
-                return
-            if n == 1:
-                v = f0.get(0) * g0.get(0)
-                h0.set(0, h0.get(0) + (v if sign > 0 else -v))
-                h0.arena.metrics.base_products += 1
+            if n <= 1:
+                _cum_kara(f0, g0, h0, sign)
                 return
             m = (n + 1) // 2
             t = n - m
@@ -318,7 +273,7 @@ def cumulative_convolution(f: PolyView, g: PolyView, h: PolyView, lam: int):
     n = len(h)
     if not len(f) == len(g) == n:
         raise SizeContract("need three size-n operands")
-    ring = _ring(h)
+    ring = h.arena.ring
     lam %= ring.q
     if lam == 0:
         raise LambdaZero("use the lower product for lambda = 0")
@@ -723,7 +678,7 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
         m, n = n, m
     if m == 0:
         return
-    ring = _ring(h)
+    ring = h.arena.ring
     q = ring.q
     N = m + n - 1
     p = max(0, (N - 1).bit_length())
@@ -812,7 +767,7 @@ def _ipd(f: PolyView, g: PolyView):
     n = len(f)
     if n == 0:
         return
-    ring = _ring(f)
+    ring = f.arena.ring
     if n == 1:
         f.set(0, f.get(0) * ring.inv(g.get(0)))
         f.arena.metrics.base_products += 1
@@ -874,7 +829,7 @@ def inplace_divrem(f: PolyView, g: PolyView, direction: str = "apply"):
         raise SizeContract("dividend shorter than divisor allows")
     if n == 0 or g.get(n - 1) == 0:
         raise NonUnitLeading("divisor leading coefficient is zero")
-    ring = _ring(f)
+    ring = f.arena.ring
     with f.arena.call():
         if n == 1:
             c = ring.inv(g.get(0))

@@ -225,6 +225,7 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 
 
 BLOCK = 128  # width of every butterfly block and twiddle table (scalar budget)
+BASE = 32  # products at or below this size run on the naive kernel or on Python locals
 
 
 def _powers(w: int, k: int, q: int) -> list[int]:
@@ -387,6 +388,40 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
         half <<= 1
 
 
+def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1):
+    """dst[d] += sign * (f * g)[s + d] for d < len(dst); f and g are only read.
+
+    One list-slice row per nonzero g[j] of g's real zone, reading only f's
+    real zone, with one permission check on dst.
+    """
+    r = len(dst)
+    arena = dst.arena
+    q = arena.q
+    dst._writable_or_raise(0, r)
+    dregs = arena.regs
+    doff, dd = dst.off, dst.dir
+    fregs, foff, fd = f.arena.regs, f.off, f.dir
+    flo, fhi = f.rlo, f.rhi
+    gregs, goff, gd = g.arena.regs, g.off, g.dir
+    prods = 0
+    for j in range(g.rlo, g.rhi):
+        c = gregs[goff + gd * j]
+        if not c:
+            continue
+        if sign < 0:
+            c = q - c
+        # f[s + d - j] must lie in f's real zone
+        dlo = max(0, flo + j - s)
+        dhi = min(r, fhi + j - s)
+        if dhi <= dlo:
+            continue
+        ds = _slc(doff, dd, dlo, dhi)
+        fs = _slc(foff + fd * (s - j), fd, dlo, dhi)
+        dregs[ds] = [(x + c * y) % q for x, y in zip(dregs[ds], fregs[fs])]
+        prods += dhi - dlo
+    arena.metrics.base_products += prods
+
+
 # ---------------------------------------------------------------------------
 # multiplication kit on views
 # ---------------------------------------------------------------------------
@@ -401,7 +436,6 @@ class MulKit:
     """
 
     c = 2
-    base = 32
     mstar_flag = False
 
     # -- full product --------------------------------------------------------
@@ -413,7 +447,7 @@ class MulKit:
             raise BadLength("full_into needs equal logical sizes")
         if len(dst) < 2 * s - 1:
             raise BadLength("full_into destination too short")
-        if s <= self.base:
+        if s <= BASE:
             self._schoolbook_into(dst, f, g, 2 * s - 1)
             return
         m = (s + 1) // 2
@@ -442,32 +476,7 @@ class MulKit:
 
     def _schoolbook_into(self, dst: PolyView, f: PolyView, g: PolyView, out_len: int):
         vzero(dst, out_len)
-        self._schoolbook_acc(dst, f, g, out_len, 1)
-
-    def _schoolbook_acc(self, dst: PolyView, f: PolyView, g: PolyView, out_len: int, sign: int):
-        arena = dst.arena
-        q = arena.q
-        dst._writable_or_raise(0, min(out_len, dst.rhi))
-        dregs = arena.regs
-        doff, dd = dst.off, dst.dir
-        fregs, foff, fd = f.arena.regs, f.off, f.dir
-        gregs, goff, gd = g.arena.regs, g.off, g.dir
-        prods = 0
-        ja = g.rlo
-        for i in range(f.rlo, f.rhi):
-            fi = fregs[foff + fd * i]
-            if not fi:
-                continue
-            if sign < 0:
-                fi = q - fi
-            jb = min(g.rhi, out_len - i)
-            if jb <= ja:
-                continue
-            ds = _slc(doff, dd, i + ja, i + jb)
-            ss = _slc(goff, gd, ja, jb)
-            dregs[ds] = [(x + fi * y) % q for x, y in zip(dregs[ds], gregs[ss])]
-            prods += jb - ja
-        arena.metrics.base_products += prods
+        _slice_naive(dst.sub(0, out_len), g, f, 0)
 
     # -- short (lower) product -----------------------------------------------
 
@@ -480,8 +489,9 @@ class MulKit:
         g = g.sub(0, min(len(g), t))
         if f.rhi <= f.rlo or g.rhi <= g.rlo:
             return
-        if t <= self.base or min(f.rhi - f.rlo, g.rhi - g.rlo) <= 2:
-            self._schoolbook_acc(dst, f, g, t, sign)
+        if t <= BASE or min(f.rhi - f.rlo, g.rhi - g.rlo) <= 2:
+            # operands swapped so that the rows skip zeros of f
+            _slice_naive(dst, g, f, 0, sign)
             return
         m = (t + 1) // 2
         p = ws.sub(0, 2 * m - 1)
@@ -512,15 +522,14 @@ class MulKit:
             raise BadLength("mid_acc expects sizes (2r-1, r, r)")
         if fwin.rhi <= fwin.rlo or g.rhi <= g.rlo:
             return
-        if r <= self.base:
-            self._mid_naive(dst, fwin, g, sign)
+        if r <= BASE:
+            _slice_naive(dst, fwin, g, r - 1, sign)
             return
         if r % 2:
             # last output row and the g[r-1] rank-one row, then an even core
             self._mid_row(dst, fwin, g, r - 1, sign)
-            top = g.get(r - 1)
-            if top:
-                self._axpy_row(dst, fwin, top, r - 1, sign)
+            if g.get(r - 1):
+                _slice_naive(dst.sub(0, r - 1), fwin, g.sub(r - 1, r), 0, sign)
             self.mid_acc(dst.sub(0, r - 1), fwin.sub(1, 2 * r - 2), g.sub(0, r - 1), ws, sign)
             return
         h = r // 2
@@ -540,34 +549,6 @@ class MulKit:
         vadd(tmp_a, a1, -1)
         self.mid_acc(dst1, tmp_a, g.sub(0, h), ws.sub(2 * h - 1, len(ws)), sign)
 
-    def _mid_naive(self, dst: PolyView, fwin: PolyView, g: PolyView, sign: int):
-        r = len(dst)
-        arena = dst.arena
-        q = arena.q
-        dst._writable_or_raise(0, r)
-        dregs = arena.regs
-        doff, dd = dst.off, dst.dir
-        fregs, foff, fd = fwin.arena.regs, fwin.off, fwin.dir
-        flo, fhi = fwin.rlo, fwin.rhi
-        gregs, goff, gd = g.arena.regs, g.off, g.dir
-        prods = 0
-        for j in range(g.rlo, g.rhi):
-            gj = gregs[goff + gd * j]
-            if not gj:
-                continue
-            if sign < 0:
-                gj = q - gj
-            # i = r-1+d-j must land in fwin's real zone
-            dlo = max(0, flo + j - (r - 1))
-            dhi = min(r, fhi + j - (r - 1))
-            if dhi <= dlo:
-                continue
-            ds = _slc(doff, dd, dlo, dhi)
-            fs = _slc(foff + fd * (r - 1 - j), fd, dlo, dhi)
-            dregs[ds] = [(x + gj * y) % q for x, y in zip(dregs[ds], fregs[fs])]
-            prods += dhi - dlo
-        arena.metrics.base_products += prods
-
     def _mid_row(self, dst: PolyView, fwin: PolyView, g: PolyView, d: int, sign: int):
         """dst[d] += sign * sum_j fwin[r-1+d-j] * g[j] (single output row)."""
         r = len(dst)
@@ -577,41 +558,14 @@ class MulKit:
         dst.arena.metrics.base_products += max(0, g.rhi - g.rlo)
         dst.set(d, dst.get(d) + (acc if sign > 0 else -acc))
 
-    def _axpy_row(self, dst: PolyView, fwin: PolyView, scalar: int, count: int, sign: int):
-        """dst[d] += sign * scalar * fwin[d] for d < count."""
-        q = dst.arena.q
-        if sign < 0:
-            scalar = (q - scalar) % q
-        lo = max(0, fwin.rlo)
-        hi = min(count, fwin.rhi)
-        if lo >= hi:
-            return
-        dst._writable_or_raise(lo, hi)
-        dregs = dst.arena.regs
-        doff, dd = dst.off, dst.dir
-        fregs, foff, fd = fwin.arena.regs, fwin.off, fwin.dir
-        for d in range(lo, hi):
-            k = doff + dd * d
-            dregs[k] = (dregs[k] + scalar * fregs[foff + fd * d]) % q
-        dst.arena.metrics.base_products += hi - lo
-
     # -- derived: unbalanced middle and product slices -------------------------
 
     def mid_unbalanced_acc(self, dst: PolyView, fchunk: PolyView, gpref: PolyView, ws: PolyView, sign: int = 1):
         """dst += sign * [fchunk * gpref]_{k-1}^{k+l-1}, sizes (k+l-1, k) -> l."""
-        ell = len(dst)
-        k = len(gpref)
-        if ell == 0 or k == 0:
-            return
-        if len(fchunk) != k + ell - 1:
+        ell, k = len(dst), len(gpref)
+        if ell and k and len(fchunk) != k + ell - 1:
             raise BadLength("mid_unbalanced_acc expects len(fchunk) = k + l - 1")
-        j = 0
-        while j * ell < k:
-            gj = gpref.sub(j * ell, min((j + 1) * ell, k)).padded(ell)
-            u = k - 1 - j * ell
-            win = fchunk.window(u - ell + 1, u + ell)
-            self.mid_acc(dst, win, gj, ws, sign)
-            j += 1
+        self.slice_acc(dst, fchunk, gpref, k - 1, ws, sign)
 
     def slice_acc(self, dst: PolyView, f: PolyView, g: PolyView, s: int, ws: PolyView, sign: int = 1):
         """dst += sign * [f * g]_s^{s+len(dst)} in blocks of g."""

@@ -18,6 +18,8 @@ budget of such temporaries next to its definition.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .coeff_ring import Zq
 from .errors import (
     BadRange,
@@ -90,22 +92,17 @@ class Arena:
         self.perms = list(perms)
         self.model = model
         self.metrics = SpaceMetrics()
-        self.has_scratch = SCRATCH in self.perms
-        self._input_ranges = self._runs_of(INPUT_ONLY)
-        self._scratch_ranges = self._runs_of(SCRATCH)
-
-    def _runs_of(self, tag: int) -> list[tuple[int, int]]:
-        runs = []
-        start = None
-        for i, p in enumerate(self.perms):
-            if p == tag and start is None:
-                start = i
-            elif p != tag and start is not None:
-                runs.append((start, i))
-                start = None
-        if start is not None:
-            runs.append((start, len(self.perms)))
-        return runs
+        # permission tags come in contiguous runs: find them in one pass
+        runs = {INPUT_ONLY: [], SCRATCH: []}
+        lo = 0
+        for tag, group in groupby(self.perms):
+            hi = lo + len(list(group))
+            if tag in runs:
+                runs[tag].append((lo, hi))
+            lo = hi
+        self._input_ranges = runs[INPUT_ONLY]
+        self._scratch_ranges = runs[SCRATCH]
+        self.has_scratch = bool(self._scratch_ranges)
 
     def __len__(self):
         return len(self.regs)
@@ -126,6 +123,24 @@ class Arena:
         if p == SCRATCH:
             self.metrics.scratch_touched.add(i)
         self.regs[i] = v % self.q
+
+    def check_span(self, lo: int, hi: int, touch: bool = True):
+        """Single permission check for a bulk write to registers [lo, hi).
+
+        Under ro/rw a span that meets an input-only register raises; with
+        touch, the scratch registers in the span count as written.  The
+        span is intersected with the run intervals found at construction.
+        """
+        if self.model == RO_RW:
+            for a, b in self._input_ranges:
+                if a < hi and lo < b:
+                    raise PermissionDenied(f"bulk write hits input-only registers [{max(a, lo)},{min(b, hi)})")
+        if touch and self.has_scratch:
+            touched = self.metrics.scratch_touched
+            for a, b in self._scratch_ranges:
+                o_lo, o_hi = max(a, lo), min(b, hi)
+                if o_lo < o_hi:
+                    touched.update(range(o_lo, o_hi))
 
     # -- call stack accounting --------------------------------------------
 
@@ -268,31 +283,17 @@ class PolyView:
         return self.rlo, self.rhi
 
     def _writable_or_raise(self, a: int, b: int):
-        """Single permission check for a bulk write over logical [a, b).
-
-        Permission tags come in contiguous runs, so the check intersects
-        the physical write span with the precomputed run intervals.
-        """
+        """Single permission check for a bulk write over logical [a, b)."""
         if a >= b:
             return
         if a < self.rlo or b > self.rhi:
             raise PaddingWrite(f"bulk write [{a},{b}) outside real zone [{self.rlo},{self.rhi})")
         arena = self.arena
-        off, d = self.off, self.dir
-        if d == 1:
-            plo, phi = off + a, off + b
-        else:
-            plo, phi = off - b + 1, off - a + 1
-        if arena.model == RO_RW:
-            for lo, hi in arena._input_ranges:
-                if lo < phi and plo < hi:
-                    raise PermissionDenied(f"bulk write hits input-only registers [{max(lo, plo)},{min(hi, phi)})")
-        if arena.has_scratch:
-            touched = arena.metrics.scratch_touched
-            for lo, hi in arena._scratch_ranges:
-                o_lo, o_hi = max(lo, plo), min(hi, phi)
-                if o_lo < o_hi:
-                    touched.update(range(o_lo, o_hi))
+        if arena.model == RO_RW or arena.has_scratch:
+            if self.dir == 1:
+                arena.check_span(self.off + a, self.off + b)
+            else:
+                arena.check_span(self.off - b + 1, self.off - a + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,8 @@ def _slc_step(off: int, d: int, a: int, b: int, step: int) -> slice:
 
 
 def vadd(dst: PolyView, src: PolyView, sign: int = 1, length: int | None = None):
-    """dst[i] += sign * src[i] over the overlap (trimmed to src's real zone)."""
+    """dst[i] += sign * src[i] over the overlap (trimmed to src's real zone);
+    sign is any scalar."""
     n = min(dst.L, src.L)
     if length is not None:
         n = min(n, length)
@@ -336,10 +338,13 @@ def vadd(dst: PolyView, src: PolyView, sign: int = 1, length: int | None = None)
     sregs = src.arena.regs
     ds = _slc(dst.off, dst.dir, a, b)
     ss = _slc(src.off, src.dir, a, b)
-    if sign >= 0:
+    c = sign % q
+    if c == 1:
         dregs[ds] = [(x + y) % q for x, y in zip(dregs[ds], sregs[ss])]
-    else:
+    elif c == q - 1:
         dregs[ds] = [(x - y) % q for x, y in zip(dregs[ds], sregs[ss])]
+    else:
+        dregs[ds] = [(x + c * y) % q for x, y in zip(dregs[ds], sregs[ss])]
 
 
 def vcopy(dst: PolyView, src: PolyView, length: int | None = None):

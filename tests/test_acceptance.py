@@ -14,15 +14,8 @@ import time
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, Zq, build_arena
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
-from polyarena.dense_ref import (
-    MulKit,
-    divrem,
-    horner_eval,
-    karatsuba_mul,
-    ntt,
-    schoolbook_mul,
-)
-from polyarena.reg_arena import _slc, vadd, vcopy, vzero
+from polyarena.cli import _bench_case
+from polyarena.dense_ref import divrem, horner_eval, karatsuba_mul, schoolbook_mul
 
 RING97 = Zq(97)
 RING_FFT = Zq(469762049)
@@ -735,79 +728,13 @@ def test_criterion_7_precision_ladder():
     report("[PASS] criterion 7: Newton ladder invariant on 50 runs")
 
 
-def _bench_cumulative_karatsuba(n, rng):
-    q = 97
-    arena, (fv, gv, hv) = build_arena(
-        RING97, RW_RW, (rand_poly(rng, q, n), INOUT), (rand_poly(rng, q, n), INOUT), (rand_poly(rng, q, 2 * n - 1), INOUT)
-    )
-    t0 = time.perf_counter()
-    cs_rwrw.cumulative_karatsuba(fv, gv, hv)
-    return time.perf_counter() - t0
-
-
-def _bench_kit_karatsuba(n, rng):
-    q = 97
-    kit = MulKit()
-    arena, (fv, gv, hv, wv) = build_arena(
-        RING97,
-        RW_RW,
-        (rand_poly(rng, q, n), INOUT),
-        (rand_poly(rng, q, n), INOUT),
-        ([0] * (2 * n - 1), INOUT),
-        ([0] * (kit.c * n + 4), SCRATCH),
-    )
-    t0 = time.perf_counter()
-    kit.full_into(hv, fv, gv, wv)
-    return time.perf_counter() - t0
-
-
-def _bench_cumulative_fft(n, rng):
-    q = RING_FFT.q
-    arena, (fv, gv, hv) = build_arena(
-        RING_FFT, RW_RW, (rand_poly(rng, q, n), INOUT), (rand_poly(rng, q, n), INOUT), (rand_poly(rng, q, 2 * n - 1), INOUT)
-    )
-    t0 = time.perf_counter()
-    cs_rwrw.cumulative_fft_mul(fv, gv, hv)
-    return time.perf_counter() - t0
-
-
-def _bench_scratch_ntt(n, rng):
-    q = RING_FFT.q
-    N = 2 * n - 1
-    p2 = 1
-    while p2 < N:
-        p2 *= 2
-    root = RING_FFT.find_principal_root(p2)
-    arena, (fv, gv, hv, wf, wg) = build_arena(
-        RING_FFT,
-        RW_RW,
-        (rand_poly(rng, q, n), INOUT),
-        (rand_poly(rng, q, n), INOUT),
-        (rand_poly(rng, q, N), INOUT),
-        ([0] * p2, SCRATCH),
-        ([0] * p2, SCRATCH),
-    )
-    t0 = time.perf_counter()
-    vzero(wf)
-    vcopy(wf.sub(0, n), fv, n)
-    vzero(wg)
-    vcopy(wg.sub(0, n), gv, n)
-    ntt(wf, root, "fwd")
-    ntt(wg, root, "fwd")
-    ws = _slc(wf.off, 1, 0, p2)
-    wf.arena.regs[ws] = [a * b % q for a, b in zip(wf.arena.regs[ws], wg.arena.regs[_slc(wg.off, 1, 0, p2)])]
-    ntt(wf, root, "inv")
-    vadd(hv, wf.sub(0, N))
-    return time.perf_counter() - t0
-
-
 def test_criterion_8_benchmark_sanity():
     rng = random.Random("c8")
-    kara_cum = min(_bench_cumulative_karatsuba(4096, rng) for _ in range(3))
-    kara_ref = min(_bench_kit_karatsuba(4096, rng) for _ in range(3))
+    kara_cum = min(_bench_case(RING97, "cumulative-karatsuba", 4096, rng)[0] for _ in range(3))
+    kara_ref = min(_bench_case(RING97, "karatsuba-ref", 4096, rng)[0] for _ in range(3))
     ratio_k = kara_cum / kara_ref
-    fft_cum = min(_bench_cumulative_fft(16384, rng) for _ in range(3))
-    fft_ref = min(_bench_scratch_ntt(16384, rng) for _ in range(3))
+    fft_cum = min(_bench_case(RING_FFT, "cumulative-fft", 16384, rng)[0] for _ in range(3))
+    fft_ref = min(_bench_case(RING_FFT, "fft-ref", 16384, rng)[0] for _ in range(3))
     ratio_f = fft_cum / fft_ref
     ok_k = ratio_k <= 2.0
     ok_f = ratio_f <= 2.0

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from polyarena import INOUT, RW_RW, Arena, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, build_arena
 from polyarena import bilinear_inplace as bi
 from polyarena.dense_ref import schoolbook_mul
-from polyarena.errors import DimMismatch, NotPowerOfTwo, RegionMismatch, ZeroRow
+from polyarena.errors import DimMismatch, NotPowerOfTwo, PermissionDenied, RegionMismatch, ZeroRow
 from helpers import RING97, rand_poly
 
 RNG = random.Random(77)
@@ -96,17 +96,19 @@ def test_random_programs_match_brute_force_and_formulas():
         prog = random_program(RNG, t, m, n, s)
         instrs = bi.emit_inplace(prog)
         x, y, z = rand_poly(RNG, Q, m), rand_poly(RNG, Q, n), rand_poly(RNG, Q, s)
-        arena, (xv, yv, zv) = build_arena(RING97, RW_RW, (x, INOUT), (y, INOUT), (z, INOUT))
-        bi.exec_program(instrs, xv, yv, zv, (m, n, s))
-        assert zv.tolist() == brute_bilinear(prog, x, y, z)
-        assert xv.tolist() == x and yv.tolist() == y  # inputs restored
+        for model, ztag in ((RW_RW, INOUT), (RO_RW, SCRATCH)):
+            arena, (xv, yv, zv) = build_arena(RING97, model, (x, INOUT), (y, INOUT), (z, ztag))
+            bi.exec_program(instrs, xv, yv, zv, (m, n, s))
+            assert zv.tolist() == brute_bilinear(prog, x, y, z)
+            assert xv.tolist() == x and yv.tolist() == y  # inputs restored
+            # every row of C is nonzero, so every z register is written
+            assert arena.metrics.extra_algebraic_highwater == (s if ztag == SCRATCH else 0)
         counts = bi.instruction_counts(instrs, Q)
         sA, sB, sC = bi.sigma(prog.A), bi.sigma(prog.B), bi.sigma(prog.C)
         tA, tB, tC = bi.tau(prog.A, Q), bi.tau(prog.B, Q), bi.tau(prog.C, Q)
         assert counts["products"] == prog.t
         assert counts["additions"] == 2 * (sA + sB + sC) - 5 * prog.t
         assert counts["scalings"] == 2 * (tA + tB + tC)
-        assert arena.metrics.extra_algebraic_highwater == 0
 
 
 def test_program_text_roundtrip():
@@ -157,12 +159,12 @@ def naive_matmul_acc(X, Y, Z, q):
     return [[(Z[i][j] + sum(X[i][k] * Y[k][j] for k in range(n))) % q for j in range(n)] for i in range(n)]
 
 
-def strassen_setup(n):
+def strassen_setup(n, model=RW_RW, tags=(INOUT, INOUT, INOUT)):
     X = [[RNG.randrange(Q) for _ in range(n)] for _ in range(n)]
     Y = [[RNG.randrange(Q) for _ in range(n)] for _ in range(n)]
     Z = [[RNG.randrange(Q) for _ in range(n)] for _ in range(n)]
     flat = [v for M in (X, Y, Z) for row in M for v in row]
-    arena = Arena(RING97, flat, [INOUT] * len(flat), RW_RW)
+    arena = Arena(RING97, flat, [t for t in tags for _ in range(n * n)], model)
     mx = bi.mat_on_arena(arena, 0, n)
     my = bi.mat_on_arena(arena, n * n, n)
     mz = bi.mat_on_arena(arena, 2 * n * n, n)
@@ -198,3 +200,26 @@ def test_strassen_requires_power_of_two():
     X, Y, Z, arena, mx, my, mz = strassen_setup(3)
     with pytest.raises(NotPowerOfTwo):
         bi.strassen_cs(mx, my, mz)
+
+
+@pytest.mark.parametrize("which", ["X", "Y", "Z"])
+def test_strassen_cs_input_only_operand_leaves_arena_unchanged(which):
+    tags = tuple(INPUT_ONLY if name == which else INOUT for name in "XYZ")
+    X, Y, Z, arena, mx, my, mz = strassen_setup(4, RO_RW, tags)
+    before = list(arena.regs)
+    with pytest.raises(PermissionDenied):
+        bi.strassen_cs(mx, my, mz)
+    assert arena.regs == before
+    assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
+
+
+def test_strassen_cs_counts_scratch_writes():
+    for levels in (1, 2, 3):
+        n = 1 << levels
+        X, Y, Z, arena, mx, my, mz = strassen_setup(n, RO_RW, (INOUT, SCRATCH, INOUT))
+        bi.strassen_cs(mx, my, mz)
+        assert mz.tolists() == naive_matmul_acc(X, Y, Z, Q)
+        assert mx.tolists() == X and my.tolists() == Y
+        # only the top-right quadrant of Y is written at each level, so Y[i][j]
+        # is written unless no bit position of (i, j) reads (0, 1)
+        assert arena.metrics.extra_algebraic_highwater == n * n - 3**levels

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyarena import INOUT, RW_RW, Zq, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
 from polyarena.dense_ref import (
     MulKit,
     bit_reverse,
@@ -28,7 +28,7 @@ from polyarena.errors import (
     OutOfRange,
     SizeOrder,
 )
-from helpers import RING97, rand_poly
+from helpers import RING97, rand_poly, slice_product
 
 RNG = random.Random(2024)
 
@@ -199,6 +199,67 @@ def test_mulkit_scratch_budget_is_enforced():
         )
         kit.full_into(dv, fv, gv, wv)
         assert dv.tolist() == schoolbook_mul(RING97, f, g)
+
+
+# (entry, r, len(f), len(g), s): dst += -[f * g]_s^{s+r} on windows whose
+# two lowest and two highest slots are padding; r = 5 runs the naive kernel,
+# 37 and 70 the odd and even Karatsuba splits
+KIT_CASES = [
+    (entry, r, flen, glen, s)
+    for r in (5, 37, 70)
+    for entry, flen, glen, s in (
+        ("low_acc", r + 3, r + 1, 0),
+        ("mid_acc", 2 * r - 1, r, r - 1),
+        ("slice_acc", 2 * r + 5, r + 9, r + 2),
+        ("mid_unbalanced_acc", 3 * r + 2, 2 * r + 3, 2 * r + 2),
+    )
+]
+
+# (fingerprint of every register, extra_algebraic, base_products), taken
+# before the kit's naive loops were folded into one kernel
+KIT_PINNED = {
+    ("low_acc", 5): (11839272391, 0, 1),
+    ("mid_acc", 5): (13809681824, 0, 5),
+    ("slice_acc", 5): (59773909812, 0, 26),
+    ("mid_unbalanced_acc", 5): (73608337149, 0, 40),
+    ("low_acc", 37): (2388191483497, 37, 471),
+    ("mid_acc", 37): (3109440142286, 35, 843),
+    ("slice_acc", 37): (3447670958853, 35, 1069),
+    ("mid_unbalanced_acc", 37): (6183696876173, 35, 1819),
+    ("low_acc", 70): (10201912088836, 105, 1721),
+    ("mid_acc", 70): (14677002378185, 102, 2362),
+    ("slice_acc", 70): (15621940099309, 102, 2800),
+    ("mid_unbalanced_acc", 70): (29771200448445, 102, 4987),
+}
+
+
+def _kit_case(entry, r, flen, glen, s):
+    q = 469762049
+    rng = random.Random(f"kit-{entry}-{r}")
+    f = [0 if i % 7 == 3 else rng.randrange(q) for i in range(flen)]
+    g = [0 if i % 5 == 1 else rng.randrange(q) for i in range(glen)]
+    d0 = rand_poly(rng, q, r)
+    arena, (fv, gv, dv, wv) = build_arena(
+        Zq(q), RO_RW, (f[2:-2], INPUT_ONLY), (g[2:-2], INPUT_ONLY), (d0, INOUT), ([0] * (6 * flen), SCRATCH)
+    )
+    fw, gw = fv.window(-2, flen - 2), gv.window(-2, glen - 2)
+    kit = MulKit()
+    if entry == "slice_acc":
+        kit.slice_acc(dv, fw, gw, s, wv, -1)
+    else:
+        getattr(kit, entry)(dv, fw, gw, wv, -1)
+    f[:2] = f[-2:] = g[:2] = g[-2:] = [0, 0]
+    want = [(d - p) % q for d, p in zip(d0, slice_product(Zq(q), f, g, s, r))]
+    fingerprint = sum(i * v for i, v in enumerate(arena.regs, 1)) % (2**61 - 1)
+    m = arena.metrics
+    return dv.tolist() == want, (fingerprint, m.extra_algebraic_highwater, m.base_products)
+
+
+@pytest.mark.parametrize("case", KIT_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_mulkit_entry_points_are_pinned(case):
+    exact, pinned = _kit_case(*case)
+    assert exact
+    assert pinned == KIT_PINNED[case[:2]]
 
 
 def test_mulkit_flags():
