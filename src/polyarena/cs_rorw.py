@@ -6,7 +6,9 @@ the kit's declared scratch factor c, so nothing here hard-codes c = 2.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
-reductions report pointer depth 1.
+reductions report pointer depth 1.  Before that, each entry point checks
+its outputs and scratch blocks (`require_writable`), so a call refused for
+its permissions leaves the registers and the metrics as it found them.
 
 Declared scalar budgets (Python locals per arithmetic statement): at most
 four per loop below, except the small-size interpolation fallback which
@@ -28,7 +30,7 @@ from .errors import (
     SizeContract,
     ZeroPointWithShift,
 )
-from .reg_arena import PolyView, vadd, vcopy, vneg, vzero
+from .reg_arena import PolyView, require_writable, vadd, vcopy, vneg, vzero
 
 _KIT = MulKit()
 
@@ -50,6 +52,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit =
     for i in range(n - 1, 2 * n - 1):
         if h.get(i):
             raise PreconditionTopNonzero(f"h[{i}] != 0")
+    require_writable(h)
     with h.arena.call():
         while True:
             c = kit.c
@@ -97,6 +100,7 @@ def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, 
         return
     if len(h) != n:
         raise SizeContract("lower product output has n slots")
+    require_writable(h)
     with h.arena.call():
         while True:
             c = kit.c
@@ -127,6 +131,7 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, kit: Mu
     for i in range(min(s, n)):
         if h.get(i):
             raise PreconditionLowNonzero(f"h[{i}] != 0")
+    require_writable(h)
     with h.arena.call():
         b = max(1, s // (kit.c + 1))
         ws = h.sub(0, s)
@@ -150,6 +155,7 @@ def middle_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT)
     m = len(h)
     if len(f) != m + n - 1:
         raise SizeContract("need len(f) = len(h) + len(g) - 1")
+    require_writable(h)
     with h.arena.call():
         while True:
             c = kit.c
@@ -191,6 +197,7 @@ def series_inv_cs(f: PolyView, g: PolyView, kit: MulKit = _KIT, ladder=None):
     f0 = f.get(0)
     if f0 == 0:
         raise NonUnitConstant("series has no inverse")
+    require_writable(g)
     with g.arena.call():
         g.set(0, ring.inv(f0))
         if ladder:
@@ -246,6 +253,7 @@ def series_div_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, lad
     ring = f.arena.ring
     if g.get(0) == 0:
         raise NonUnitConstant("divisor constant term is zero")
+    require_writable(h)
     with h.arena.call():
         c = kit.c
         k = n // (c + 2)
@@ -307,6 +315,7 @@ def inplace_div_smallspace(f: PolyView, g: PolyView, t: PolyView, kit: MulKit = 
         raise NonUnitConstant("divisor constant term is zero")
     if s < kit.c + 3:
         raise ScratchTooSmall(f"need scratch >= {kit.c + 3}, got {s}")
+    require_writable(f, t)
     with f.arena.call():
         step = min(s // (kit.c + 3), n)
         inv = t.sub(0, step)
@@ -365,6 +374,7 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView, kit: M
     if n == 0 or g.get(n - 1) == 0:
         raise NonUnitLeading("divisor leading coefficient is zero")
     ring = f.arena.ring
+    require_writable(q_out, r_out)
     with q_out.arena.call():
         if n == 1:
             lead = ring.inv(g.get(0))
@@ -436,6 +446,7 @@ def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView,
         raise NonUnitLeading("divisor leading coefficient is zero")
     if n > 1 and not 1 <= s <= n - 1:
         raise BadScratch(f"need 1 <= s <= {n - 1}, got {s}")
+    require_writable(r_out, t)
     if m < 0:
         vcopy(r_out, f.padded(len(f) + (n - 1 - len(f))), n - 1)
         return
@@ -488,6 +499,7 @@ def mp_eval_cs(f: PolyView, points, out: PolyView, kit: MulKit = _KIT):
         raise SizeContract("one output slot per point")
     n = len(f)
     P = len(pts)
+    require_writable(out)
     with out.arena.call():
         done = 0
         while done < P:
@@ -531,6 +543,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView,
         raise ZeroPointWithShift("zero point is not allowed when a prefix is known")
     if len(scratch) < 8 * k + 4:
         raise BadScratch(f"need scratch >= {8 * k + 4}, got {len(scratch)}")
+    require_writable(out.sub(0, k), scratch.sub(0, 8 * k + 4))
     with out.arena.call():
         mi = scratch.sub(0, k + 1)
         sk = scratch.sub(k + 1, 2 * k + 1)
@@ -630,6 +643,7 @@ def interp_cs(pairs, out: PolyView, kit: MulKit = _KIT):
         raise ZeroPointWithShift("interp_cs requires nonzero points")
     if P == 0:
         return
+    require_writable(out)
     with out.arena.call():
         done = 0
         while done < P:

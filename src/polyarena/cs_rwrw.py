@@ -63,6 +63,12 @@ def _cum_full(f: PolyView, g: PolyView, h: PolyView, sign: int):
         if a == b:
             _cum_kara(f, g, h, sign)
             return
+        if b == 1:
+            # a products of size 1: one scaled row makes the writes and the
+            # count of a size-1 base cases
+            vadd(h, f, sign * g.get(0))
+            h.arena.metrics.base_products += a
+            return
         full = a // b
         for j in range(full):
             _cum_kara(f.sub(j * b, (j + 1) * b), g, h.sub(j * b, (j + 1) * b + b - 1), sign)

@@ -44,6 +44,20 @@ RW_RW = "rw/rw"
 
 
 class SpaceMetrics:
+    """What a computation cost in space, as the arena measured it.
+
+    extra_algebraic_highwater counts the distinct scratch registers ever
+    written (a set of their indices), so rewriting a register counts nothing.
+
+    pointer_depth_highwater is the deepest nesting of `arena.call()` scopes,
+    the simulated call stack: only those scopes count.  Recursion inside
+    MulKit (the linear-space reference kit, whose workspace is the c * size
+    block its caller passes) and Python frames of helpers that open no scope
+    are excluded by this convention.
+
+    base_products counts the scalar products of the recursion base cases.
+    """
+
     __slots__ = ("scratch_touched", "pointer_depth_highwater", "base_products", "depth")
 
     def __init__(self):
@@ -273,7 +287,10 @@ class PolyView:
     # -- bulk helpers ----------------------------------------------------------
 
     def tolist(self) -> list[int]:
-        return [self.get(i) for i in range(self.L)]
+        a = min(self.rlo, self.L)
+        b = max(a, min(self.rhi, self.L))
+        real = self.arena.regs[_slc(self.off, self.dir, a, b)] if a < b else []
+        return [0] * a + real + [0] * (self.L - b)
 
     def setlist(self, values):
         for i, v in enumerate(values):
@@ -282,7 +299,7 @@ class PolyView:
     def real_span(self) -> tuple[int, int]:
         return self.rlo, self.rhi
 
-    def _writable_or_raise(self, a: int, b: int):
+    def _writable_or_raise(self, a: int, b: int, touch: bool = True):
         """Single permission check for a bulk write over logical [a, b)."""
         if a >= b:
             return
@@ -291,9 +308,21 @@ class PolyView:
         arena = self.arena
         if arena.model == RO_RW or arena.has_scratch:
             if self.dir == 1:
-                arena.check_span(self.off + a, self.off + b)
+                arena.check_span(self.off + a, self.off + b, touch)
             else:
-                arena.check_span(self.off - b + 1, self.off - a + 1)
+                arena.check_span(self.off - b + 1, self.off - a + 1, touch)
+
+
+def require_writable(*views: PolyView):
+    """Refuse a call before it starts: under ro/rw, raise PermissionDenied
+    when the real zone of a destination meets an input-only register.
+
+    Nothing is written and no scratch is counted, so a refused call leaves
+    the registers and the metrics as it found them.
+    """
+    for v in views:
+        if v.arena.model == RO_RW:
+            v._writable_or_raise(v.rlo, v.rhi, touch=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import random
+from types import SimpleNamespace
 
-from polyarena import Zq
+from polyarena import INPUT_ONLY, SCRATCH, Zq, build_arena, ops
 from polyarena.dense_ref import schoolbook_mul
+from polyarena.ops import distinct_nonzero  # noqa: F401  (re-exported for the tests)
 
 RING97 = Zq(97)
 RING_FFT = Zq(469762049)
@@ -37,19 +39,34 @@ def log_uniform_size(rng: random.Random, lo_exp: float = 0.0, hi_exp: float = 9.
     return max(1, min(512, round(2.0 ** e)))
 
 
-def distinct_nonzero(rng: random.Random, q: int, n: int) -> list[int]:
-    """n distinct values in [1, q), drawn by rejection.
+def build_reversed(spec, ring, x):
+    """Like ops.build, but every operand is stored back to front behind a
+    reversed view, so the call sees the same logical values."""
+    x = ops.defaults(spec, x)
+    arena, views = build_arena(ring, spec.model, *[(x[name][::-1], role) for name, role in spec.operands])
+    return arena, SimpleNamespace(**{name: v.rev() for (name, _), v in zip(spec.operands, views)})
 
-    rng.sample(range(1, q), n) fails once q exceeds 2^63; this works for
-    any q with n < q.
+
+def check(spec, ring, x, kind="plain"):
+    """Run one call of a table entry, on the plain layout or (kind
+    "reversed") on build_reversed's, and assert its contract.
+
+    The outputs satisfy the entry's oracle; every operand that is not an
+    output comes back bit-exact (after an undo, every operand but scratch);
+    a small-space operation writes no more registers than its scratch block.
+    Returns the arena.
     """
-    if n >= q:
-        raise ValueError(f"cannot draw {n} distinct nonzero values mod {q}")
-    seen: set[int] = set()
-    out = []
-    while len(out) < n:
-        v = rng.randrange(1, q)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    arena, views = (build_reversed if kind == "reversed" else ops.build)(spec, ring, x)
+    spec.call(views, x)
+    out = {name: getattr(views, name).tolist() for name in spec.outputs}
+    assert spec.check(ring, x, out), f"{spec.name}: wrong result on {x}"
+    kept = [name for name, role in spec.operands if role == INPUT_ONLY]
+    if spec.undo:
+        spec.undo(views, x)
+        kept = [name for name, role in spec.operands if role != SCRATCH]
+    for name in kept:
+        assert getattr(views, name).tolist() == x[name], f"{spec.name}: {name} not restored"
+    if spec.space == ops.SMALL:
+        scratch = sum(len(getattr(views, name)) for name, role in spec.operands if role == SCRATCH)
+        assert arena.metrics.extra_algebraic_highwater <= scratch
+    return arena

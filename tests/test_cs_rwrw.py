@@ -69,6 +69,22 @@ def test_cumulative_karatsuba_base_product_count():
         assert arena.metrics.base_products == 3 ** k
 
 
+def test_cumulative_karatsuba_one_coefficient_operand():
+    # a 1 x k product is k size-1 products: one pointer level, no scratch
+    rng = random.Random(5)
+    for k in (1, 2, 9, 33, 100):
+        for lf, lg in ((1, k), (k, 1)):
+            for sign in (1, -1):
+                fd, gd, h0 = rand_poly(rng, Q, lf), rand_poly(rng, Q, lg), rand_poly(rng, Q, k)
+                arena, (f, g, h) = rw_arena((fd, INOUT), (gd, INOUT), (h0, INOUT))
+                cs_rwrw.cumulative_karatsuba(f, g, h, sign)
+                full = schoolbook_mul(RING97, fd, gd)
+                assert h.tolist() == [(h0[i] + sign * full[i]) % Q for i in range(k)]
+                assert f.tolist() == fd and g.tolist() == gd
+                m = arena.metrics
+                assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 1, k)
+
+
 def test_cumulative_additivity():
     # accumulate f*g then (-f)*g: h returns to its start, for every
     # cumulative operation

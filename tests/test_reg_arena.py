@@ -137,3 +137,39 @@ def test_dump_format():
     lines = arena.dump().splitlines()
     assert lines[0] == "0\tin\t7"
     assert lines[1] == "1\tscratch\t0"
+
+
+def test_scratch_registers_count_once():
+    # overlapping spans, then scalar writes to marked and fresh registers
+    arena = Arena(RING, [0] * 12, [INOUT] * 2 + [SCRATCH] * 8 + [INOUT] * 2, RW_RW)
+    arena.check_span(0, 6)
+    assert arena.metrics.extra_algebraic_highwater == 4
+    arena.check_span(4, 12)
+    assert arena.metrics.extra_algebraic_highwater == 8
+    arena.check_span(3, 9)
+    arena.write(5, 1)
+    assert arena.metrics.extra_algebraic_highwater == 8
+    arena.metrics.reset()
+    arena.write(5, 2)
+    arena.write(5, 3)
+    arena.check_span(5, 7)
+    assert arena.metrics.extra_algebraic_highwater == 2
+    vzero(arena.view(0, 12).rev())
+    assert arena.metrics.extra_algebraic_highwater == 8
+
+
+def test_tolist_matches_get_on_composed_views():
+    arena = Arena(RING, [1, 2, 3, 4, 5, 6, 7], [INOUT] * 7, RW_RW)
+    v = arena.view(2, 5)
+    views = [
+        v,
+        v.rev(),
+        v.padded(6).rev(),
+        v.window(-2, 4),
+        v.window(4, 7),
+        v.rev().sub(1, 1),
+        v.padded(6).rev().sub(0, 2),
+        arena.view(0, 0).rev(),
+    ]
+    for view in views:
+        assert view.tolist() == [view.get(i) for i in range(len(view))]
