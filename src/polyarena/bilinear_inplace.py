@@ -452,11 +452,6 @@ class MatView:
     def tolists(self) -> list[list[int]]:
         return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
 
-    def setlists(self, rows):
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                self.set(i, j, v)
-
 
 def mat_on_arena(arena, off: int, n: int) -> MatView:
     return MatView(arena, off, n, n)

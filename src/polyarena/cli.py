@@ -54,7 +54,10 @@ def _parse_ints(spec: str) -> list[int]:
 
 def _parse_mat(spec: str, q: int) -> list[int]:
     """Square matrix, rows ; separated, flattened row-major."""
-    rows = [[int(v) % q for v in row.split(",")] for row in spec.split(";") if row]
+    try:
+        rows = [[int(v) % q for v in row.split(",")] for row in spec.split(";") if row]
+    except ValueError as exc:
+        raise UsageError(f"bad matrix {spec!r}") from exc
     if any(len(r) != len(rows) for r in rows):
         raise UsageError("matrix must be square, rows ; separated")
     return [v for row in rows for v in row]

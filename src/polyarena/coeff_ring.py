@@ -76,9 +76,6 @@ class Zq:
     def __repr__(self):
         return f"Zq({self.q})"
 
-    def norm(self, a: int) -> int:
-        return a % self.q
-
     def inv(self, a: int) -> int:
         a %= self.q
         if a == 0:

@@ -1,8 +1,14 @@
 """Constant-space algorithms in the ro/rw permission model.
 
 Inputs are read-only; the output region doubles as workspace, shrinking as
-results are produced.  Each reduction recomputes its block threshold from
-the kit's declared scratch factor c, so nothing here hard-codes c = 2.
+results are produced.  Every product runs on the one MulKit instance of
+dense_ref, and each reduction derives its block threshold from the kit's
+declared scratch factor MulKit.c, so nothing here hard-codes c = 2.
+
+Below those thresholds the reductions run scalar base cases, each written
+once: every power-series division (inversion, quotient, the quotient of a
+Euclidean division read through reversed views) is the recurrence of
+_div_recurrence, and a middle product's rows are dense_ref._mid_rows.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -18,7 +24,7 @@ holds one block of at most twelve coefficients.
 from __future__ import annotations
 
 from .coeff_ring import Zq
-from .dense_ref import MulKit, _slice_naive
+from .dense_ref import KIT, _mid_rows, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -32,15 +38,13 @@ from .errors import (
 )
 from .reg_arena import PolyView, require_writable, vadd, vcopy, vneg, vzero
 
-_KIT = MulKit()
-
 
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
 
-def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT):
+def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView):
     """h += f * g where the top n coefficients of h start out zero.
 
     The known-zero top of h is the workspace; the tail call shrinks all
@@ -55,7 +59,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit =
     require_writable(h)
     with h.arena.call():
         while True:
-            c = kit.c
+            c = KIT.c
             k = (n + 1) // (c + 3)
             if k == 0:
                 _slice_naive(h, g, f, 0)
@@ -68,12 +72,12 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit =
             nb = (n + k - 1) // k
             for j in range(nb):
                 gj = g.sub(j * k, min((j + 1) * k, n)).padded(k)
-                kit.full_into(p, fb, gj, rest)
+                KIT.full_into(p, fb, gj, rest)
                 vadd(h.sub(j * k, min(j * k + 2 * k - 1, n + k - 1)), p)
             nb = (n - k + k - 1) // k
             for j in range(nb):
                 fj = f.sub(k + j * k, min(k + (j + 1) * k, n)).padded(k)
-                kit.full_into(p, fj, gb, rest)
+                KIT.full_into(p, fj, gb, rest)
                 vadd(h.sub(k + j * k, min(k + j * k + 2 * k - 1, n + k - 1)), p)
             vzero(ws)
             f = f.sub(k, n)
@@ -82,7 +86,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView, kit: MulKit =
             n -= k
 
 
-def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, reversed_mode: bool = False):
+def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, reversed_mode: bool = False):
     """h = f * g mod x^n; with reversed_mode, h (n-1 slots) = (f*g) quo x^n.
 
     The upper product is the lower product of the reversed tails, read and
@@ -96,29 +100,29 @@ def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, 
             raise SizeContract("upper product output has n-1 slots")
         if n <= 1:
             return
-        lower_product_cs(f.sub(1, n).rev(), g.sub(1, n).rev(), h.rev(), kit)
+        lower_product_cs(f.sub(1, n).rev(), g.sub(1, n).rev(), h.rev())
         return
     if len(h) != n:
         raise SizeContract("lower product output has n slots")
     require_writable(h)
     with h.arena.call():
         while True:
-            c = kit.c
+            c = KIT.c
             k = n // (c + 3)
             if k == 0:
-                kit._schoolbook_into(h, f.sub(0, n), g.sub(0, n), n)
+                KIT._schoolbook_into(h, f.sub(0, n), g.sub(0, n), n)
                 return
             top = h.sub(n - k, n)
             vzero(top)
             ws = h.sub(0, n - k)
-            kit.slice_acc(top, f.sub(0, n), g.sub(0, n), n - k, ws)
+            KIT.slice_acc(top, f.sub(0, n), g.sub(0, n), n - k, ws)
             f = f.sub(0, n - k)
             g = g.sub(0, n - k)
             h = ws
             n -= k
 
 
-def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, kit: MulKit = _KIT, sign: int = 1):
+def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: int = 1):
     """h += sign * (f * g mod x^n) given h mod x^s = 0.
 
     The zero prefix of h is the only workspace: the part above s is filled
@@ -133,23 +137,23 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, kit: Mu
             raise PreconditionLowNonzero(f"h[{i}] != 0")
     require_writable(h)
     with h.arena.call():
-        b = max(1, s // (kit.c + 1))
+        b = max(1, s // (KIT.c + 1))
         ws = h.sub(0, s)
         u = s
         while u < n:
             chunk = h.sub(u, min(u + b, n))
-            kit.slice_acc(chunk, f, g, u, ws, sign)
+            KIT.slice_acc(chunk, f, g, u, ws, sign)
             u += b
         ns = min(s, n)
         low = h.sub(0, ns)
         fv = f.sub(0, min(len(f), ns)).padded(ns)
         gv = g.sub(0, min(len(g), ns)).padded(ns)
-        lower_product_cs(fv, gv, low, kit)
+        lower_product_cs(fv, gv, low)
         if sign < 0:
             vneg(low)
 
 
-def middle_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT):
+def middle_product_cs(f: PolyView, g: PolyView, h: PolyView):
     """h = central slice [f * g]_{n-1}^{m+n-1} for sizes (m+n-1, n, m)."""
     n = len(g)
     m = len(h)
@@ -158,20 +162,16 @@ def middle_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT)
     require_writable(h)
     with h.arena.call():
         while True:
-            c = kit.c
+            c = KIT.c
             k = m // (c + 2)
             if k == 0:
-                for d in range(m):
-                    acc = 0
-                    for j in range(g.rlo, g.rhi):
-                        acc += f.get(n - 1 + d - j) * g.get(j)
-                    h.set(d, acc)
-                h.arena.metrics.base_products += m * max(0, g.rhi - g.rlo)
+                vzero(h)
+                _mid_rows(h, f, g, 0, m)
                 return
             dst = h.sub(0, k)
             vzero(dst)
             ws = h.sub(k, m)
-            kit.mid_unbalanced_acc(dst, f.sub(0, n - 1 + k), g, ws)
+            KIT.mid_unbalanced_acc(dst, f.sub(0, n - 1 + k), g, ws)
             f = f.sub(k, len(f))
             h = h.sub(k, m)
             m -= k
@@ -182,7 +182,7 @@ def middle_product_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT)
 # ---------------------------------------------------------------------------
 
 
-def series_inv_cs(f: PolyView, g: PolyView, kit: MulKit = _KIT, ladder=None):
+def series_inv_cs(f: PolyView, g: PolyView, ladder=None):
     """g = f^{-1} mod x^n by a space-throttled Newton iteration.
 
     Each round computes ell new coefficients with a middle and a lower
@@ -193,55 +193,37 @@ def series_inv_cs(f: PolyView, g: PolyView, kit: MulKit = _KIT, ladder=None):
     n = len(f)
     if len(g) != n:
         raise SizeContract("output must match input precision")
-    ring = f.arena.ring
     f0 = f.get(0)
     if f0 == 0:
         raise NonUnitConstant("series has no inverse")
     require_writable(g)
     with g.arena.call():
-        g.set(0, ring.inv(f0))
+        g.set(0, f.arena.ring.inv(f0))
         if ladder:
             ladder(1)
-        if n == 1:
-            return
-        c = kit.c
-        if n < c + 3:
-            f0inv = ring.inv(f0)
-            for j in range(1, n):
-                acc = 0
-                for i in range(1, j + 1):
-                    acc += f.get(i) * g.get(j - i)
-                g.set(j, -acc * f0inv)
-            if ladder:
-                ladder(n)
-            return
-        k, ell = 1, 1
+        c = KIT.c
+        k, ell = 1, min(1, (n - 1) // (c + 2))
         while ell > 0:
             dst = g.sub(n - ell, n)
             vzero(dst)
-            kit.mid_unbalanced_acc(dst, f.sub(1, k + ell), g.sub(0, k), g.sub(k, n - ell))
+            KIT.mid_unbalanced_acc(dst, f.sub(1, k + ell), g.sub(0, k), g.sub(k, n - ell))
             out = g.sub(k, k + ell)
             vzero(out)
             free_lo = min(k + ell, n - ell)
-            kit.low_acc(out, g.sub(0, ell), dst, g.sub(free_lo, n - ell), -1)
+            KIT.low_acc(out, g.sub(0, ell), dst, g.sub(free_lo, n - ell), -1)
             k += ell
             if ladder:
                 ladder(k)
             ell = min(k, (n - k) // (c + 2))
         if k < n:
-            # constant-size tail via the inverse recurrence, which only
-            # reads already-final coefficients of g
-            f0inv = ring.inv(f0)
-            for j in range(k, n):
-                acc = 0
-                for i in range(1, j + 1):
-                    acc += f.get(i) * g.get(j - i)
-                g.set(j, -acc * f0inv)
+            # constant-size tail (all of g past g[0] when n < c + 3) by the
+            # recurrence for 1 / f, whose numerator is 0 past index 0
+            _div_recurrence(g.sub(0, 0).padded(n), f, g, k, n)
             if ladder:
                 ladder(n)
 
 
-def series_div_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, ladder=None):
+def series_div_cs(f: PolyView, g: PolyView, h: PolyView, ladder=None):
     """h = f / g mod x^n with g(0) a unit.
 
     The inverse of g at the initial precision is parked in reversed order
@@ -250,34 +232,33 @@ def series_div_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, lad
     n = len(f)
     if len(g) != n or len(h) != n:
         raise SizeContract("need three size-n operands")
-    ring = f.arena.ring
     if g.get(0) == 0:
         raise NonUnitConstant("divisor constant term is zero")
     require_writable(h)
     with h.arena.call():
-        c = kit.c
+        c = KIT.c
         k = n // (c + 2)
         if k == 0:
-            _series_div_naive(ring, f, g, h, 0, n)
+            _div_recurrence(f, g, h, 0, n)
             if ladder:
                 ladder(n)
             return
         inv_rev = h.sub(n - k, n).rev()
-        series_inv_cs(g.sub(0, k), inv_rev, kit)
+        series_inv_cs(g.sub(0, k), inv_rev)
         dst = h.sub(0, k)
         vzero(dst)
-        kit.low_acc(dst, f.sub(0, k), inv_rev, h.sub(k, n - k))
+        KIT.low_acc(dst, f.sub(0, k), inv_rev, h.sub(k, n - k))
         if ladder:
             ladder(k)
         ell = (n - k) // (c + 3)
         while ell > 0:
             stage = h.sub(n - 2 * ell, n - ell)
             vzero(stage)
-            kit.mid_unbalanced_acc(stage, g.sub(1, k + ell), h.sub(0, k), h.sub(k, n - 2 * ell), -1)
+            KIT.mid_unbalanced_acc(stage, g.sub(1, k + ell), h.sub(0, k), h.sub(k, n - 2 * ell), -1)
             vadd(stage, f.sub(k, k + ell))
             out = h.sub(k, k + ell)
             vzero(out)
-            kit.low_acc(out, stage, h.sub(n - ell, n).rev(), h.sub(k + ell, n - 2 * ell))
+            KIT.low_acc(out, stage, h.sub(n - ell, n).rev(), h.sub(k + ell, n - 2 * ell))
             k += ell
             if ladder:
                 ladder(k)
@@ -285,14 +266,16 @@ def series_div_cs(f: PolyView, g: PolyView, h: PolyView, kit: MulKit = _KIT, lad
         if k < n:
             # the parked inverse is partly overwritten by now; finish with
             # the quotient recurrence, which needs no inverse at all
-            _series_div_naive(ring, f, g, h, k, n)
+            _div_recurrence(f, g, h, k, n)
             if ladder:
                 ladder(n)
 
 
-def _series_div_naive(ring: Zq, f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
-    """h[lo, hi) from the division recurrence, reading h below lo."""
-    g0inv = ring.inv(g.get(0))
+def _div_recurrence(f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
+    """h[j] = (f[j] - sum_{1 <= i <= min(j, len(g)-1)} g[i] h[j-i]) / g[0]
+    for j in [lo, hi): the coefficients of f / g, reading h below lo.  h
+    may alias f, since h[j] is written after f[j] is read."""
+    g0inv = h.arena.ring.inv(g.get(0))
     for j in range(lo, hi):
         acc = f.get(j)
         for i in range(1, min(j, len(g) - 1) + 1):
@@ -300,7 +283,7 @@ def _series_div_naive(ring: Zq, f: PolyView, g: PolyView, h: PolyView, lo: int, 
         h.set(j, acc * g0inv)
 
 
-def inplace_div_smallspace(f: PolyView, g: PolyView, t: PolyView, kit: MulKit = _KIT):
+def inplace_div_smallspace(f: PolyView, g: PolyView, t: PolyView):
     """Replace f by f / g mod x^n using only the scratch block t of size s.
 
     Computes the inverse of g at precision s // (c+3) once into t, then
@@ -313,48 +296,39 @@ def inplace_div_smallspace(f: PolyView, g: PolyView, t: PolyView, kit: MulKit = 
     s = len(t)
     if g.get(0) == 0:
         raise NonUnitConstant("divisor constant term is zero")
-    if s < kit.c + 3:
-        raise ScratchTooSmall(f"need scratch >= {kit.c + 3}, got {s}")
+    if s < KIT.c + 3:
+        raise ScratchTooSmall(f"need scratch >= {KIT.c + 3}, got {s}")
     require_writable(f, t)
     with f.arena.call():
-        step = min(s // (kit.c + 3), n)
+        step = min(s // (KIT.c + 3), n)
         inv = t.sub(0, step)
-        series_inv_cs(g.sub(0, step), inv, kit)
+        series_inv_cs(g.sub(0, step), inv)
         stage = t.sub(step, 2 * step)
         vzero(stage)
-        kit.low_acc(stage, f.sub(0, step), inv, t.sub(2 * step, s))
+        KIT.low_acc(stage, f.sub(0, step), inv, t.sub(2 * step, s))
         vcopy(f.sub(0, step), stage, step)
         k = step
         while k < n:
             ell = min(step, n - k)
             stage = t.sub(step, step + ell)
             vzero(stage)
-            kit.mid_unbalanced_acc(stage, g.sub(1, k + ell), f.sub(0, k), t.sub(step + ell, s), -1)
+            KIT.mid_unbalanced_acc(stage, g.sub(1, k + ell), f.sub(0, k), t.sub(step + ell, s), -1)
             vadd(stage, f.sub(k, k + ell))
             out = f.sub(k, k + ell)
             vzero(out)
-            kit.low_acc(out, stage, inv.sub(0, ell), t.sub(step + ell, s))
+            KIT.low_acc(out, stage, inv.sub(0, ell), t.sub(step + ell, s))
             k += ell
 
 
-def _revdiv_inplace(u: PolyView, div_rev: PolyView, scratch: PolyView, kit: MulKit = _KIT):
+def _revdiv_inplace(u: PolyView, div_rev: PolyView, scratch: PolyView):
     """u <- u / div_rev mod x^len(u), in place; naive when scratch is tiny."""
     b = len(u)
     if b == 0:
         return
-    ring = u.arena.ring
-    if len(scratch) >= kit.c + 3 and b > kit.c + 3:
-        inplace_div_smallspace(u, div_rev, scratch, kit)
+    if len(scratch) >= KIT.c + 3 and b > KIT.c + 3:
+        inplace_div_smallspace(u, div_rev, scratch)
         return
-    d0 = div_rev.get(0)
-    if d0 == 0:
-        raise NonUnitConstant("divisor constant term is zero")
-    d0inv = ring.inv(d0)
-    for i in range(b):
-        acc = u.get(i)
-        for a in range(1, min(i, len(div_rev) - 1) + 1):
-            acc -= div_rev.get(a) * u.get(i - a)
-        u.set(i, acc * d0inv)
+    _div_recurrence(u, div_rev, u, 0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +336,7 @@ def _revdiv_inplace(u: PolyView, div_rev: PolyView, scratch: PolyView, kit: MulK
 # ---------------------------------------------------------------------------
 
 
-def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView, kit: MulKit = _KIT):
+def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
     """Quotient and remainder of f by g, computed block by block from the
     top; the remainder slots serve as division scratch until the very end."""
     n = len(g)
@@ -373,59 +347,52 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView, kit: M
         raise SizeContract("output sizes must be (m, n-1)")
     if n == 0 or g.get(n - 1) == 0:
         raise NonUnitLeading("divisor leading coefficient is zero")
-    ring = f.arena.ring
     require_writable(q_out, r_out)
     with q_out.arena.call():
         if n == 1:
-            lead = ring.inv(g.get(0))
-            for i in range(m):
-                q_out.set(i, f.get(i) * lead)
+            _div_recurrence(f, g, q_out, 0, m)
             return
         if m == 0:
             vcopy(r_out, f, n - 1)
             return
-        if n - 1 < kit.c + 3:
-            _divrem_naive(ring, f, g, q_out, r_out)
+        if n - 1 < KIT.c + 3:
+            _divrem_naive(f, g, q_out, r_out)
             return
         nblocks = (m + n - 1) // n
         top = m - (nblocks - 1) * n
         j = nblocks - 1
         blk = q_out.sub(j * n, j * n + top)
         vcopy(blk, f.sub(n - 1 + j * n, n - 1 + j * n + top), top)
-        _revdiv_inplace(blk.rev(), g.sub(n - top, n).rev(), r_out, kit)
+        _revdiv_inplace(blk.rev(), g.sub(n - top, n).rev(), r_out)
         while j > 0:
             above = blk
             j -= 1
             blk = q_out.sub(j * n, (j + 1) * n)
             vcopy(blk, f.sub(n - 1 + j * n, n - 1 + (j + 1) * n), n)
-            _chunked_slice_sub(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), r_out, kit)
-            _revdiv_inplace(blk.rev(), g.rev(), r_out, kit)
+            _chunked_slice_sub(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), r_out)
+            _revdiv_inplace(blk.rev(), g.rev(), r_out)
         q0 = q_out.sub(0, min(m, n - 1)).padded(n - 1)
-        lower_product_cs(g.sub(0, n - 1), q0, r_out, kit)
+        lower_product_cs(g.sub(0, n - 1), q0, r_out)
         vneg(r_out)
         vadd(r_out, f.sub(0, n - 1))
 
 
-def _chunked_slice_sub(dst: PolyView, u: PolyView, v: PolyView, ws: PolyView, kit: MulKit):
+def _chunked_slice_sub(dst: PolyView, u: PolyView, v: PolyView, ws: PolyView):
     """dst -= (u * v) mod x^len(dst), in chunks small enough for ws."""
     t = len(dst)
-    cc = max(1, min(t, len(ws) // (kit.c + 1)))
+    cc = max(1, min(t, len(ws) // (KIT.c + 1)))
     lo = 0
     while lo < t:
         chunk = dst.sub(lo, min(lo + cc, t))
-        kit.slice_acc(chunk, u, v, lo, ws, -1)
+        KIT.slice_acc(chunk, u, v, lo, ws, -1)
         lo += cc
 
 
-def _divrem_naive(ring: Zq, f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
+def _divrem_naive(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
     n = len(g)
     m = len(q_out)
-    lead = ring.inv(g.get(n - 1))
-    for i in range(m - 1, -1, -1):
-        acc = f.get(i + n - 1)
-        for j in range(1, min(n - 1, m - 1 - i) + 1):
-            acc -= g.get(n - 1 - j) * q_out.get(i + j)
-        q_out.set(i, acc * lead)
+    # the quotient, top down, is the series quotient of the reversals
+    _div_recurrence(f.sub(n - 1, m + n - 1).rev(), g.rev(), q_out.rev(), 0, m)
     for d in range(n - 1):
         acc = f.get(d)
         for j in range(max(0, d - m + 1), min(d, n - 1) + 1):
@@ -433,7 +400,7 @@ def _divrem_naive(ring: Zq, f: PolyView, g: PolyView, q_out: PolyView, r_out: Po
         r_out.set(d, acc)
 
 
-def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView, kit: MulKit = _KIT):
+def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView):
     """r = f mod g with an extra block t of size s <= n-1; the quotient is
     produced one size-s block at a time inside t and immediately folded
     into the sliding correction window r."""
@@ -457,21 +424,21 @@ def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView,
         head = m - blocks * s
         if head:
             vcopy(t.sub(0, head), f.sub(m + n - 1 - head, m + n - 1), head)
-            _revdiv_inplace(t.sub(0, head).rev(), g.sub(n - head, n).rev(), r_out, kit)
+            _revdiv_inplace(t.sub(0, head).rev(), g.sub(n - head, n).rev(), r_out)
             gv = g.sub(0, n - 1).padded(n - 1)
             tv = t.sub(0, head).padded(n - 1)
-            lower_product_cs(gv, tv, r_out, kit)
+            lower_product_cs(gv, tv, r_out)
             vneg(r_out)
         else:
             vzero(r_out)
         vcopy(t.sub(0, s), r_out.sub(n - 1 - s, n - 1), s)
         vadd(t.sub(0, s), f.sub(n - 1 + (blocks - 1) * s, n - 1 + blocks * s))
         for j in range(blocks - 1, -1, -1):
-            for i in range(n - 2 - s, -1, -1):
-                r_out.set(i + s, r_out.get(i))
-            _revdiv_inplace(t.sub(0, s).rev(), g.sub(n - s, n).rev(), r_out.sub(0, s), kit)
+            # shift r up by s; vcopy reads all of its source before writing
+            vcopy(r_out.sub(s, n - 1), r_out.sub(0, n - 1 - s))
+            _revdiv_inplace(t.sub(0, s).rev(), g.sub(n - s, n).rev(), r_out.sub(0, s))
             vzero(r_out.sub(0, s))
-            semi_cumulative_lower(g.sub(0, n - 1), t.sub(0, s), r_out, s, kit, sign=-1)
+            semi_cumulative_lower(g.sub(0, n - 1), t.sub(0, s), r_out, s, sign=-1)
             vcopy(t.sub(0, s), r_out.sub(n - 1 - s, n - 1), s)
             vadd(t.sub(0, s), f.sub(n - 1 + (j - 1) * s, n - 1 + j * s))
         vcopy(r_out.sub(n - 1 - s, n - 1), t.sub(0, s), s)
@@ -490,7 +457,7 @@ def _horner_view(f: PolyView, a: int, q: int) -> int:
     return acc
 
 
-def mp_eval_cs(f: PolyView, points, out: PolyView, kit: MulKit = _KIT):
+def mp_eval_cs(f: PolyView, points, out: PolyView):
     """out[i] = f(points[i]); batches reduce f modulo the batch modulus in
     the free output space, then evaluate the small remainder per point."""
     q = f.arena.q
@@ -514,13 +481,13 @@ def mp_eval_cs(f: PolyView, points, out: PolyView, kit: MulKit = _KIT):
             tview = out.sub(done + 2 * k + 1, done + 3 * k + 1)
             batch = pts[done : done + k]
             _build_modulus(mview, batch)
-            remainder_smallspace(f, mview, rview, tview, kit)
+            remainder_smallspace(f, mview, rview, tview)
             for i, a in enumerate(batch):
                 out.set(done + i, _horner_view(rview, a, q))
             done += k
 
 
-def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView, kit: MulKit = _KIT):
+def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView):
     """First k coefficients of h where g + x^s * h interpolates the pairs.
 
     s = len(g) is the number of already-known low coefficients.  Block
@@ -584,7 +551,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView,
                 for d in range(kb - 1, -1, -1):
                     ni.set(d, ni.get(d) + w * qcur)
                     qcur = (mi.get(d) + a * qcur) % q
-            kit.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
+            KIT.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
 
 
 def _build_modulus(dst: PolyView, roots):
@@ -624,7 +591,7 @@ def _mul_mod_mi_inplace(sm: PolyView, kb: int, mj: PolyView, mjlen: int, mi: Pol
     vcopy(sm.sub(0, kb), prod, kb)
 
 
-def interp_cs(pairs, out: PolyView, kit: MulKit = _KIT):
+def interp_cs(pairs, out: PolyView):
     """The unique interpolant through the pairs, grown prefix by prefix.
 
     Points must be pairwise distinct and nonzero (later stages divide by
@@ -658,7 +625,6 @@ def interp_cs(pairs, out: PolyView, kit: MulKit = _KIT):
                 k,
                 out.sub(done, done + k),
                 out.sub(done + k, P),
-                kit,
             )
             done += k
 

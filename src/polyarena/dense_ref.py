@@ -9,7 +9,10 @@ MulKit provides the workspace-disciplined building blocks (full, short and
 middle products on arena views) that the constant-space reductions call.
 Every kit routine receives an explicit scratch view and never uses more
 than c * size registers of it, with c = 2 declared; exceeding the budget
-raises, so the bound is enforced structurally rather than by trust.
+raises, so the bound is enforced structurally rather than by trust.  KIT
+is the one instance, and the reductions derive their thresholds from
+MulKit.c.  The naive kernels are written once each: _slice_naive (any
+slice of a product) and _mid_rows (single middle-product rows).
 """
 
 from __future__ import annotations
@@ -181,14 +184,12 @@ def interp_tree(ring: Zq, points: list[int], values: list[int]) -> list[int]:
     return rec(0, n)
 
 
-def karatsuba_mul(ring: Zq, f: list[int], g: list[int], kit: "MulKit | None" = None) -> list[int]:
+def karatsuba_mul(ring: Zq, f: list[int], g: list[int]) -> list[int]:
     """Full product through the kit's workspace-disciplined Karatsuba."""
     if not f or not g:
         return []
     from .reg_arena import INOUT, RW_RW, build_arena
 
-    if kit is None:
-        kit = MulKit()
     s = max(len(f), len(g))
     out_len = len(f) + len(g) - 1
     arena, (fv, gv, dv, wv) = build_arena(
@@ -197,9 +198,9 @@ def karatsuba_mul(ring: Zq, f: list[int], g: list[int], kit: "MulKit | None" = N
         (f, INOUT),
         (g, INOUT),
         ([0] * (2 * s - 1), INOUT),
-        ([0] * (kit.c * s + 4), INOUT),
+        ([0] * (KIT.c * s + 4), INOUT),
     )
-    kit.full_into(dv, fv.padded(s), gv.padded(s), wv)
+    KIT.full_into(dv, fv.padded(s), gv.padded(s), wv)
     return dv.tolist()[:out_len]
 
 
@@ -422,6 +423,19 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     arena.metrics.base_products += prods
 
 
+def _mid_rows(dst: PolyView, f: PolyView, g: PolyView, lo: int, hi: int, sign: int = 1):
+    """dst[d] += sign * sum_j f[len(g)-1+d-j] * g[j] for d in [lo, hi): one
+    scalar row per d over g's real zone, each counted as g.rhi - g.rlo
+    base products."""
+    top = len(g) - 1
+    for d in range(lo, hi):
+        acc = 0
+        for j in range(g.rlo, g.rhi):
+            acc += f.get(top + d - j) * g.get(j)
+        dst.set(d, dst.get(d) + (acc if sign > 0 else -acc))
+    dst.arena.metrics.base_products += (hi - lo) * (g.rhi - g.rlo)
+
+
 # ---------------------------------------------------------------------------
 # multiplication kit on views
 # ---------------------------------------------------------------------------
@@ -431,12 +445,10 @@ class MulKit:
     """Workspace-disciplined products on views.
 
     c is the declared scratch factor: every routine works within c * size
-    scratch registers (size = logical operand size).  mstar_flag records
-    that Karatsuba is not quasi-linear, so M*(n) = O(M(n)).
+    scratch registers (size = logical operand size).
     """
 
     c = 2
-    mstar_flag = False
 
     # -- full product --------------------------------------------------------
 
@@ -527,7 +539,7 @@ class MulKit:
             return
         if r % 2:
             # last output row and the g[r-1] rank-one row, then an even core
-            self._mid_row(dst, fwin, g, r - 1, sign)
+            _mid_rows(dst, fwin, g, r - 1, r, sign)
             if g.get(r - 1):
                 _slice_naive(dst.sub(0, r - 1), fwin, g.sub(r - 1, r), 0, sign)
             self.mid_acc(dst.sub(0, r - 1), fwin.sub(1, 2 * r - 2), g.sub(0, r - 1), ws, sign)
@@ -548,15 +560,6 @@ class MulKit:
         vcopy(tmp_a, fwin.sub(2 * h, 4 * h - 1), 2 * h - 1)
         vadd(tmp_a, a1, -1)
         self.mid_acc(dst1, tmp_a, g.sub(0, h), ws.sub(2 * h - 1, len(ws)), sign)
-
-    def _mid_row(self, dst: PolyView, fwin: PolyView, g: PolyView, d: int, sign: int):
-        """dst[d] += sign * sum_j fwin[r-1+d-j] * g[j] (single output row)."""
-        r = len(dst)
-        acc = 0
-        for j in range(g.rlo, g.rhi):
-            acc += fwin.get(r - 1 + d - j) * g.get(j)
-        dst.arena.metrics.base_products += max(0, g.rhi - g.rlo)
-        dst.set(d, dst.get(d) + (acc if sign > 0 else -acc))
 
     # -- derived: unbalanced middle and product slices -------------------------
 
@@ -582,3 +585,6 @@ class MulKit:
             if win.rhi <= win.rlo:
                 continue
             self.mid_acc(dst, win, gj, ws, sign)
+
+
+KIT = MulKit()

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import bilinear_inplace as bilinear
 from . import cs_rorw, cs_rwrw, dense_ref
-from .dense_ref import MulKit, divrem, horner_eval, karatsuba_mul, ntt, poly_to_text, schoolbook_mul
+from .dense_ref import KIT, divrem, horner_eval, karatsuba_mul, ntt, poly_to_text, schoolbook_mul
 from .reg_arena import INOUT, INPUT_ONLY, OUTPUT_ONLY, RO_RW, RW_RW, SCRATCH, build_arena, vadd, vcopy, vzero
 
 # declared space classes
@@ -29,8 +29,6 @@ LOG_STACK = "log-stack"  # O(1) extra registers; recursive, call depth O(log n)
 CONSTANT = "constant"  # O(1) extra registers
 SMALL = "small-space"  # extra registers within the SCRATCH block
 CLASSES = (TAIL, LOG_STACK, CONSTANT, SMALL)
-
-_KIT = MulKit()
 
 
 class UsageError(Exception):
@@ -306,12 +304,12 @@ def _check_strassen(ring, x, out):
 
 def _karatsuba_ref(v, x):
     s = max(len(v.f), len(v.g))
-    _KIT.full_into(v.h, v.f.padded(s), v.g.padded(s), v.w)
+    KIT.full_into(v.h, v.f.padded(s), v.g.padded(s), v.w)
 
 
 def _karatsuba_ref_size(x):
     s = max(len(x["f"]), len(x["g"]))
-    return {"h": 2 * s - 1, "w": _KIT.c * s + 4}
+    return {"h": 2 * s - 1, "w": KIT.c * s + 4}
 
 
 def _fft_ref(v, x):

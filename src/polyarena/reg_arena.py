@@ -280,10 +280,6 @@ class PolyView:
             raise BadRange("padded length below view length")
         return PolyView(self.arena, self.off, self.dir, logical_len, self.rlo, self.rhi)
 
-    def trimmed(self) -> "PolyView":
-        """Drop trailing padding (keep leading padding intact)."""
-        return self.sub(0, self.rhi) if self.rhi < self.L else self
-
     # -- bulk helpers ----------------------------------------------------------
 
     def tolist(self) -> list[int]:
@@ -291,13 +287,6 @@ class PolyView:
         b = max(a, min(self.rhi, self.L))
         real = self.arena.regs[_slc(self.off, self.dir, a, b)] if a < b else []
         return [0] * a + real + [0] * (self.L - b)
-
-    def setlist(self, values):
-        for i, v in enumerate(values):
-            self.set(i, v)
-
-    def real_span(self) -> tuple[int, int]:
-        return self.rlo, self.rhi
 
     def _writable_or_raise(self, a: int, b: int, touch: bool = True):
         """Single permission check for a bulk write over logical [a, b)."""

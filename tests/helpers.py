@@ -3,7 +3,7 @@
 import random
 from types import SimpleNamespace
 
-from polyarena import INPUT_ONLY, SCRATCH, Zq, build_arena, ops
+from polyarena import INPUT_ONLY, RO_RW, SCRATCH, Zq, build_arena, ops
 from polyarena.dense_ref import schoolbook_mul
 from polyarena.ops import distinct_nonzero  # noqa: F401  (re-exported for the tests)
 
@@ -47,16 +47,40 @@ def build_reversed(spec, ring, x):
     return arena, SimpleNamespace(**{name: v.rev() for (name, _), v in zip(spec.operands, views)})
 
 
+def zero_tail(spec, x, rng):
+    """x with a zero tail on f from a random cut >= 1, kept in x["cut"],
+    when f is the input-only operand of a ro/rw entry; else x itself."""
+    f = x.get("f")
+    if spec.model != RO_RW or dict(spec.operands).get("f") != INPUT_ONLY or not f:
+        return x
+    cut = rng.randrange(1, len(f) + 1)
+    return {**x, "f": f[:cut] + [0] * (len(f) - cut), "cut": cut}
+
+
+def build_padded(spec, ring, x):
+    """Like ops.build, but f (see zero_tail) is stored without its zero
+    tail, behind a view padded to its length."""
+    if "cut" not in x:
+        return ops.build(spec, ring, x)
+    x = ops.defaults(spec, x)
+    arena, views = ops.build(spec, ring, {**x, "f": x["f"][: x["cut"]]})
+    views.f = views.f.padded(len(x["f"]))
+    return arena, views
+
+
+LAYOUTS = {"plain": ops.build, "reversed": build_reversed, "padded": build_padded}
+
+
 def check(spec, ring, x, kind="plain"):
-    """Run one call of a table entry, on the plain layout or (kind
-    "reversed") on build_reversed's, and assert its contract.
+    """Run one call of a table entry on one of the LAYOUTS and assert its
+    contract.
 
     The outputs satisfy the entry's oracle; every operand that is not an
     output comes back bit-exact (after an undo, every operand but scratch);
     a small-space operation writes no more registers than its scratch block.
     Returns the arena.
     """
-    arena, views = (build_reversed if kind == "reversed" else ops.build)(spec, ring, x)
+    arena, views = LAYOUTS[kind](spec, ring, x)
     spec.call(views, x)
     out = {name: getattr(views, name).tolist() for name in spec.outputs}
     assert spec.check(ring, x, out), f"{spec.name}: wrong result on {x}"

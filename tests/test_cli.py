@@ -67,6 +67,9 @@ def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
 
+    code, _, err = run_cli(capsys, "strassen", "--x", "a,0;0,1", "--y", "1,0;0,1")
+    assert code == 2
+
 
 def test_poly_file_operand(tmp_path, capsys):
     path = tmp_path / "f.poly"

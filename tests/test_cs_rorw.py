@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
 from polyarena import cs_rorw
+from polyarena.ops import SPECS, build
 from polyarena.dense_ref import divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
 from polyarena.errors import (
     BadScratch,
@@ -373,3 +374,78 @@ def test_inputs_never_modified():
         arena, (f, g, h) = ro_arena((fd, INPUT_ONLY), (gd, INPUT_ONLY), ([0] * n, INOUT))
         cs_rorw.lower_product_cs(f, g, h)
         assert f.tolist() == fd and g.tolist() == gd
+
+
+# (entry, size): the scalar base paths of the reductions.  divrem_cs at
+# divisor sizes 1-5 (the n = 1 quotient and the naive quotient),
+# series_inv_cs at n = 2-4 and 40, series_div_cs at n = 1-3 and 30 (both
+# last sizes end in the recurrence tail), middle_product_cs with 1-3 output
+# rows and g padded at both ends, remainder_smallspace with s = 1 and
+# s = n - 1 for a divisor of 12 coefficients, inplace_div_smallspace with
+# 5 scratch registers
+BASE_CASES = (
+    [("divrem_cs", n) for n in range(1, 6)]
+    + [("series_inv_cs", n) for n in (2, 3, 4, 40)]
+    + [("series_div_cs", n) for n in (1, 2, 3, 30)]
+    + [("middle_product_cs", m) for m in (1, 2, 3)]
+    + [("remainder_smallspace", s) for s in (1, 11)]
+    + [("inplace_div_smallspace", 40)]
+)
+
+# (fingerprint of every register, extra_algebraic, pointer_depth,
+# base_products), taken before the base cases shared one recurrence helper
+BASE_PINNED = {
+    ("divrem_cs", 1): (40456861421, 0, 1, 0),
+    ("divrem_cs", 2): (43713317692, 0, 1, 0),
+    ("divrem_cs", 3): (63063844963, 0, 1, 0),
+    ("divrem_cs", 4): (72261358652, 0, 1, 0),
+    ("divrem_cs", 5): (102112989973, 0, 1, 0),
+    ("series_inv_cs", 2): (3474747677, 0, 1, 0),
+    ("series_inv_cs", 3): (5872123408, 0, 1, 0),
+    ("series_inv_cs", 4): (5465163334, 0, 1, 0),
+    ("series_inv_cs", 40): (836793845606, 0, 1, 702),
+    ("series_div_cs", 1): (1993276534, 0, 1, 0),
+    ("series_div_cs", 2): (3810043537, 0, 1, 0),
+    ("series_div_cs", 3): (10003489858, 0, 1, 0),
+    ("series_div_cs", 30): (934189851746, 0, 2, 360),
+    ("middle_product_cs", 1): (12207473919, 0, 1, 4),
+    ("middle_product_cs", 2): (19507143011, 0, 1, 8),
+    ("middle_product_cs", 3): (25534267099, 0, 1, 12),
+    ("remainder_smallspace", 1): (527142339440, 1, 3, 319),
+    ("remainder_smallspace", 11): (683345119658, 11, 3, 348),
+    ("inplace_div_smallspace", 40): (703161989447, 2, 2, 820),
+}
+
+
+def _base_case(entry, n):
+    ring = Zq(469762049)
+    q = ring.q
+    rng = random.Random(f"base-{entry}-{n}")
+
+    def unit():
+        return rng.randrange(1, q)
+
+    x = {
+        "divrem_cs": lambda: {"f": rand_poly(rng, q, n + 7), "g": rand_poly(rng, q, n - 1) + [unit()]},
+        "series_inv_cs": lambda: {"f": [unit()] + rand_poly(rng, q, n - 1)},
+        "series_div_cs": lambda: {"f": rand_poly(rng, q, n), "g": [unit()] + rand_poly(rng, q, n - 1)},
+        "middle_product_cs": lambda: {"f": rand_poly(rng, q, n + 5), "g": [0] + rand_poly(rng, q, 4) + [0]},
+        "remainder_smallspace": lambda: {"f": rand_poly(rng, q, 40), "g": rand_poly(rng, q, 11) + [unit()], "scratch": n},
+        "inplace_div_smallspace": lambda: {"f": rand_poly(rng, q, n), "g": [unit()] + rand_poly(rng, q, n - 1), "scratch": 5},
+    }[entry]()
+    spec = SPECS[entry]
+    arena, views = build(spec, ring, x)
+    if entry == "middle_product_cs":
+        views.g = views.g.sub(1, 5).window(-1, 5)
+    spec.call(views, x)
+    exact = spec.check(ring, x, {name: getattr(views, name).tolist() for name in spec.outputs})
+    fingerprint = sum(i * v for i, v in enumerate(arena.regs, 1)) % (2**61 - 1)
+    m = arena.metrics
+    return exact, (fingerprint, m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products)
+
+
+@pytest.mark.parametrize("case", BASE_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_base_paths_are_pinned(case):
+    exact, pinned = _base_case(*case)
+    assert exact
+    assert pinned == BASE_PINNED[case]

@@ -265,7 +265,6 @@ def test_mulkit_entry_points_are_pinned(case):
 def test_mulkit_flags():
     kit = MulKit()
     assert kit.c == 2
-    assert kit.mstar_flag is False  # Karatsuba is not quasi-linear
 
 
 def test_poly_text_roundtrip():

@@ -1,6 +1,7 @@
 """The operation table: every public operation declared in it, refused
-calls that leave the arena as found, and a fuzz of the table's operations
-over more primes and view kinds."""
+calls that leave the arena as found, an audit of the registers each call
+writes, and a fuzz of the table's operations over more primes and view
+kinds."""
 
 import inspect
 import random
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import RING_FFT, check
-from polyarena import INPUT_ONLY, RO_RW, Zq, ops
+from helpers import RING97, RING_FFT, build_reversed, check, zero_tail
+from polyarena import INPUT_ONLY, RO_RW, SCRATCH, Zq, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
 from polyarena.errors import PermissionDenied
@@ -55,11 +56,47 @@ def test_refused_call_leaves_arena_as_found(spec):
             assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 0, 0), (n, dest)
 
 
+class WriteLog(list):
+    """Register list that records every index written through it, by int
+    or by slice (negative steps included)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.written = set()
+
+    def __setitem__(self, key, value):
+        index = range(len(self))[key]
+        self.written.update(index if isinstance(key, slice) else (index,))
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
+def test_audited_writes_respect_the_table(spec):
+    # the arena's own accounting checked against every write the call makes:
+    # under ro/rw no input-only register is written, and every scratch
+    # register written is counted; Strassen's operands are row-major
+    # matrices, which have no reversed layout
+    matrix = spec.name == "strassen_cs"
+    layouts = (ops.build,) if matrix else (ops.build, build_reversed)
+    for ring in (RING97, RING_FFT):
+        rng = random.Random(f"audit-{spec.name}-{ring.q}")
+        for n in (1, 2, 4, 8) if matrix else (1, 2, 5, 17, 40):
+            x = spec.gen(ring, rng, n, cap=40)
+            for layout in layouts:
+                arena, views = layout(spec, ring, x)
+                arena.regs = WriteLog(arena.regs)
+                spec.call(views, x)
+                for i in arena.regs.written:
+                    perm = arena.perms[i]
+                    assert not (spec.model == RO_RW and perm == INPUT_ONLY), (n, i)
+                    assert perm != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
+
+
 @settings(max_examples=2000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(
     spec=st.sampled_from(OPS),
     q=st.sampled_from(PRIMES),
-    kind=st.sampled_from(("plain", "reversed")),
+    kind=st.sampled_from(("plain", "reversed", "padded")),
     n=st.integers(1, 32),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -69,4 +106,6 @@ def test_table_fuzz_over_primes_and_view_kinds(spec, q, kind, n, seed):
     if spec.name in ("interp_cs", "partial_interp"):
         assume(q > n + 1)
     ring = RINGS[q]
-    check(spec, ring, spec.gen(ring, random.Random(seed), n, cap=32), kind)
+    rng = random.Random(seed)
+    x = spec.gen(ring, rng, n, cap=32)
+    check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)
