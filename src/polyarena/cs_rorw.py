@@ -17,8 +17,8 @@ its outputs and scratch blocks (`require_writable`), so a call refused for
 its permissions leaves the registers and the metrics as it found them.
 
 Declared scalar budgets (Python locals per arithmetic statement): at most
-four per loop below, except the small-size interpolation fallback which
-holds one block of at most twelve coefficients.
+four per loop below (one running product per interpolation weight), except
+the small-size interpolation fallback: one block of at most twelve values.
 """
 
 from __future__ import annotations
@@ -492,12 +492,15 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
 
     s = len(g) is the number of already-known low coefficients.  Block
     Lagrange interpolation: the pairs are cut into ceil(len/k) blocks (the
-    last may be short), and each block contributes n_i * s_i mod x^k.
-    Scratch requirement: 8k + 4 registers.
+    last may be short).  Block i contributes n_i * s_i mod x^k: m_i is the
+    product of (x - a) over its points, s_i that of (x - b) over all other
+    points mod x^k, n_i the sum of w_a * m_i / (x - a), and the weight
+    w_a = (b_a - g(a)) / (a^s * prod_{b != a} (a - b)) over all the points.
+    Scratch: 8k + 4 registers, for m_i (k + 1), s_i, n_i (k each) and the
+    kit workspace (the rest).
     """
     ring = out.arena.ring
     q = ring.q
-    s = len(g)
     pts = [(int(a) % q, int(b) % q) for a, b in pairs]
     npts = len(pts)
     if not 1 <= k <= npts:
@@ -506,7 +509,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
         raise SizeContract("output too short")
     if len(set(a for a, _ in pts)) != npts:
         raise DuplicatePoint("interpolation points must be distinct")
-    if s > 0 and any(a == 0 for a, _ in pts):
+    if len(g) and any(a == 0 for a, _ in pts):
         raise ZeroPointWithShift("zero point is not allowed when a prefix is known")
     if len(scratch) < 8 * k + 4:
         raise BadScratch(f"need scratch >= {8 * k + 4}, got {len(scratch)}")
@@ -514,38 +517,18 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
     with out.arena.call():
         mi = scratch.sub(0, k + 1)
         sk = scratch.sub(k + 1, 2 * k + 1)
-        sm = scratch.sub(2 * k + 1, 3 * k + 1)
-        mj = scratch.sub(3 * k + 1, 4 * k + 2)
-        ni = scratch.sub(4 * k + 2, 5 * k + 2)
-        ws = scratch.sub(5 * k + 2, 8 * k + 4)
+        ni = scratch.sub(2 * k + 1, 3 * k + 1)
+        ws = scratch.sub(3 * k + 1, 8 * k + 4)
         out_k = out.sub(0, k)
         vzero(out_k)
-        nb = (npts + k - 1) // k
-        for bi in range(nb):
-            block = pts[bi * k : (bi + 1) * k]
+        for lo in range(0, npts, k):
+            block = pts[lo : lo + k]
             kb = len(block)
             _build_modulus(mi, [a for a, _ in block])
-            vzero(sk)
-            sk.set(0, 1)
-            vzero(sm)
-            sm.set(0, 1)
-            for bj in range(nb):
-                if bj == bi:
-                    continue
-                other = pts[bj * k : (bj + 1) * k]
-                _build_modulus(mj, [a for a, _ in other])
-                _mul_mod_xk_inplace(sk, mj, len(other) + 1, k)
-                _mul_mod_mi_inplace(sm, kb, mj, len(other) + 1, mi, ws)
+            _build_modulus(sk, (a for j, (a, _) in enumerate(pts) if not lo <= j < lo + kb))
             vzero(ni)
             for a, b in block:
-                cj = _horner_view(sm.sub(0, kb), a, q)
-                dj = _horner_view(g, a, q) if s else 0
-                denom = 1
-                for a2, _ in block:
-                    if a2 != a:
-                        denom = denom * (a - a2) % q
-                w = (b - dj) * ring.inv(pow(a, s, q) * cj % q) % q
-                w = w * ring.inv(denom) % q
+                w = _weight(ring, g, pts, a, b)
                 # synthetic division of mi by (x - a), accumulating w * Q
                 qcur = mi.get(kb)
                 for d in range(kb - 1, -1, -1):
@@ -554,41 +537,26 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
             KIT.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
 
 
+def _weight(ring: Zq, g: PolyView, pts, a: int, b: int) -> int:
+    """Lagrange weight (b - g(a)) / (a^len(g) * prod_{a2 != a} (a - a2))."""
+    q = ring.q
+    denom = pow(a, len(g), q)
+    for a2, _ in pts:
+        if a2 != a:
+            denom = denom * (a - a2) % q
+    return (b - _horner_view(g, a, q)) * ring.inv(denom) % q
+
+
 def _build_modulus(dst: PolyView, roots):
-    """dst[0, len(roots)+1) = prod (x - a)."""
+    """dst = prod (x - a) over the roots, mod x^len(dst); dst is zeroed
+    first, so nothing it held before is read."""
+    t = len(dst)
+    vzero(dst)
     dst.set(0, 1)
     for idx, a in enumerate(roots):
-        dst.set(idx + 1, dst.get(idx))
-        for d in range(idx, 0, -1):
+        for d in range(min(idx + 1, t - 1), 0, -1):
             dst.set(d, dst.get(d - 1) - a * dst.get(d))
         dst.set(0, -a * dst.get(0))
-
-
-def _mul_mod_xk_inplace(v: PolyView, u: PolyView, ulen: int, t: int):
-    """v <- (v * u) mod x^t in place (descending indices)."""
-    for d in range(t - 1, -1, -1):
-        acc = 0
-        for a in range(min(d + 1, ulen)):
-            acc += u.get(a) * v.get(d - a)
-        v.set(d, acc)
-
-
-def _mul_mod_mi_inplace(sm: PolyView, kb: int, mj: PolyView, mjlen: int, mi: PolyView, ws: PolyView):
-    """sm <- (sm * mj) mod mi where mi is monic of size kb+1."""
-    plen = kb + mjlen - 1
-    prod = ws.sub(0, plen)
-    vzero(prod)
-    for i in range(kb):
-        c = sm.get(i)
-        if c:
-            for j in range(mjlen):
-                prod.set(i + j, prod.get(i + j) + c * mj.get(j))
-    for e in range(plen - 1, kb - 1, -1):
-        c = prod.get(e)
-        if c:
-            for d in range(kb):
-                prod.set(e - kb + d, prod.get(e - kb + d) - c * mi.get(d))
-    vcopy(sm.sub(0, kb), prod, kb)
 
 
 def interp_cs(pairs, out: PolyView):
@@ -636,18 +604,14 @@ def _interp_small_tail(ring: Zq, pts, out: PolyView, done: int):
     tail = pts[done:]
     coeffs = [0] * rem
     for a, b in tail:
-        da = _horner_view(out.sub(0, done), a, q) if done else 0
-        w = (b - da) * ring.inv(pow(a, done, q)) % q
+        w = _weight(ring, out.sub(0, done), tail, a, b)
         basis = [1]
-        denom = 1
         for a2, _ in tail:
             if a2 == a:
                 continue
             basis = [(-a2 * basis[0]) % q] + [
                 (basis[d - 1] - a2 * basis[d]) % q for d in range(1, len(basis))
             ] + [basis[-1]]
-            denom = denom * (a - a2) % q
-        w = w * ring.inv(denom) % q
         for d in range(rem):
             coeffs[d] = (coeffs[d] + w * basis[d]) % q
     for d in range(rem):

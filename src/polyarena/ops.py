@@ -21,6 +21,7 @@ from typing import Callable
 from . import bilinear_inplace as bilinear
 from . import cs_rorw, cs_rwrw, dense_ref
 from .dense_ref import KIT, divrem, horner_eval, karatsuba_mul, ntt, poly_to_text, schoolbook_mul
+from .errors import RegionMismatch
 from .reg_arena import INOUT, INPUT_ONLY, OUTPUT_ONLY, RO_RW, RW_RW, SCRATCH, build_arena, vadd, vcopy, vzero
 
 # declared space classes
@@ -342,8 +343,13 @@ def _interp_ref(ring, x):
     return [dense_ref.interp_tree(ring, points, values)]
 
 
-def _mat(view):
-    return bilinear.mat_on_arena(view.arena, view.off, isqrt(len(view)))
+def _mats(*views):
+    """Row-major matrices from the views' physical starts.  Stored back to
+    front, a matrix is the logical one turned by 180 degrees, JMJ, and since
+    (JXJ)(JYJ) = J(XY)J, Strassen on three such matrices is exact."""
+    if len({v.dir for v in views}) > 1:
+        raise RegionMismatch("x, y and z must be stored in one direction")
+    return [bilinear.mat_on_arena(v.arena, v.off if v.dir > 0 else v.off - len(v) + 1, isqrt(len(v))) for v in views]
 
 
 def _product_size(x):
@@ -421,7 +427,7 @@ STRASSEN = OpSpec(
     "strassen_cs",
     RW_RW,
     _XYZ,
-    lambda v, x: bilinear.strassen_cs(_mat(v.x), _mat(v.y), _mat(v.z)),
+    lambda v, x: bilinear.strassen_cs(*_mats(v.x, v.y, v.z)),
     space=LOG_STACK,
     gen=lambda ring, rng, n, cap=512: {name: _rand(rng, ring.q, n * n) for name in "xyz"},
     check=_check_strassen,

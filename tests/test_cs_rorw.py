@@ -4,7 +4,7 @@ import pytest
 
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
 from polyarena import cs_rorw
-from polyarena.ops import SPECS, build
+from polyarena.ops import SPECS, build, distinct_nonzero
 from polyarena.dense_ref import divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
 from polyarena.errors import (
     BadScratch,
@@ -449,3 +449,67 @@ def test_base_paths_are_pinned(case):
     exact, pinned = _base_case(*case)
     assert exact
     assert pinned == BASE_PINNED[case]
+
+
+def test_partial_interp_ignores_what_its_registers_held():
+    # out and the scratch start with random values: every block builds its
+    # moduli from zero, so nothing a register held on entry is read
+    spec = SPECS["partial_interp"]
+    for q in (97, 469762049, 2**61 - 1):
+        ring = Zq(q)
+        rng = random.Random(f"garbage-{q}")
+        for _ in range(300):
+            x = spec.gen(ring, rng, rng.randrange(2, 40))
+            x = {**x, "out": rand_poly(rng, q, x["k"]), "w": rand_poly(rng, q, 8 * x["k"] + 4)}
+            arena, views = build(spec, ring, x)
+            spec.call(views, x)
+            assert spec.check(ring, x, {"out": views.out.tolist()}), x
+
+
+def _interp_case(entry, q, n, s=0, k=None):
+    """(fingerprint of the output, extra_algebraic, pointer_depth,
+    base_products) of interp_cs on n points, or of partial_interp on n - s
+    points with s known coefficients and block size k."""
+    ring = Zq(q)
+    rng = random.Random(f"interp-{entry}-{q}-{n}-{s}-{k}")
+    poly = rand_poly(rng, q, n)
+    pts = distinct_nonzero(rng, q, n - s)
+    x = {"pairs": [(a, horner_eval(ring, poly, a)) for a in pts], "poly": poly}
+    if entry == "partial_interp":
+        x.update(g=poly[:s], k=k)
+    spec = SPECS[entry]
+    arena, views = build(spec, ring, x)
+    spec.call(views, x)
+    out = views.out.tolist()
+    assert spec.check(ring, x, {"out": out})
+    m = arena.metrics
+    fingerprint = sum(i * v for i, v in enumerate(out, 1)) % (2**61 - 1)
+    return fingerprint, m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
+
+
+# goldens taken while partial_interp still reduced the other blocks'
+# moduli modulo its own block's: the output, pointer depth and products
+# stay, and the scratch it writes may only shrink
+INTERP_PINNED = {
+    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 13),
+    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 327),
+    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 1365),
+    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 11708),
+    ("interp_cs", 97, 40): (45653, 0, 2, 552),
+    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 49, 1, 78),
+    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 37, 1, 60),
+    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 23, 1, 60),
+    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 51, 1, 259),
+    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 267, 1, 1520),
+    ("partial_interp", 97, 30, 4, 6): (1154, 44, 1, 95),
+}
+
+
+@pytest.mark.parametrize("case", list(INTERP_PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_interpolation_is_pinned(case):
+    fingerprint, scratch, depth, products = _interp_case(*case)
+    pin = INTERP_PINNED[case]
+    assert (fingerprint, depth, products) == (pin[0], pin[2], pin[3])
+    assert scratch <= pin[1]
+    if case[0] == "interp_cs":
+        assert scratch == pin[1]

@@ -15,7 +15,7 @@ from helpers import RING97, RING_FFT, build_reversed, check, zero_tail
 from polyarena import INPUT_ONLY, RO_RW, SCRATCH, Zq, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
-from polyarena.errors import PermissionDenied
+from polyarena.errors import PermissionDenied, RegionMismatch
 from polyarena.ops import OPS, SPECS
 
 PRIMES = (2, 3, 5, 97, 998244353, 2**61 - 1, 2**127 - 1)
@@ -74,15 +74,13 @@ class WriteLog(list):
 def test_audited_writes_respect_the_table(spec):
     # the arena's own accounting checked against every write the call makes:
     # under ro/rw no input-only register is written, and every scratch
-    # register written is counted; Strassen's operands are row-major
-    # matrices, which have no reversed layout
+    # register written is counted
     matrix = spec.name == "strassen_cs"
-    layouts = (ops.build,) if matrix else (ops.build, build_reversed)
     for ring in (RING97, RING_FFT):
         rng = random.Random(f"audit-{spec.name}-{ring.q}")
         for n in (1, 2, 4, 8) if matrix else (1, 2, 5, 17, 40):
             x = spec.gen(ring, rng, n, cap=40)
-            for layout in layouts:
+            for layout in (ops.build, build_reversed):
                 arena, views = layout(spec, ring, x)
                 arena.regs = WriteLog(arena.regs)
                 spec.call(views, x)
@@ -90,6 +88,29 @@ def test_audited_writes_respect_the_table(spec):
                     perm = arena.perms[i]
                     assert not (spec.model == RO_RW and perm == INPUT_ONLY), (n, i)
                     assert perm != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 8))
+def test_strassen_on_reversed_matrices(n):
+    # a matrix stored back to front is the logical one turned by 180
+    # degrees, and Strassen on three of them computes the turned product
+    # with the plain layout's metrics
+    spec = SPECS["strassen_cs"]
+    for ring in (RING97, RING_FFT):
+        x = spec.gen(ring, random.Random(f"strassen-reversed-{n}-{ring.q}"), n)
+        metrics = [check(spec, ring, x, kind).metrics for kind in ("plain", "reversed")]
+        assert len({(m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) for m in metrics}) == 1
+
+
+def test_strassen_refuses_mixed_directions():
+    spec = SPECS["strassen_cs"]
+    x = spec.gen(RING97, random.Random(3), 4)
+    arena, views = ops.build(spec, RING97, x)
+    views.y = views.y.rev()
+    before = list(arena.regs)
+    with pytest.raises(RegionMismatch):
+        spec.call(views, x)
+    assert arena.regs == before
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
