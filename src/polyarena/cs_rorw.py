@@ -19,9 +19,16 @@ its permissions leaves the registers and the metrics as it found them.
 Declared scalar budgets (Python locals per arithmetic statement): at most
 four per loop below (one running product per interpolation weight), except
 the small-size interpolation fallback: one block of at most twelve values.
+The row kernels of evaluation and interpolation (_build_modulus, the
+synthetic division of partial_interp, _horner_view) hold one row as a
+transient of one statement, as vadd and dense_ref._slice_naive do.  The
+writing ones check permissions once per call (the synthetic division once
+per block), never once per row or coefficient.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain, pairwise
 
 from .coeff_ring import Zq
 from .dense_ref import KIT, _mid_rows, _slice_naive
@@ -36,7 +43,7 @@ from .errors import (
     SizeContract,
     ZeroPointWithShift,
 )
-from .reg_arena import PolyView, require_writable, vadd, vcopy, vneg, vzero
+from .reg_arena import PolyView, _slc, require_writable, vadd, vcopy, vneg, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +458,11 @@ def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView)
 
 
 def _horner_view(f: PolyView, a: int, q: int) -> int:
+    """f(a): the view is read once (tolist: one slice of its real zone, its
+    padding as zeros), then Horner runs over the Python ints."""
     acc = 0
-    for i in range(len(f) - 1, -1, -1):
-        acc = (acc * a + f.get(i)) % q
+    for c in reversed(f.tolist()):
+        acc = (acc * a + c) % q
     return acc
 
 
@@ -519,6 +528,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
         sk = scratch.sub(k + 1, 2 * k + 1)
         ni = scratch.sub(2 * k + 1, 3 * k + 1)
         ws = scratch.sub(3 * k + 1, 8 * k + 4)
+        regs = scratch.arena.regs
         out_k = out.sub(0, k)
         vzero(out_k)
         for lo in range(0, npts, k):
@@ -527,13 +537,17 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
             _build_modulus(mi, [a for a, _ in block])
             _build_modulus(sk, (a for j, (a, _) in enumerate(pts) if not lo <= j < lo + kb))
             vzero(ni)
+            # synthetic division of mi by (x - a), top down: Q[kb-1] = mi[kb],
+            # Q[d-1] = mi[d] + a * Q[d]; ni[d] += w * Q[d].  One slice read of
+            # mi and one slice write of ni per point; vzero(ni) checked ni.
+            mtop = mi.sub(1, kb + 1).rev()
+            ntop = ni.sub(0, kb).rev()
+            ms = _slc(mtop.off, mtop.dir, 0, kb)
+            ns = _slc(ntop.off, ntop.dir, 0, kb)
             for a, b in block:
                 w = _weight(ring, g, pts, a, b)
-                # synthetic division of mi by (x - a), accumulating w * Q
-                qcur = mi.get(kb)
-                for d in range(kb - 1, -1, -1):
-                    ni.set(d, ni.get(d) + w * qcur)
-                    qcur = (mi.get(d) + a * qcur) % q
+                quo = accumulate(regs[ms], lambda acc, c: (c + a * acc) % q)
+                regs[ns] = [(x + w * y) % q for x, y in zip(regs[ns], quo)]
             KIT.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
 
 
@@ -549,14 +563,26 @@ def _weight(ring: Zq, g: PolyView, pts, a: int, b: int) -> int:
 
 def _build_modulus(dst: PolyView, roots):
     """dst = prod (x - a) over the roots, mod x^len(dst); dst is zeroed
-    first, so nothing it held before is read."""
+    first, so nothing it held before is read.
+
+    The opening vzero is the call's one permission check and counts dst as
+    scratch.  Then each root is one list-slice pass over the live prefix,
+    which grows by one per root up to t: new[d] = old[d - 1] - a * old[d]
+    with old[-1] = 0 (the register just above the old prefix still holds
+    its zero).
+    """
     t = len(dst)
+    if not t:
+        return
     vzero(dst)
-    dst.set(0, 1)
-    for idx, a in enumerate(roots):
-        for d in range(min(idx + 1, t - 1), 0, -1):
-            dst.set(d, dst.get(d - 1) - a * dst.get(d))
-        dst.set(0, -a * dst.get(0))
+    regs = dst.arena.regs
+    q = dst.arena.q
+    regs[dst.off] = 1
+    live = 1
+    for a in roots:
+        live = min(live + 1, t)
+        ds = _slc(dst.off, dst.dir, 0, live)
+        regs[ds] = [(p - a * c) % q for p, c in pairwise(chain((0,), regs[ds]))]
 
 
 def interp_cs(pairs, out: PolyView):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, PolyView, Zq, build_arena
 from polyarena import cs_rorw
 from polyarena.ops import SPECS, build, distinct_nonzero
 from polyarena.dense_ref import divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
@@ -513,3 +513,70 @@ def test_interpolation_is_pinned(case):
     assert scratch <= pin[1]
     if case[0] == "interp_cs":
         assert scratch == pin[1]
+
+
+# the interpolation and evaluation row kernels
+
+KERNEL_PRIMES = (97, 469762049, 2**127 - 1)
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+@pytest.mark.parametrize("kind", ["plain", "reversed"])
+def test_build_modulus_is_the_truncated_product(q, kind):
+    # dst = prod (x - a) mod x^t on a scratch view that starts at register 0
+    # (the reversed slice then runs to the front of the file) and held
+    # garbage; the input-only register behind it stays untouched
+    ring = Zq(q)
+    rng = random.Random(f"modulus-{q}-{kind}")
+    r = 6
+    roots = [0, q - 1] + [rng.randrange(q) for _ in range(r - 2)]
+    rng.shuffle(roots)
+    full = [1]
+    for a in roots:
+        full = schoolbook_mul(ring, full, [-a % q, 1])
+    for t in (1, 2, r, r + 1, r + 4):
+        arena, (dst, guard) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH), ([5], INPUT_ONLY))
+        if kind == "reversed":
+            dst = dst.rev()
+        cs_rorw._build_modulus(dst, iter(roots))
+        assert dst.tolist() == (full + [0] * t)[:t]
+        assert guard.tolist() == [5]
+        assert arena.metrics.extra_algebraic_highwater == t
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+def test_horner_view_matches_horner_eval(q):
+    ring = Zq(q)
+    rng = random.Random(f"horner-{q}")
+    for n in (0, 1, 2, 17):
+        fd = rand_poly(rng, q, n)
+        arena, (f,) = build_arena(ring, RO_RW, (fd, INPUT_ONLY))
+        for a in (0, 1, q - 1, rng.randrange(q)):
+            assert cs_rorw._horner_view(f, a, q) == horner_eval(ring, fd, a)
+            assert cs_rorw._horner_view(f.rev(), a, q) == horner_eval(ring, fd[::-1], a)
+            # padding below and above the real zone reads as zeros
+            padded = [0, 0] + fd + [0, 0, 0]
+            assert cs_rorw._horner_view(f.window(-2, n + 3), a, q) == horner_eval(ring, padded, a)
+
+
+def test_interp_cs_makes_no_scalar_loop(monkeypatch):
+    # the moduli, the synthetic division and Horner run on list slices:
+    # a linear number of scalar view calls, where a scalar loop makes ~n^2
+    counts = {"get": 0, "set": 0}
+    for name in counts:
+        orig = getattr(PolyView, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            counts[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PolyView, name, counted)
+    n = 200
+    ring = Zq(469762049)
+    rng = random.Random("scalar-calls")
+    fd = rand_poly(rng, ring.q, n)
+    pts = distinct_nonzero(rng, ring.q, n)
+    arena, (out,) = build_arena(ring, RO_RW, ([0] * n, INOUT))
+    cs_rorw.interp_cs([(a, horner_eval(ring, fd, a)) for a in pts], out)
+    assert out.tolist() == fd
+    assert counts["get"] + counts["set"] <= 5 * n, counts
