@@ -10,6 +10,14 @@ once: every power-series division (inversion, quotient, the quotient of a
 Euclidean division read through reversed views) is the recurrence of
 _div_recurrence, and a middle product's rows are dense_ref._mid_rows.
 
+Below the kit's base size dense_ref.BASE, where every product is schoolbook
+anyway, nothing is reduced block by block.  mp_eval_cs evaluates by Horner
+per point once a batch would hold fewer than BASE points, and a chunk loop
+whose chunks are at most BASE long (semi_cumulative_lower,
+_chunked_slice_sub) is one dense_ref._slice_naive pass: the same writes,
+rows and base products as its chunks' naive mid_acc calls, with no views
+or workspace per chunk.
+
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
 reductions report pointer depth 1.  Before that, each entry point checks
@@ -31,7 +39,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, pairwise
 
 from .coeff_ring import Zq
-from .dense_ref import KIT, _mid_rows, _slice_naive
+from .dense_ref import BASE, KIT, _mid_rows, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -133,8 +141,9 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
     """h += sign * (f * g mod x^n) given h mod x^s = 0.
 
     The zero prefix of h is the only workspace: the part above s is filled
-    in chunks whose kit scratch fits below s, and the prefix itself is one
-    self-contained lower product at the end.
+    in chunks whose kit scratch fits below s (one naive pass when the chunks
+    are at most BASE long), and the prefix itself is one self-contained
+    lower product at the end.
     """
     n = len(h)
     if not 1 <= s <= n:
@@ -145,12 +154,16 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
     require_writable(h)
     with h.arena.call():
         b = max(1, s // (KIT.c + 1))
-        ws = h.sub(0, s)
-        u = s
-        while u < n:
-            chunk = h.sub(u, min(u + b, n))
-            KIT.slice_acc(chunk, f, g, u, ws, sign)
-            u += b
+        if b <= BASE:
+            # every chunk would be a naive mid_acc: one pass does their writes
+            _slice_naive(h.sub(s, n), f, g, s, sign)
+        else:
+            ws = h.sub(0, s)
+            u = s
+            while u < n:
+                chunk = h.sub(u, min(u + b, n))
+                KIT.slice_acc(chunk, f, g, u, ws, sign)
+                u += b
         ns = min(s, n)
         low = h.sub(0, ns)
         fv = f.sub(0, min(len(f), ns)).padded(ns)
@@ -385,9 +398,13 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
 
 
 def _chunked_slice_sub(dst: PolyView, u: PolyView, v: PolyView, ws: PolyView):
-    """dst -= (u * v) mod x^len(dst), in chunks small enough for ws."""
+    """dst -= (u * v) mod x^len(dst), in chunks small enough for ws; one
+    naive pass when the chunks are at most BASE long."""
     t = len(dst)
     cc = max(1, min(t, len(ws) // (KIT.c + 1)))
+    if cc <= BASE:
+        _slice_naive(dst, u, v, 0, -1)
+        return
     lo = 0
     while lo < t:
         chunk = dst.sub(lo, min(lo + cc, t))
@@ -468,7 +485,15 @@ def _horner_view(f: PolyView, a: int, q: int) -> int:
 
 def mp_eval_cs(f: PolyView, points, out: PolyView):
     """out[i] = f(points[i]); batches reduce f modulo the batch modulus in
-    the free output space, then evaluate the small remainder per point."""
+    the free output space, then evaluate the small remainder per point.
+
+    A batch of k points uses 3k + 1 free output slots (modulus, remainder,
+    scratch), so k = (P - done - 1) // 3.  Once k < BASE (at most 3 * BASE
+    points left) or f has at most k coefficients, the remaining points are
+    evaluated by Horner on f: below BASE the reduction's products are
+    schoolbook, n * k multiplications like k Horner passes, plus their
+    view and kit calls.
+    """
     q = f.arena.q
     pts = [int(a) % q for a in points]
     if len(out) != len(pts):
@@ -481,7 +506,7 @@ def mp_eval_cs(f: PolyView, points, out: PolyView):
         while done < P:
             rem_slots = P - done
             k = (rem_slots - 1) // 3
-            if rem_slots <= 6 or k < 2 or n <= k:
+            if k < BASE or n <= k:
                 for i in range(done, P):
                     out.set(i, _horner_view(f, pts[i], q))
                 return

@@ -18,7 +18,7 @@ from polyarena.errors import (
     SizeContract,
     ZeroPointWithShift,
 )
-from helpers import RING97, low_product, rand_poly
+from helpers import LAYOUTS, RING97, low_product, rand_poly, zero_tail
 
 RNG = random.Random(7)
 Q = 97
@@ -299,12 +299,82 @@ def test_mp_eval_examples():
     cs_rorw.mp_eval_cs(f, [0, 1], out)
     assert out.tolist() == [1, 2]
 
-    n = 64
-    fd = rand_poly(RNG, Q, n)
-    pts = [RNG.randrange(Q) for _ in range(n)]
-    arena, (f, out) = ro_arena((fd, INPUT_ONLY), ([0] * n, INOUT))
-    cs_rorw.mp_eval_cs(f, pts, out)
-    assert out.tolist() == mp_eval_tree(RING97, fd, pts)
+    # up to 3 * BASE points no batch is reduced: Horner per point, one frame
+    for n in (7, 64, 96):
+        fd = rand_poly(RNG, Q, n)
+        pts = [RNG.randrange(Q) for _ in range(n)]
+        arena, (f, out) = ro_arena((fd, INPUT_ONLY), ([0] * n, INOUT))
+        cs_rorw.mp_eval_cs(f, pts, out)
+        assert out.tolist() == mp_eval_tree(RING97, fd, pts)
+        assert arena.metrics.pointer_depth_highwater == 1
+
+
+# (q, number of points P = len(f), layout of f): from P = 97 on, the first
+# batch has BASE points and runs the remainder route
+EVAL_CASES = [
+    (q, n, layout) for q in (97, 469762049, 2**61 - 1, 2**127 - 1) for n in (97, 128, 300) for layout in LAYOUTS
+]
+
+# (fingerprint of every register, extra_algebraic, pointer_depth,
+# base_products), taken once batches below BASE points went to Horner
+EVAL_PINNED = {
+    (97, 97, "plain"): (892269, 0, 4, 2123),
+    (97, 97, "reversed"): (956481, 0, 4, 2124),
+    (97, 97, "padded"): (606932, 0, 4, 840),
+    (97, 128, "plain"): (1802522, 0, 4, 3677),
+    (97, 128, "reversed"): (1458841, 0, 4, 3713),
+    (97, 128, "padded"): (596879, 0, 4, 84),
+    (97, 300, "plain"): (8789434, 0, 4, 47278),
+    (97, 300, "reversed"): (8657864, 0, 4, 47028),
+    (97, 300, "padded"): (8506804, 0, 4, 43729),
+    (469762049, 97, "plain"): (4336234211715, 0, 4, 2154),
+    (469762049, 97, "reversed"): (4559727237603, 0, 4, 2154),
+    (469762049, 97, "padded"): (2453819881367, 0, 4, 420),
+    (469762049, 128, "plain"): (7212756786721, 0, 4, 3723),
+    (469762049, 128, "reversed"): (8198295220620, 0, 4, 3723),
+    (469762049, 128, "padded"): (7302681368839, 0, 4, 3174),
+    (469762049, 300, "plain"): (39748916835590, 0, 4, 47862),
+    (469762049, 300, "reversed"): (42436593473320, 0, 4, 47862),
+    (469762049, 300, "padded"): (20722736600825, 0, 4, 9161),
+    (2**61 - 1, 97, "plain"): (260940898453825883, 0, 4, 2154),
+    (2**61 - 1, 97, "reversed"): (5558894185568542, 0, 4, 2154),
+    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 453),
+    (2**61 - 1, 128, "plain"): (1416550681800146247, 0, 4, 3723),
+    (2**61 - 1, 128, "reversed"): (2042612054513736835, 0, 4, 3723),
+    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 3685),
+    (2**61 - 1, 300, "plain"): (2228108598266594375, 0, 4, 47862),
+    (2**61 - 1, 300, "reversed"): (355988671046548696, 0, 4, 47862),
+    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 37297),
+    (2**127 - 1, 97, "plain"): (771219688529678405, 0, 4, 2154),
+    (2**127 - 1, 97, "reversed"): (427575253100115503, 0, 4, 2154),
+    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 1598),
+    (2**127 - 1, 128, "plain"): (289559462239451092, 0, 4, 3723),
+    (2**127 - 1, 128, "reversed"): (1791009378761539696, 0, 4, 3723),
+    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 175),
+    (2**127 - 1, 300, "plain"): (1029261899133715617, 0, 4, 47862),
+    (2**127 - 1, 300, "reversed"): (1218870322512719048, 0, 4, 47862),
+    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 5019),
+}
+
+
+def _eval_case(q, n, layout):
+    ring = Zq(q)
+    rng = random.Random(f"eval-{q}-{n}-{layout}")
+    spec = SPECS["mp_eval_cs"]
+    x = {"f": rand_poly(rng, q, n), "points": rand_poly(rng, q, n)}
+    if layout == "padded":
+        x = zero_tail(spec, x, rng)
+    arena, views = LAYOUTS[layout](spec, ring, x)
+    exact, pinned = _pinned_call(spec, ring, arena, views, x)
+    return exact and views.out.tolist() == mp_eval_tree(ring, x["f"], x["points"]), pinned
+
+
+@pytest.mark.parametrize("case", EVAL_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_mp_eval_remainder_route_is_pinned(case):
+    exact, pinned = _eval_case(*case)
+    assert exact
+    assert pinned[2] >= 2  # remainder_smallspace ran
+    assert pinned == EVAL_PINNED[case]
 
 
 def test_partial_interp_examples():
@@ -437,6 +507,12 @@ def _base_case(entry, n):
     arena, views = build(spec, ring, x)
     if entry == "middle_product_cs":
         views.g = views.g.sub(1, 5).window(-1, 5)
+    return _pinned_call(spec, ring, arena, views, x)
+
+
+def _pinned_call(spec, ring, arena, views, x):
+    """Call the entry on built views: (its check passed, (fingerprint of
+    every register, extra_algebraic, pointer_depth, base_products))."""
     spec.call(views, x)
     exact = spec.check(ring, x, {name: getattr(views, name).tolist() for name in spec.outputs})
     fingerprint = sum(i * v for i, v in enumerate(arena.regs, 1)) % (2**61 - 1)
@@ -449,6 +525,53 @@ def test_base_paths_are_pinned(case):
     exact, pinned = _base_case(*case)
     assert exact
     assert pinned == BASE_PINNED[case]
+
+
+# (entry, len(f), len(g), s): long chunk loops.  remainder_smallspace with
+# a 100-coefficient divisor and s = 8 (46 chunks of 2) or 64 (chunks of 21),
+# and a 200-coefficient divisor with s = 120 (chunks of 40, above BASE);
+# semi_cumulative_lower at n = 200 with s = 6, 96 (chunks of 32 = BASE) and
+# 99 (chunks of 33); divrem_cs with divisors of 40, 97 = 3 * BASE + 1
+# (chunks of 32) and 100 (chunks of 33)
+CHUNK_CASES = (
+    [("remainder_smallspace", m, n, s) for m, n, s in ((300, 100, 8), (300, 100, 64), (600, 200, 120))]
+    + [("semi_cumulative_lower", 200, 200, s) for s in (6, 96, 99)]
+    + [("divrem_cs", 400, n, None) for n in (40, 97, 100)]
+)
+
+# goldens taken while every chunk was its own kit call
+CHUNK_PINNED = {
+    ("remainder_smallspace", 300, 100, 8): (29813430110987, 8, 3, 20099),
+    ("remainder_smallspace", 300, 100, 64): (35810425912790, 64, 3, 20252),
+    ("remainder_smallspace", 600, 200, 120): (146311730228952, 120, 3, 74345),
+    ("semi_cumulative_lower", 200, 200, 6): (42580225684986, 0, 2, 20100),
+    ("semi_cumulative_lower", 200, 200, 96): (39921622634579, 0, 2, 20100),
+    ("semi_cumulative_lower", 200, 200, 99): (42894035659241, 0, 2, 20100),
+    ("divrem_cs", 400, 40, None): (82915639932270, 0, 3, 14520),
+    ("divrem_cs", 400, 97, None): (87109846430006, 0, 3, 29947),
+    ("divrem_cs", 400, 100, None): (93366890582019, 0, 3, 30504),
+}
+
+
+def _chunk_case(entry, lf, lg, s):
+    ring = Zq(469762049)
+    q = ring.q
+    rng = random.Random(f"chunk-{entry}-{lf}-{lg}-{s}")
+    if entry == "semi_cumulative_lower":
+        x = {"s": s, "f": rand_poly(rng, q, lf), "g": rand_poly(rng, q, lg), "h": [0] * s + rand_poly(rng, q, lf - s)}
+    else:
+        x = {"f": rand_poly(rng, q, lf), "g": rand_poly(rng, q, lg - 1) + [rng.randrange(1, q)]}
+        if s:
+            x["scratch"] = s
+    spec = SPECS[entry]
+    return _pinned_call(spec, ring, *build(spec, ring, x), x)
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_chunk_loops_are_pinned(case):
+    exact, pinned = _chunk_case(*case)
+    assert exact
+    assert pinned == CHUNK_PINNED[case]
 
 
 def test_partial_interp_ignores_what_its_registers_held():

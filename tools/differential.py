@@ -6,8 +6,11 @@ Each checkout runs in its own subprocess, which imports `polyarena` from
 that checkout's `src/` and the layouts from its `tests/helpers.py`, so the
 two packages never share a process.  Every `SPECS` entry that has a
 generator is called on CASES seeded inputs of size at most CAP per prime
-(97, 469762049, 2^61 - 1), each input on the plain, reversed and padded
-layouts.  Per entry the
+(97, 469762049, 2^61 - 1), and on BIG_CASES more of a size in BIG_SIZES
+(there mp_eval_cs reduces its first batch, and the chunk loops of the
+division run long), each input on the plain, reversed and padded
+layouts.  An input the prime cannot hold (more distinct nonzero
+interpolation points than 97 has) is skipped on both sides.  Per entry the
 report counts the cases whose non-scratch registers are identical at the
 end of the call and those whose (extra_algebraic, pointer_depth,
 base_products) triple is identical, those where pointer_depth and
@@ -31,6 +34,8 @@ PRIMES = (97, 469762049, 2**61 - 1)
 LAYOUTS = ("plain", "reversed", "padded")
 CASES = 60
 CAP = 64
+BIG_CASES = 2
+BIG_SIZES = (97, 160)
 
 
 def worker(checkout: Path):
@@ -47,12 +52,16 @@ def worker(checkout: Path):
     for spec in sorted((s for s in ops.SPECS.values() if s.gen), key=lambda s: s.name):
         for q in PRIMES:
             ring = Zq(q)
-            for i in range(CASES):
+            for i in range(CASES + BIG_CASES):
                 rng = random.Random(f"differential-{spec.name}-{q}-{i}")
-                n = ops.sample_size(rng, CAP)
+                cap = CAP if i < CASES else BIG_SIZES[1]
+                n = ops.sample_size(rng, CAP) if i < CASES else rng.randint(*BIG_SIZES)
                 if spec.name == "strassen_cs":
                     n = 1 << (n.bit_length() - 1) // 2
-                x = spec.gen(ring, rng, n, cap=CAP)
+                try:
+                    x = spec.gen(ring, rng, n, cap=cap)
+                except ValueError:
+                    continue
                 for layout in LAYOUTS:
                     xl = helpers.zero_tail(spec, x, random.Random(f"pad-{spec.name}-{q}-{i}")) if layout == "padded" else x
                     row = {"key": [spec.name, q, i, layout], "error": None}
