@@ -424,7 +424,9 @@ def strassen_program(ring: Zq) -> BilinearProgram:
 
 
 # ---------------------------------------------------------------------------
-# dense square matrices and constant-space Strassen-Winograd
+# dense square matrices and constant-space Strassen-Winograd: one hand
+# schedule (_sw) of block additions and recursive products, whose 2 x 2
+# node runs the same schedule as one scalar kernel (_sw2)
 # ---------------------------------------------------------------------------
 
 
@@ -485,7 +487,9 @@ def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
     """Z += X * Y with seven recursive products and no matrix temporaries;
     X and Y are nudged and restored by pre/post block additions, so all
     three must be writable: under ro/rw an input-only register in any of
-    them raises before the first write."""
+    them raises before the first write.  The recursion stops at 2 x 2
+    blocks, which run the same schedule on scalar registers; base_products
+    is 7^k and pointer_depth k + 1 at n = 2^k."""
     n = X.n
     if n & (n - 1):
         raise NotPowerOfTwo(f"matrix dimension {n}")
@@ -499,6 +503,9 @@ def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
 
 
 def _sw(X: MatView, Y: MatView, Z: MatView, sign: int):
+    """One node of the schedule: 18 block additions and 7 recursive
+    products, in one call scope.  A 2 x 2 node hands the whole schedule to
+    _sw2; a 1 x 1 product is only reached by a top-level 1 x 1 call."""
     n = X.n
     if n == 1:
         v = X.get(0, 0) * Y.get(0, 0)
@@ -506,6 +513,9 @@ def _sw(X: MatView, Y: MatView, Z: MatView, sign: int):
         Z.arena.metrics.base_products += 1
         return
     with Z.arena.call():
+        if n == 2:
+            _sw2(X, Y, Z, sign)
+            return
         x00, x01, x10, x11 = X.quad(0, 0), X.quad(0, 1), X.quad(1, 0), X.quad(1, 1)
         y00, y01, y10, y11 = Y.quad(0, 0), Y.quad(0, 1), Y.quad(1, 0), Y.quad(1, 1)
         z00, z01, z10, z11 = Z.quad(0, 0), Z.quad(0, 1), Z.quad(1, 0), Z.quad(1, 1)
@@ -534,3 +544,56 @@ def _sw(X: MatView, Y: MatView, Z: MatView, sign: int):
         _madd(y01, y00, 1)
         _madd(x10, x11, -1)
         _sw(x01, y10, z00, sign)
+
+
+def _sw2(X: MatView, Y: MatView, Z: MatView, sign: int):
+    """The 2 x 2 node of _sw on scalar registers: its 18 additions and 7
+    products in its order.  Every step reads its registers again, so
+    aliased operands see what the recursion shows them.  Only x10, y01 and
+    Z are written; each gets the permission check and scratch count that a
+    _madd or Arena.write of it makes."""
+    xa, ya, za = X.arena, Y.arena, Z.arena
+    x00 = X.off
+    x01, x10 = x00 + 1, x00 + X.stride
+    x11 = x10 + 1
+    y00 = Y.off
+    y01, y10 = y00 + 1, y00 + Y.stride
+    y11 = y10 + 1
+    z00 = Z.off
+    z01, z10 = z00 + 1, z00 + Z.stride
+    z11 = z10 + 1
+    for arena, written in ((xa, (x10,)), (ya, (y01,)), (za, (z00, z01, z10, z11))):
+        if arena.model == RO_RW or arena.has_scratch:
+            for i in written:
+                arena.check_span(i, i + 1)
+    xr, yr, zr = xa.regs, ya.regs, za.regs
+    qx, qy, qz = xa.q, ya.q, za.q
+    # as in the 1 x 1 branch, a product adds only when its sign (sign or
+    # -sign) is > 0, so sign = 0 subtracts in both
+    s, t = (1 if sign > 0 else -1), (1 if sign < 0 else -1)
+    xr[x10] = (xr[x10] - xr[x00]) % qx
+    yr[y01] = (yr[y01] - yr[y11]) % qy
+    zr[z10] = (zr[z10] - zr[z11]) % qz
+    zr[z11] = (zr[z11] + s * xr[x10] * yr[y01]) % qz
+    xr[x10] = (xr[x10] + xr[x11]) % qx
+    yr[y01] = (yr[y01] - yr[y00]) % qy
+    zr[z01] = (zr[z01] - zr[z11]) % qz
+    zr[z11] = (zr[z11] + t * xr[x10] * yr[y01]) % qz
+    zr[z00] = (zr[z00] - zr[z11]) % qz
+    zr[z11] = (zr[z11] + s * xr[x00] * yr[y00]) % qz
+    zr[z00] = (zr[z00] + zr[z11]) % qz
+    yr[y01] = (yr[y01] + yr[y10]) % qy
+    zr[z10] = (zr[z10] + zr[z11]) % qz
+    zr[z10] = (zr[z10] + s * xr[x11] * yr[y01]) % qz
+    yr[y01] = (yr[y01] + yr[y11]) % qy
+    yr[y01] = (yr[y01] - yr[y10]) % qy
+    xr[x10] = (xr[x10] - xr[x01]) % qx
+    zr[z01] = (zr[z01] + t * xr[x10] * yr[y11]) % qz
+    xr[x10] = (xr[x10] + xr[x01]) % qx
+    xr[x10] = (xr[x10] + xr[x00]) % qx
+    zr[z11] = (zr[z11] + s * xr[x10] * yr[y01]) % qz
+    zr[z01] = (zr[z01] + zr[z11]) % qz
+    yr[y01] = (yr[y01] + yr[y00]) % qy
+    xr[x10] = (xr[x10] - xr[x11]) % qx
+    zr[z00] = (zr[z00] + s * xr[x01] * yr[y10]) % qz
+    za.metrics.base_products += 7

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, Zq, build_arena
 from polyarena import bilinear_inplace as bi
 from polyarena.dense_ref import schoolbook_mul
 from polyarena.errors import DimMismatch, NotPowerOfTwo, PermissionDenied, RegionMismatch, ZeroRow
@@ -193,7 +193,7 @@ def test_strassen_cs_examples():
         k = int(math.log2(n))
         assert arena.metrics.base_products == 7 ** k
         assert arena.metrics.extra_algebraic_highwater == 0
-        assert arena.metrics.pointer_depth_highwater <= k + 2
+        assert arena.metrics.pointer_depth_highwater == k + 1
 
 
 def test_strassen_requires_power_of_two():
@@ -223,3 +223,107 @@ def test_strassen_cs_counts_scratch_writes():
         # only the top-right quadrant of Y is written at each level, so Y[i][j]
         # is written unless no bit position of (i, j) reads (0, 1)
         assert arena.metrics.extra_algebraic_highwater == n * n - 3**levels
+
+
+# (model, q, n, sign): rw/rw with three INOUT matrices, and ro/rw with a
+# SCRATCH-tagged Y
+GOLDEN_CASES = [
+    (model, q, n, sign)
+    for model in (RW_RW, RO_RW)
+    for q in (97, 2**61 - 1, 2**127 - 1)
+    for n in (1, 2, 4, 8, 16, 32)
+    for sign in (1, -1)
+]
+
+# (fingerprint of every register, extra_algebraic, pointer_depth,
+# base_products), taken while every 2 x 2 node recursed to 1 x 1 leaves
+STRASSEN_PINNED = {
+    (RW_RW, 97, 1, 1): (238, 0, 1, 1),
+    (RW_RW, 97, 1, -1): (258, 0, 1, 1),
+    (RW_RW, 97, 2, 1): (2590, 0, 2, 7),
+    (RW_RW, 97, 2, -1): (3780, 0, 2, 7),
+    (RW_RW, 97, 4, 1): (50034, 0, 3, 49),
+    (RW_RW, 97, 4, -1): (48032, 0, 3, 49),
+    (RW_RW, 97, 8, 1): (928712, 0, 4, 343),
+    (RW_RW, 97, 8, -1): (888812, 0, 4, 343),
+    (RW_RW, 97, 16, 1): (13765093, 0, 5, 2401),
+    (RW_RW, 97, 16, -1): (14028198, 0, 5, 2401),
+    (RW_RW, 97, 32, 1): (229566083, 0, 6, 16807),
+    (RW_RW, 97, 32, -1): (225199496, 0, 6, 16807),
+    (RW_RW, 2**61 - 1, 1, 1): (1505881081263717805, 0, 1, 1),
+    (RW_RW, 2**61 - 1, 1, -1): (1867065671765150043, 0, 1, 1),
+    (RW_RW, 2**61 - 1, 2, 1): (1413517385155866804, 0, 2, 7),
+    (RW_RW, 2**61 - 1, 2, -1): (2265253199158061692, 0, 2, 7),
+    (RW_RW, 2**61 - 1, 4, 1): (1841850171027673717, 0, 3, 49),
+    (RW_RW, 2**61 - 1, 4, -1): (1542190645460918754, 0, 3, 49),
+    (RW_RW, 2**61 - 1, 8, 1): (402682223745111549, 0, 4, 343),
+    (RW_RW, 2**61 - 1, 8, -1): (1490588984696593036, 0, 4, 343),
+    (RW_RW, 2**61 - 1, 16, 1): (170955146757717971, 0, 5, 2401),
+    (RW_RW, 2**61 - 1, 16, -1): (1861687193551847875, 0, 5, 2401),
+    (RW_RW, 2**61 - 1, 32, 1): (230053967171939717, 0, 6, 16807),
+    (RW_RW, 2**61 - 1, 32, -1): (1352893443491231822, 0, 6, 16807),
+    (RW_RW, 2**127 - 1, 1, 1): (1801448399259737293, 0, 1, 1),
+    (RW_RW, 2**127 - 1, 1, -1): (2052607250737416814, 0, 1, 1),
+    (RW_RW, 2**127 - 1, 2, 1): (580275766830436191, 0, 2, 7),
+    (RW_RW, 2**127 - 1, 2, -1): (70333949831067171, 0, 2, 7),
+    (RW_RW, 2**127 - 1, 4, 1): (517473469227649493, 0, 3, 49),
+    (RW_RW, 2**127 - 1, 4, -1): (2058185210433327762, 0, 3, 49),
+    (RW_RW, 2**127 - 1, 8, 1): (47546214813157418, 0, 4, 343),
+    (RW_RW, 2**127 - 1, 8, -1): (1690085441532018647, 0, 4, 343),
+    (RW_RW, 2**127 - 1, 16, 1): (315639809890592195, 0, 5, 2401),
+    (RW_RW, 2**127 - 1, 16, -1): (524139083026667575, 0, 5, 2401),
+    (RW_RW, 2**127 - 1, 32, 1): (1021947949462523955, 0, 6, 16807),
+    (RW_RW, 2**127 - 1, 32, -1): (522923697005202711, 0, 6, 16807),
+    (RO_RW, 97, 1, 1): (286, 0, 1, 1),
+    (RO_RW, 97, 1, -1): (488, 0, 1, 1),
+    (RO_RW, 97, 2, 1): (2964, 1, 2, 7),
+    (RO_RW, 97, 2, -1): (2600, 1, 2, 7),
+    (RO_RW, 97, 4, 1): (57169, 7, 3, 49),
+    (RO_RW, 97, 4, -1): (54890, 7, 3, 49),
+    (RO_RW, 97, 8, 1): (879686, 37, 4, 343),
+    (RO_RW, 97, 8, -1): (922473, 37, 4, 343),
+    (RO_RW, 97, 16, 1): (14489870, 175, 5, 2401),
+    (RO_RW, 97, 16, -1): (14720130, 175, 5, 2401),
+    (RO_RW, 97, 32, 1): (226543230, 781, 6, 16807),
+    (RO_RW, 97, 32, -1): (221999075, 781, 6, 16807),
+    (RO_RW, 2**61 - 1, 1, 1): (2213999610033898258, 0, 1, 1),
+    (RO_RW, 2**61 - 1, 1, -1): (67616770683723340, 0, 1, 1),
+    (RO_RW, 2**61 - 1, 2, 1): (2120344596749549689, 1, 2, 7),
+    (RO_RW, 2**61 - 1, 2, -1): (748450656422755657, 1, 2, 7),
+    (RO_RW, 2**61 - 1, 4, 1): (1692116832194552611, 7, 3, 49),
+    (RO_RW, 2**61 - 1, 4, -1): (882690145139193510, 7, 3, 49),
+    (RO_RW, 2**61 - 1, 8, 1): (1796872059989787480, 37, 4, 343),
+    (RO_RW, 2**61 - 1, 8, -1): (489491467786971140, 37, 4, 343),
+    (RO_RW, 2**61 - 1, 16, 1): (1202621277518299097, 175, 5, 2401),
+    (RO_RW, 2**61 - 1, 16, -1): (37360622655964894, 175, 5, 2401),
+    (RO_RW, 2**61 - 1, 32, 1): (1475639106487694891, 781, 6, 16807),
+    (RO_RW, 2**61 - 1, 32, -1): (789514201931211202, 781, 6, 16807),
+    (RO_RW, 2**127 - 1, 1, 1): (2152644596040039971, 0, 1, 1),
+    (RO_RW, 2**127 - 1, 1, -1): (1808343374618227095, 0, 1, 1),
+    (RO_RW, 2**127 - 1, 2, 1): (1213811700237564624, 1, 2, 7),
+    (RO_RW, 2**127 - 1, 2, -1): (1519309223676215334, 1, 2, 7),
+    (RO_RW, 2**127 - 1, 4, 1): (846940631353661705, 7, 3, 49),
+    (RO_RW, 2**127 - 1, 4, -1): (2122252264762255270, 7, 3, 49),
+    (RO_RW, 2**127 - 1, 8, 1): (628111532268864995, 37, 4, 343),
+    (RO_RW, 2**127 - 1, 8, -1): (1862232901511818461, 37, 4, 343),
+    (RO_RW, 2**127 - 1, 16, 1): (229020707217731472, 175, 5, 2401),
+    (RO_RW, 2**127 - 1, 16, -1): (231842010305085878, 175, 5, 2401),
+    (RO_RW, 2**127 - 1, 32, 1): (620119102986485000, 781, 6, 16807),
+    (RO_RW, 2**127 - 1, 32, -1): (1412904405691310040, 781, 6, 16807),
+}
+
+
+def _strassen_golden(model, q, n, sign):
+    rng = random.Random(f"strassen-golden-{model}-{q}-{n}-{sign}")
+    tags = (INOUT, INOUT, INOUT) if model == RW_RW else (INOUT, SCRATCH, INOUT)
+    flat = [rng.randrange(q) for _ in range(3 * n * n)]
+    arena = Arena(Zq(q), flat, [t for t in tags for _ in range(n * n)], model)
+    bi.strassen_cs(*(bi.mat_on_arena(arena, k * n * n, n) for k in range(3)), sign)
+    fingerprint = sum(i * v for i, v in enumerate(arena.regs, 1)) % (2**61 - 1)
+    m = arena.metrics
+    return fingerprint, m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_strassen_cs_is_pinned(case):
+    assert _strassen_golden(*case) == STRASSEN_PINNED[case]

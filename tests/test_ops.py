@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import RING97, RING_FFT, build_reversed, check, zero_tail
-from polyarena import INPUT_ONLY, RO_RW, SCRATCH, Zq, ops
+from polyarena import INOUT, INPUT_ONLY, RO_RW, SCRATCH, Zq, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
 from polyarena.errors import PermissionDenied, RegionMismatch
@@ -88,6 +88,31 @@ def test_audited_writes_respect_the_table(spec):
                     perm = arena.perms[i]
                     assert not (spec.model == RO_RW and perm == INPUT_ONLY), (n, i)
                     assert perm != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
+
+
+@pytest.mark.parametrize("tags", [(INOUT, SCRATCH, INOUT), (SCRATCH, SCRATCH, SCRATCH)], ids=("scratch-y", "all-scratch"))
+def test_audited_strassen_writes_under_ro_rw(tags):
+    # the table's Strassen entry is rw/rw without scratch; here every write
+    # meets an ro/rw arena with scratch matrices and an input-only register
+    # before and after each matrix
+    spec = SPECS["strassen_cs"]
+    tx, ty, tz = tags
+    guards = ("g0", "g1", "g2", "g3")
+    operands = (("g0", INPUT_ONLY), ("x", tx), ("g1", INPUT_ONLY), ("y", ty), ("g2", INPUT_ONLY), ("z", tz), ("g3", INPUT_ONLY))
+    tagged = replace(spec, model=RO_RW, operands=operands)
+    for ring in (RING97, RING_FFT):
+        rng = random.Random(f"audit-strassen-{tags}-{ring.q}")
+        for n in (1, 2, 4, 8):
+            x = {**spec.gen(ring, rng, n), **{g: [rng.randrange(ring.q)] for g in guards}}
+            for layout in (ops.build, build_reversed):
+                arena, views = layout(tagged, ring, x)
+                arena.regs = WriteLog(arena.regs)
+                tagged.call(views, x)
+                assert spec.check(ring, x, {"z": views.z.tolist()}), n
+                assert arena.regs.written, n
+                for i in arena.regs.written:
+                    assert arena.perms[i] != INPUT_ONLY, (n, i)
+                    assert arena.perms[i] != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8))
