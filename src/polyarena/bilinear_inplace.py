@@ -5,11 +5,8 @@ elementwise products.  emit_inplace turns it into a straight-line program
 of cumulative products and in-place additions that needs no temporary
 registers: each product row folds its linear combination into a pivot
 operand, distributes the product through pre/post additions on z, and
-unwinds the operands afterwards.
-
-The 2D variant drives recursive polynomial-style products: each product
-yields a (low, high) pair accumulated into adjacent z blocks, so column u
-of C distributes the low part at its rows and the high part one row below.
+unwinds the operands afterwards.  One emitter serves both the scalar 1D
+form and the paired 2D form of recursive polynomial products.
 
 Also here: the hand-optimized constant-space Strassen-Winograd product on
 square matrix views.
@@ -27,6 +24,7 @@ from .errors import (
     OverlapUnsupported,
     RegionMismatch,
     ZeroRow,
+    check_sign,
 )
 from .reg_arena import RO_RW, PolyView, vadd, vscale
 
@@ -140,79 +138,48 @@ def emit_inplace(prog: BilinearProgram) -> list[Instr]:
     of each product as one addition, the totals match
     2(sigma(A)+sigma(B)+sigma(C)) - 5t additions and
     2(tau(A)+tau(B)+tau(C)) scalar multiplications.
+
+    A 2D program drives recursive polynomial-style products: each product
+    is a pair (low, high) accumulated into adjacent z blocks, so column u
+    of C distributes the low part at its rows and the high part one row
+    below.  Its pre- and post-additions run once per shift d in (0, 1), and
+    its pivot in C is the lowest nonzero row so that the overlapping pair
+    updates interleave correctly.
     """
-    if prog.two_d:
-        return emit_inplace_2d(prog)
     q = prog.ring.q
+    shifts = (0, 1) if prog.two_d else (0,)
     instrs: list[Instr] = []
     for u in range(prog.t):
         arow = prog.A[u]
         brow = prog.B[u]
         ccol = [prog.C[k][u] for k in range(prog.s)]
-        i = _pivot_1d(arow, q)
-        j = _pivot_1d(brow, q)
-        k = _pivot_1d(ccol, q)
-        _fold_operand(instrs, "x", arow, i, q)
-        _fold_operand(instrs, "y", brow, j, q)
-        ck = ccol[k]
-        if ck != 1:
-            instrs.append(Instr(DIV, ("z", k), coeff=ck))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l), ("z", k), (q - v) % q))
-        instrs.append(Instr(PROD, ("z", k), ("x", i), src2=("y", j)))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l), ("z", k), v))
-        if ck != 1:
-            instrs.append(Instr(SCALE, ("z", k), coeff=ck))
-        _unfold_operand(instrs, "y", brow, j, q)
-        _unfold_operand(instrs, "x", arow, i, q)
-    return instrs
-
-
-def emit_inplace_2d(prog: BilinearProgram) -> list[Instr]:
-    """In-place program where each product is a pair (low, high) going to
-    adjacent z blocks; the pivot must be the lowest nonzero row so the
-    overlapping pair updates interleave correctly."""
-    q = prog.ring.q
-    instrs: list[Instr] = []
-    for u in range(prog.t):
-        arow = prog.A[u]
-        brow = prog.B[u]
-        ccol = [prog.C[k][u] for k in range(prog.s)]
-        if not any(ccol):
+        if prog.two_d and not any(ccol):
             raise OverlapUnsupported(f"product {u} reaches no z block")
         i = _pivot_1d(arow, q)
         j = _pivot_1d(brow, q)
-        k = _pivot_lowest(ccol)
+        k = _pivot_lowest(ccol) if prog.two_d else _pivot_1d(ccol, q)
         _fold_operand(instrs, "x", arow, i, q)
         _fold_operand(instrs, "y", brow, j, q)
         ck = ccol[k]
-        if ck != 1:
-            instrs.append(Instr(DIV, ("z", k), coeff=ck))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l), ("z", k), (q - v) % q))
-        if ck != 1:
-            instrs.append(Instr(DIV, ("z", k + 1), coeff=ck))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l + 1), ("z", k + 1), (q - v) % q))
-        instrs.append(Instr(PAIR, ("z", k), ("x", i), src2=("y", j)))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l + 1), ("z", k + 1), v))
-        if ck != 1:
-            instrs.append(Instr(SCALE, ("z", k + 1), coeff=ck))
-        for l, v in enumerate(ccol):
-            if l != k and v:
-                instrs.append(Instr(ADD, ("z", l), ("z", k), v))
-        if ck != 1:
-            instrs.append(Instr(SCALE, ("z", k), coeff=ck))
+        others = [(l, v) for l, v in enumerate(ccol) if l != k and v]
+        for d in shifts:
+            if ck != 1:
+                instrs.append(Instr(DIV, ("z", k + d), coeff=ck))
+            for l, v in others:
+                instrs.append(Instr(ADD, ("z", l + d), ("z", k + d), (q - v) % q))
+        instrs.append(Instr(PAIR if prog.two_d else PROD, ("z", k), ("x", i), src2=("y", j)))
+        for d in reversed(shifts):
+            for l, v in others:
+                instrs.append(Instr(ADD, ("z", l + d), ("z", k + d), v))
+            if ck != 1:
+                instrs.append(Instr(SCALE, ("z", k + d), coeff=ck))
         _unfold_operand(instrs, "y", brow, j, q)
         _unfold_operand(instrs, "x", arow, i, q)
     return instrs
+
+
+# the benchmark cases call the 2D emitter by its former name
+emit_inplace_2d = emit_inplace
 
 
 def instruction_counts(instrs, q: int) -> dict[str, int]:
@@ -490,6 +457,7 @@ def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
     them raises before the first write.  The recursion stops at 2 x 2
     blocks, which run the same schedule on scalar registers; base_products
     is 7^k and pointer_depth k + 1 at n = 2^k."""
+    check_sign(sign)
     n = X.n
     if n & (n - 1):
         raise NotPowerOfTwo(f"matrix dimension {n}")
@@ -568,9 +536,7 @@ def _sw2(X: MatView, Y: MatView, Z: MatView, sign: int):
                 arena.check_span(i, i + 1)
     xr, yr, zr = xa.regs, ya.regs, za.regs
     qx, qy, qz = xa.q, ya.q, za.q
-    # as in the 1 x 1 branch, a product adds only when its sign (sign or
-    # -sign) is > 0, so sign = 0 subtracts in both
-    s, t = (1 if sign > 0 else -1), (1 if sign < 0 else -1)
+    s, t = sign, -sign
     xr[x10] = (xr[x10] - xr[x00]) % qx
     yr[y01] = (yr[y01] - yr[y11]) % qy
     zr[z10] = (zr[z10] - zr[z11]) % qz

@@ -107,17 +107,13 @@ def _operation(ring, args):
 
 
 def _emit(ring, args):
-    if args.karatsuba2:
-        prog = bilinear.karatsuba2_program(ring, two_d=False)
-        instrs = bilinear.emit_inplace(prog)
-    elif args.karatsuba2_2d:
-        prog = bilinear.karatsuba2_program(ring, two_d=True)
-        instrs = bilinear.emit_inplace_2d(prog)
+    if args.karatsuba2 or args.karatsuba2_2d:
+        prog = bilinear.karatsuba2_program(ring, two_d=not args.karatsuba2)
     elif args.strassen:
         prog = bilinear.strassen_program(ring)
-        instrs = bilinear.emit_inplace(prog)
     else:
         raise UsageError("choose --karatsuba2, --karatsuba2-2d or --strassen")
+    instrs = bilinear.emit_inplace(prog)
     print(bilinear.program_to_text(instrs, ring.q))
     cnt = bilinear.instruction_counts(instrs, ring.q)
     print(f"# products={cnt['products']} additions={cnt['additions']} scalings={cnt['scalings']}")

@@ -50,6 +50,7 @@ from .errors import (
     ScratchTooSmall,
     SizeContract,
     ZeroPointWithShift,
+    check_sign,
 )
 from .reg_arena import PolyView, _slc, require_writable, vadd, vcopy, vneg, vzero
 
@@ -145,6 +146,7 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
     are at most BASE long), and the prefix itself is one self-contained
     lower product at the end.
     """
+    check_sign(sign)
     n = len(h)
     if not 1 <= s <= n:
         raise BadScratch(f"s = {s} outside [1, {n}]")

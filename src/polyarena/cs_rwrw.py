@@ -34,6 +34,7 @@ from .errors import (
     NonUnit,
     NonUnitLeading,
     SizeContract,
+    check_sign,
 )
 from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vneg, vscale, vzero
 
@@ -44,6 +45,7 @@ from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vneg, vscale, vze
 
 def cumulative_karatsuba(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
     """h += sign * f * g; f and g are touched but restored."""
+    check_sign(sign)
     if len(h) != len(f) + len(g) - 1:
         raise SizeContract("need len(h) = len(f) + len(g) - 1")
     with h.arena.call():
@@ -179,6 +181,7 @@ def _kara_vals(fa: list[int], gb: list[int]) -> tuple[list[int], int]:
 
 def cumulative_slice(f: PolyView, g: PolyView, h: PolyView, s: int, sign: int = 1):
     """h += sign * [f * g]_s^{s + len(h)}."""
+    check_sign(sign)
     m, n, r = len(f), len(g), len(h)
     if not 0 < r < m + n or not 0 <= s < m + n - r:
         raise BadSlice(f"slice [{s},{s + r}) of a size-{m + n - 1} product")
@@ -252,6 +255,7 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
     One full product per round (on g0 - g1, then f0 * g1 distributed by a
     pre/post pair), then a tail call on the top halves, written as a loop.
     """
+    check_sign(sign)
     if not len(f) == len(g) == len(h):
         raise SizeContract("need three size-n operands")
     with h.arena.call():
@@ -458,7 +462,10 @@ def _vread(src, start, step, count, q):
 
 
 def _add_virtual(buf: PolyView, lo: int, hi: int, src, shift: int, sign: int):
-    """buf[i] += sign * V(i + shift) for i in [lo, hi), in blocks."""
+    """buf[i] += sign * V(i + shift) for i in [lo, hi), in blocks; nothing
+    for the zero source None."""
+    if src is None:
+        return
     q = buf.arena.q
     regs = buf.arena.regs
     for a in range(lo, hi, BLOCK):
@@ -475,54 +482,15 @@ def _strided(view: PolyView, start: int, step: int, count: int) -> list[int]:
     return view.arena.regs[_slc_step(view.off, view.dir, start, start + step * (count - 1) + 1, step)]
 
 
-def _tft(view: PolyView, root: RootOfUnity, inverse: bool):
-    """Bit-reversed truncated Fourier transform of any length, in place.
-
-    Forward: slot j becomes f(omega^{[j]_p}) for j < N.  The top part is an
-    output-truncated half-size FFT whose missing inputs are recomputed from
-    the untouched low slots; the low part is then a plain full FFT.
-    """
-    N = len(view)
-    q = view.arena.q
-    w = root.omega
-    p = root.order.bit_length() - 1
-    while p > 0 and N <= (1 << (p - 1)):
-        w = w * w % q
-        p -= 1
-    if N > (1 << p):
-        raise BadParams(f"transform length {N} exceeds root order {1 << p}")
-    if N == (1 << p):
-        if N > 1:
-            ntt(view, RootOfUnity(w, N), "inv" if inverse else "fwd")
-        return
-    h = 1 << (p - 1)
-    M = N - h
-    ww = w * w % q
-    regs = view.arena.regs
-    off, d = view.off, view.dir
-    view._writable_or_raise(0, N)
-    table = _powers(w, min(BLOCK, h), q)
-
-    def leaf(start, step, count):
-        # b_i for the untouched zone: x_i * w^i
-        xs = _strided(view, start, step, count)
-        return [x * t % q for x, t in zip(xs, _twiddles(table, w, start, step, count, q))]
-
-    with view.arena.call():
-        if not inverse:
-            _butterflies(regs, off, d, N, h, w, q, pairs=M)
-            _otfft(view.sub(h, N), (leaf, h, 1), h, ww, False)
-            ntt(view.sub(0, h), RootOfUnity(ww, h), "fwd")
-        else:
-            ntt(view.sub(0, h), RootOfUnity(ww, h), "inv")
-            _otfft(view.sub(h, N), (leaf, h, 1), h, ww, True)
-            _butterflies(regs, off, d, N, h, pow(w, q - 2, q), q, inverse=True, pairs=M, scale=(q + 1) >> 1)
-
-
 def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
     """First len(buf) bit-reversed outputs of an h-point FFT whose inputs
     are buf extended by the virtual source src (see _vread, stride h) at
-    the indices [len(buf), h)."""
+    the indices [len(buf), h), in place; inverse undoes it.
+
+    src None means those inputs are zero, which makes this the truncated
+    Fourier transform of buf: slot j becomes buf(ww^[j]) for the
+    log2(h)-bit reversal [j] of j.
+    """
     M = len(buf)
     q = buf.arena.q
     if h == 1 or M == 0:
@@ -535,8 +503,7 @@ def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
     with buf.arena.call():
         if M <= h2:
             # only the low half's outputs: its inputs are V(i) + V(i + h2)
-            read, _, copies = src
-            half_src = (read, h2, 2 * copies)
+            half_src = None if src is None else (src[0], h2, 2 * src[2])
             if not inverse:
                 _add_virtual(buf, 0, M, src, h2, 1)
                 _otfft(buf, half_src, h2, ww2, False)
@@ -554,8 +521,10 @@ def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
 
         def virt_b(start, step, count):
             xs = _strided(buf, start, step, count)
-            vs = _vread(src, start + h2, step, count, q)
             tw = _twiddles(table, ww, start, step, count, q)
+            if src is None:
+                return [x * c % q for x, c in zip(xs, tw)]
+            vs = _vread(src, start + h2, step, count, q)
             return [(x - v - v) * c % q for x, v, c in zip(xs, vs, tw)]
 
         if not inverse:
@@ -688,14 +657,15 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
     q = ring.q
     N = m + n - 1
     p = max(0, (N - 1).bit_length())
-    root = ring.find_principal_root(1 << p)
-    w = root.omega
-    # every chunk transform writes inside the largest power-of-two prefix
+    w = ring.find_principal_root(1 << p).omega
+    # every chunk transform writes inside the largest power-of-two prefix;
+    # the transform of h writes all of h
     g._writable_or_raise(0, 1 << (n.bit_length() - 1))
     f._writable_or_raise(0, 1 << (m.bit_length() - 1))
+    h._writable_or_raise(0, N)
     f_at = g_at = (0, p)
     with h.arena.call():
-        _tft(h, root, False)
+        _otfft(h, None, 1 << p, w, False)
         r = N
         while r > 0:
             ell = min(r, m).bit_length() - 1
@@ -712,7 +682,6 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
                 _node_ft(f, f_node, w, q, p, False)
                 base = off + (s << ell)
                 cnt = 1 << ell
-                h._writable_or_raise(base, base + cnt)
                 hs = _slc(h.off, h.dir, base, base + cnt)
                 fs = _slc(f.off, f.dir, 0, cnt)
                 gs = _slc(g.off, g.dir, s << ell, (s + 1) << ell)
@@ -726,7 +695,7 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
             r -= 1 << (ell + t)
         _walk(f, f_at, (0, p), w, q, p)
         _walk(g, g_at, (0, p), w, q, p)
-        _tft(h, root, True)
+        _otfft(h, None, 1 << p, w, True)
 
 
 # ---------------------------------------------------------------------------

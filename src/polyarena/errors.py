@@ -106,6 +106,12 @@ class BadParams(PolyArenaError):
     pass
 
 
+def check_sign(sign):
+    """The accumulating entries add (sign 1) or subtract (sign -1)."""
+    if sign not in (1, -1):
+        raise BadParams(f"sign must be 1 or -1, not {sign!r}")
+
+
 class LambdaZero(PolyArenaError):
     pass
 

@@ -94,3 +94,17 @@ def check(spec, ring, x, kind="plain"):
         scratch = sum(len(getattr(views, name)) for name, role in spec.operands if role == SCRATCH)
         assert arena.metrics.extra_algebraic_highwater <= scratch
     return arena
+
+
+class WriteLog(list):
+    """Register list that records every index written through it, by int
+    or by slice (negative steps included)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.written = set()
+
+    def __setitem__(self, key, value):
+        index = range(len(self))[key]
+        self.written.update(index if isinstance(key, slice) else (index,))
+        super().__setitem__(key, value)

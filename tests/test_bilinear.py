@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, Zq, build_arena
 from polyarena import bilinear_inplace as bi
 from polyarena.dense_ref import schoolbook_mul
-from polyarena.errors import DimMismatch, NotPowerOfTwo, PermissionDenied, RegionMismatch, ZeroRow
+from polyarena.errors import DimMismatch, NotPowerOfTwo, PermissionDenied, PolyArenaError, RegionMismatch, ZeroRow
 from helpers import RING97, rand_poly
 
 RNG = random.Random(77)
@@ -122,7 +123,7 @@ def test_program_text_roundtrip():
 
 def test_2d_scalar_pair():
     prog = bi.karatsuba2_program(RING97, two_d=True)
-    instrs = bi.emit_inplace_2d(prog)
+    instrs = bi.emit_inplace(prog)
 
     def scalar_pair(target, xb, yb):
         target.set(0, target.get(0) + xb.get(0) * yb.get(0))
@@ -132,9 +133,79 @@ def test_2d_scalar_pair():
     assert z.tolist() == [3, 10, 8]
 
 
+def test_random_2d_programs_with_scalar_pairs_match_brute_force():
+    # with block_len = 1 a pair's high part is empty, so a 2D program
+    # computes the 1D bilinear form of its first t columns of C
+    def scalar_pair(target, xb, yb):
+        target.set(0, target.get(0) + xb.get(0) * yb.get(0))
+
+    rng = random.Random("2d-scalar-pairs")
+    for _ in range(80):
+        t, m, n, s = (rng.randrange(1, 6) for _ in range(4))
+        p1 = random_program(rng, t, m, n, s)
+        prog = bi.validate(RING97, p1.A, p1.B, [row + [0] for row in p1.C], two_d=True)
+        instrs = bi.emit_inplace(prog)
+        assert sum(ins.kind == bi.PAIR for ins in instrs) == t
+        x, y, z = rand_poly(rng, Q, m), rand_poly(rng, Q, n), rand_poly(rng, Q, s)
+        for model, ztag in ((RW_RW, INOUT), (RO_RW, SCRATCH)):
+            arena, (xv, yv, zv) = build_arena(RING97, model, (x, INOUT), (y, INOUT), (z, ztag))
+            bi.exec_program(instrs, xv, yv, zv, (m, n, s), block_len=1, pair_op=scalar_pair)
+            assert zv.tolist() == brute_bilinear(prog, x, y, z)
+            assert xv.tolist() == x and yv.tolist() == y
+
+
+def _random_triple(rng, q, two_d):
+    """A sparse triple over Z_q with entries 1, -1 or random; it may have
+    a zero row or reach no z register with some product."""
+    t, m, n, s = (rng.randrange(1, 5) for _ in range(4))
+
+    def row(w):
+        while True:
+            r = [rng.choice((1, q - 1, rng.randrange(q))) if rng.random() < 0.6 else 0 for _ in range(w)]
+            if any(r) or rng.random() < 0.02:
+                return r
+
+    A = [row(m) for _ in range(t)]
+    B = [row(n) for _ in range(t)]
+    C = [row(t) + [0] * two_d for _ in range(s)]
+    return A, B, C
+
+
+def _emitted_texts(q, two_d, count=300):
+    """The program text of each seeded triple, or the name of the error
+    its validation or emission raises."""
+    ring = Zq(q)
+    rng = random.Random(f"emit-pin-{q}-{two_d}")
+    texts = []
+    for _ in range(count):
+        try:
+            prog = bi.validate(ring, *_random_triple(rng, q, two_d), two_d=two_d)
+            texts.append(bi.program_to_text(bi.emit_inplace(prog), q))
+        except PolyArenaError as exc:
+            texts.append(type(exc).__name__)
+    return texts
+
+
+# sha256 of the joined texts, taken from the two emitters that one
+# emit_inplace body replaced
+EMIT_PINNED = {
+    (5, False): "6f345a58c79137a1bd6cc05e5d3cb9e80d55ed3d463712099d8501ececceffee",
+    (5, True): "9923efc00e8c895bdb8eba672ce1fd8c028e7751bffed1bebb7900b75774efe0",
+    (97, False): "7632429ac97d83f56ed237dc2c68e11ffde8b81df2c832be4f4ee6c2d3ca63aa",
+    (97, True): "3fcdb7c2ad7af7070c3d803fc7d384bd72d93bd427c4951dabdf99b75f8eac47",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_PINNED), ids=lambda c: f"q{c[0]}-{'2d' if c[1] else '1d'}")
+def test_emitted_programs_are_pinned(case):
+    texts = _emitted_texts(*case)
+    assert sum(not text.isidentifier() for text in texts) > len(texts) // 2  # mostly valid triples
+    assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == EMIT_PINNED[case]
+
+
 def test_2d_recursive_levels():
     prog = bi.karatsuba2_program(RING97, two_d=True)
-    instrs = bi.emit_inplace_2d(prog)
+    instrs = bi.emit_inplace(prog)
 
     def rec_pair(target, xb, yb):
         half = len(xb) // 2

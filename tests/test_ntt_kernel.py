@@ -10,12 +10,12 @@ import random
 
 import pytest
 
-from helpers import RING_FFT, distinct_nonzero, rand_poly
+from helpers import RING_FFT, WriteLog, distinct_nonzero, rand_poly
 from polyarena import Zq
 from polyarena import cs_rwrw
 from polyarena.cs_rwrw import cumulative_fft_mul, partial_ft
 from polyarena.dense_ref import BLOCK, bit_reverse, horner_eval, ntt, schoolbook_mul
-from polyarena.errors import PermissionDenied
+from polyarena.errors import PaddingWrite, PermissionDenied
 from polyarena.reg_arena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, build_arena
 
 PRIMES = (97, 469762049, 998244353, 2**64 - 2**32 + 1, 12 * 2**64 + 1)
@@ -98,6 +98,35 @@ def test_ntt_on_scratch_counts_each_register_once(kind):
         assert arena.metrics.extra_algebraic_highwater == n
 
 
+@pytest.mark.parametrize("q", (469762049, 12 * 2**64 + 1))
+@pytest.mark.parametrize("kind", VIEW_KINDS)
+def test_truncated_transform_of_any_length(kind, q):
+    """_otfft with the zero source: slot j holds f(omega^[j]_p) for the
+    least 2^p >= N and the inverse restores f.  Its caller checks and
+    counts the span, as cumulative_fft_mul does; the transform writes
+    every slot of it (a length-1 transform is the identity) and nothing
+    else."""
+    ring = Zq(q)
+    rng = random.Random(f"tft-{kind}-{q}")
+    for N in [*range(1, 71), 127, 128, 129, 255, 256, 257]:
+        p = (N - 1).bit_length()
+        w = ring.find_principal_root(1 << p).omega
+        f = rand_poly(rng, q, N)
+        arena, view = _view_of(ring, f, kind, perm=SCRATCH)
+        slots = {view.off + view.dir * i for i in range(N)} if N > 1 else set()
+        before = list(arena.regs)
+        arena.regs = WriteLog(arena.regs)
+        view._writable_or_raise(0, N)
+        cs_rwrw._otfft(view, None, 1 << p, w, False)
+        for j in sorted({0, min(1, N - 1), N - 1}):
+            assert view.get(j) == horner_eval(ring, f, pow(w, bit_reverse(j, p), q)), (N, j)
+        assert arena.regs.written == slots, N
+        cs_rwrw._otfft(view, None, 1 << p, w, True)
+        assert arena.regs == before, N
+        assert arena.regs.written == slots, N
+        assert arena.metrics.extra_algebraic_highwater == N, N
+
+
 def _fft_mul_case(ring, f, g, rng, exact=True):
     q = ring.q
     h0 = rand_poly(rng, q, len(f) + len(g) - 1)
@@ -129,6 +158,23 @@ def test_cumulative_fft_mul_input_only_operand_leaves_arena_unchanged(short):
     with pytest.raises(PermissionDenied):
         cumulative_fft_mul(fv, gv, hv)
     assert arena.regs == before
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_cumulative_fft_mul_refuses_h_with_metrics_as_found(m):
+    """h is checked with f and g, before the call scope opens: a padded h
+    raises PaddingWrite whether or not its length is a power of two."""
+    ring = RING_FFT
+    rng = random.Random(f"fft-h-{m}")
+    f, g = rand_poly(rng, ring.q, m), rand_poly(rng, ring.q, 5)
+    N = m + 4
+    for model, tag, cut, error in ((RO_RW, INPUT_ONLY, N, PermissionDenied), (RW_RW, INOUT, N - 2, PaddingWrite)):
+        arena, (fv, gv, hv) = build_arena(ring, model, (f, INOUT), (g, INOUT), (rand_poly(rng, ring.q, cut), tag))
+        before = list(arena.regs)
+        with pytest.raises(error):
+            cumulative_fft_mul(fv, gv, hv.padded(N))
+        assert arena.regs == before
+        assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
 
 
 def test_cumulative_fft_mul_every_length_to_300():

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import RING97, RING_FFT, build_reversed, check, zero_tail
-from polyarena import INOUT, INPUT_ONLY, RO_RW, SCRATCH, Zq, ops
+from helpers import RING97, RING_FFT, WriteLog, build_reversed, check, rand_poly, zero_tail
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
-from polyarena.errors import PermissionDenied, RegionMismatch
+from polyarena.errors import BadParams, PermissionDenied, RegionMismatch
 from polyarena.ops import OPS, SPECS
 
 PRIMES = (2, 3, 5, 97, 998244353, 2**61 - 1, 2**127 - 1)
@@ -54,20 +54,6 @@ def test_refused_call_leaves_arena_as_found(spec):
             m = arena.metrics
             assert arena.regs == before, (n, dest)
             assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 0, 0), (n, dest)
-
-
-class WriteLog(list):
-    """Register list that records every index written through it, by int
-    or by slice (negative steps included)."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.written = set()
-
-    def __setitem__(self, key, value):
-        index = range(len(self))[key]
-        self.written.update(index if isinstance(key, slice) else (index,))
-        super().__setitem__(key, value)
 
 
 @pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
@@ -113,6 +99,42 @@ def test_audited_strassen_writes_under_ro_rw(tags):
                 for i in arena.regs.written:
                     assert arena.perms[i] != INPUT_ONLY, (n, i)
                     assert arena.perms[i] != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
+
+
+# entry -> (model, operand sizes, tags, call(views, sign)); semi_cumulative_lower
+# needs h mod x^2 = 0
+SIGNED_ENTRIES = {
+    "cumulative_karatsuba": (RW_RW, (3, 2, 4), (INOUT,) * 3, lambda v, sign: cs_rwrw.cumulative_karatsuba(*v, sign)),
+    "cumulative_slice": (RW_RW, (4, 4, 3), (INOUT,) * 3, lambda v, sign: cs_rwrw.cumulative_slice(*v, 2, sign)),
+    "cumulative_lower": (RW_RW, (4, 4, 4), (INOUT,) * 3, lambda v, sign: cs_rwrw.cumulative_lower(*v, sign)),
+    "semi_cumulative_lower": (
+        RO_RW,
+        (6, 6, 6),
+        (INPUT_ONLY, INPUT_ONLY, INOUT),
+        lambda v, sign: cs_rorw.semi_cumulative_lower(*v, 2, sign),
+    ),
+    "strassen_cs": (
+        RW_RW,
+        (4, 4, 4),
+        (INOUT,) * 3,
+        lambda v, sign: bi.strassen_cs(*(bi.MatView(u.arena, u.off, 2, 2) for u in v), sign),
+    ),
+}
+
+
+@pytest.mark.parametrize("sign", (0, 2, -2))
+@pytest.mark.parametrize("name", sorted(SIGNED_ENTRIES))
+def test_sign_other_than_one_or_minus_one_is_refused(name, sign):
+    model, sizes, tags, call = SIGNED_ENTRIES[name]
+    rng = random.Random(f"sign-{name}-{sign}")
+    values = [rand_poly(rng, 97, k) for k in sizes]
+    values[2][:2] = [0, 0]
+    arena, views = build_arena(RING97, model, *zip(values, tags))
+    before = list(arena.regs)
+    with pytest.raises(BadParams):
+        call(views, sign)
+    assert arena.regs == before
+    assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8))
