@@ -8,15 +8,19 @@ declared scratch factor MulKit.c, so nothing here hard-codes c = 2.
 Below those thresholds the reductions run scalar base cases, each written
 once: every power-series division (inversion, quotient, the quotient of a
 Euclidean division read through reversed views) is the recurrence of
-_div_recurrence, and a middle product's rows are dense_ref._mid_rows.
+_div_recurrence.
 
 Below the kit's base size dense_ref.BASE, where every product is schoolbook
-anyway, nothing is reduced block by block.  mp_eval_cs evaluates by Horner
-per point once a batch would hold fewer than BASE points, and a chunk loop
-whose chunks are at most BASE long (semi_cumulative_lower,
-_chunked_slice_sub) is one dense_ref._slice_naive pass: the same writes,
-rows and base products as its chunks' naive mid_acc calls, with no views
-or workspace per chunk.
+anyway, nothing is reduced block by block.  The product loops
+semi_cumulative_product, lower_product_cs and middle_product_cs make one
+dense_ref._slice_naive pass over what is left once their block k is at
+most BASE (lower_product_cs with its rows over g, the quotient in every
+caller, so that a zero coefficient costs no row).  mp_eval_cs evaluates by
+Horner per point once a batch would hold fewer than BASE points, and a
+chunk loop whose chunks are at most BASE long (semi_cumulative_lower,
+_chunked_slice_sub) is one _slice_naive pass: the same writes, rows and
+base products as its chunks' naive mid_acc calls, with no views or
+workspace per chunk.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -39,7 +43,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, pairwise
 
 from .coeff_ring import Zq
-from .dense_ref import BASE, KIT, _mid_rows, _slice_naive
+from .dense_ref import BASE, KIT, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -77,7 +81,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView):
         while True:
             c = KIT.c
             k = (n + 1) // (c + 3)
-            if k == 0:
+            if k <= BASE:
                 _slice_naive(h, g, f, 0)
                 return
             ws = h.sub(n + k - 1, 2 * n - 1)
@@ -125,8 +129,9 @@ def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, reversed_mode: bool 
         while True:
             c = KIT.c
             k = n // (c + 3)
-            if k == 0:
-                KIT._schoolbook_into(h, f.sub(0, n), g.sub(0, n), n)
+            if k <= BASE:
+                vzero(h)
+                _slice_naive(h, f, g, 0)
                 return
             top = h.sub(n - k, n)
             vzero(top)
@@ -186,9 +191,9 @@ def middle_product_cs(f: PolyView, g: PolyView, h: PolyView):
         while True:
             c = KIT.c
             k = m // (c + 2)
-            if k == 0:
+            if k <= BASE:
                 vzero(h)
-                _mid_rows(h, f, g, 0, m)
+                _slice_naive(h, f, g, n - 1)
                 return
             dst = h.sub(0, k)
             vzero(dst)

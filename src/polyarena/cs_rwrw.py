@@ -11,13 +11,15 @@ product slices are decomposed by a clipping quadtree into full products of
 real subwindows, so the restore reasoning stays local.
 
 Declared scalar budgets: plain statements hold at most four locals; in
-addition two fixed-size kernels run on Python locals, a balanced product
-kernel of width <= BASE coefficients and the blocks of at most BLOCK
+addition fixed-size kernels run on Python locals: a balanced product
+kernel of width <= BASE coefficients, the in-place lower product and the
+in-place series division of width <= BASE (each reads its two operands
+once and writes its result in one slice), and the blocks of at most BLOCK
 scalars (both dense_ref constants) used by butterflies, twiddle tables and
 fold sums.
-Neither grows with the input and neither touches arena registers.  The
-truncated FFT's virtual reads hold a few such blocks per level of their
-recursion, so their budget grows with the pointer stack, not the input.
+None of them grows with the input.  The truncated FFT's virtual reads hold
+a few such blocks per level of their recursion, so their budget grows with
+the pointer stack, not the input.
 """
 
 from __future__ import annotations
@@ -715,9 +717,12 @@ def _ipl(f: PolyView, g: PolyView):
     n = len(f)
     if n == 0:
         return
-    if n == 1:
-        f.set(0, f.get(0) * g.get(0))
-        f.arena.metrics.base_products += 1
+    if n <= BASE:
+        # kernel on Python locals: f[d] <- sum_{i <= d} f[i] g[d - i]
+        q = f.arena.q
+        fa = f.tolist()
+        grev = g.tolist()[n - 1 :: -1]
+        _kernel_write(f, [sum(map(mul, fa[: d + 1], grev[n - 1 - d :])) % q for d in range(n)])
         return
     k = (n + 1) // 2
     with f.arena.call():
@@ -742,16 +747,31 @@ def _ipd(f: PolyView, g: PolyView):
     n = len(f)
     if n == 0:
         return
-    ring = f.arena.ring
-    if n == 1:
-        f.set(0, f.get(0) * ring.inv(g.get(0)))
-        f.arena.metrics.base_products += 1
+    if n <= BASE:
+        # kernel on Python locals: h[j] = (f[j] - sum_{1 <= i <= j} g[i] h[j - i]) / g[0]
+        q = f.arena.q
+        gl = g.tolist()
+        g0inv = f.arena.ring.inv(gl[0])
+        g1 = gl[1:n]
+        h = []
+        for fj in f.tolist():
+            h.append((fj - sum(map(mul, g1, reversed(h)))) * g0inv % q)
+        _kernel_write(f, h)
         return
     k = (n + 1) // 2
     with f.arena.call():
         _ipd(f.sub(0, k), g.sub(0, k))
         _cum_slice(f.sub(0, k), g.sub(1, n), f.sub(k, n), k - 1, -1)
         _ipd(f.sub(k, n), g.sub(0, n - k))
+
+
+def _kernel_write(f: PolyView, vals: list[int]):
+    """f = vals (reduced) in one checked slice write, counted as the
+    n (n + 1) / 2 multiplications of an in-place kernel of width n = len(f)."""
+    n = len(f)
+    f._writable_or_raise(0, n)
+    f.arena.regs[_slc(f.off, f.dir, 0, n)] = vals
+    f.arena.metrics.base_products += n * (n + 1) // 2
 
 
 # ---------------------------------------------------------------------------

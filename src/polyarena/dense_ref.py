@@ -571,9 +571,19 @@ class MulKit:
         self.slice_acc(dst, fchunk, gpref, k - 1, ws, sign)
 
     def slice_acc(self, dst: PolyView, f: PolyView, g: PolyView, s: int, ws: PolyView, sign: int = 1):
-        """dst += sign * [f * g]_s^{s+len(dst)} in blocks of g."""
+        """dst += sign * [f * g]_s^{s+len(dst)} in blocks of g.
+
+        When len(dst) <= BASE every block would be the naive mid_acc
+        _slice_naive(dst, win, gj, r - 1), so one _slice_naive over all of
+        f and g does their writes and base products; it is skipped when f
+        or g has an empty real zone, as every block would be.
+        """
         r = len(dst)
         if r == 0 or len(f) == 0 or len(g) == 0:
+            return
+        if r <= BASE:
+            if f.rlo < f.rhi and g.rlo < g.rhi:
+                _slice_naive(dst, f, g, s, sign)
             return
         nb = (len(g) + r - 1) // r
         for j in range(nb):

@@ -5,7 +5,7 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, PolyView, Zq, build_arena
 from polyarena import cs_rorw
 from polyarena.ops import SPECS, build, distinct_nonzero
-from polyarena.dense_ref import divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
+from polyarena.dense_ref import KIT, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
 from polyarena.errors import (
     BadScratch,
     DuplicatePoint,
@@ -18,7 +18,7 @@ from polyarena.errors import (
     SizeContract,
     ZeroPointWithShift,
 )
-from helpers import LAYOUTS, RING97, low_product, rand_poly, zero_tail
+from helpers import LAYOUTS, RING97, check, low_product, rand_poly, zero_tail
 
 RNG = random.Random(7)
 Q = 97
@@ -316,44 +316,47 @@ EVAL_CASES = [
 ]
 
 # (fingerprint of every register, extra_algebraic, pointer_depth,
-# base_products), taken once batches below BASE points went to Horner
+# base_products), taken once batches below BASE points went to Horner;
+# base_products re-taken once the product loops stopped reducing below
+# BASE (a naive row is counted per nonzero coefficient of its row operand,
+# so cases with zero coefficients, padded f or q = 97, moved)
 EVAL_PINNED = {
     (97, 97, "plain"): (892269, 0, 4, 2123),
     (97, 97, "reversed"): (956481, 0, 4, 2124),
-    (97, 97, "padded"): (606932, 0, 4, 840),
+    (97, 97, "padded"): (606932, 0, 4, 835),
     (97, 128, "plain"): (1802522, 0, 4, 3677),
-    (97, 128, "reversed"): (1458841, 0, 4, 3713),
-    (97, 128, "padded"): (596879, 0, 4, 84),
-    (97, 300, "plain"): (8789434, 0, 4, 47278),
-    (97, 300, "reversed"): (8657864, 0, 4, 47028),
-    (97, 300, "padded"): (8506804, 0, 4, 43729),
+    (97, 128, "reversed"): (1458841, 0, 4, 3723),
+    (97, 128, "padded"): (596879, 0, 4, 71),
+    (97, 300, "plain"): (8789434, 0, 4, 47290),
+    (97, 300, "reversed"): (8657864, 0, 4, 47049),
+    (97, 300, "padded"): (8506804, 0, 4, 43748),
     (469762049, 97, "plain"): (4336234211715, 0, 4, 2154),
     (469762049, 97, "reversed"): (4559727237603, 0, 4, 2154),
-    (469762049, 97, "padded"): (2453819881367, 0, 4, 420),
+    (469762049, 97, "padded"): (2453819881367, 0, 4, 406),
     (469762049, 128, "plain"): (7212756786721, 0, 4, 3723),
     (469762049, 128, "reversed"): (8198295220620, 0, 4, 3723),
-    (469762049, 128, "padded"): (7302681368839, 0, 4, 3174),
+    (469762049, 128, "padded"): (7302681368839, 0, 4, 3167),
     (469762049, 300, "plain"): (39748916835590, 0, 4, 47862),
     (469762049, 300, "reversed"): (42436593473320, 0, 4, 47862),
-    (469762049, 300, "padded"): (20722736600825, 0, 4, 9161),
+    (469762049, 300, "padded"): (20722736600825, 0, 4, 9072),
     (2**61 - 1, 97, "plain"): (260940898453825883, 0, 4, 2154),
     (2**61 - 1, 97, "reversed"): (5558894185568542, 0, 4, 2154),
-    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 453),
+    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 439),
     (2**61 - 1, 128, "plain"): (1416550681800146247, 0, 4, 3723),
     (2**61 - 1, 128, "reversed"): (2042612054513736835, 0, 4, 3723),
-    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 3685),
+    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 3682),
     (2**61 - 1, 300, "plain"): (2228108598266594375, 0, 4, 47862),
     (2**61 - 1, 300, "reversed"): (355988671046548696, 0, 4, 47862),
-    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 37297),
+    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 37268),
     (2**127 - 1, 97, "plain"): (771219688529678405, 0, 4, 2154),
     (2**127 - 1, 97, "reversed"): (427575253100115503, 0, 4, 2154),
-    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 1598),
+    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 1594),
     (2**127 - 1, 128, "plain"): (289559462239451092, 0, 4, 3723),
     (2**127 - 1, 128, "reversed"): (1791009378761539696, 0, 4, 3723),
-    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 175),
+    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 157),
     (2**127 - 1, 300, "plain"): (1029261899133715617, 0, 4, 47862),
     (2**127 - 1, 300, "reversed"): (1218870322512719048, 0, 4, 47862),
-    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 5019),
+    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 4920),
 }
 
 
@@ -703,3 +706,145 @@ def test_interp_cs_makes_no_scalar_loop(monkeypatch):
     cs_rorw.interp_cs([(a, horner_eval(ring, fd, a)) for a in pts], out)
     assert out.tolist() == fd
     assert counts["get"] + counts["set"] <= 5 * n, counts
+
+
+# Below BASE the product loops stop reducing: each makes its one naive pass
+# while its block k is at most BASE and reduces once k > BASE, that is from
+# n = 164 for semi_cumulative_product (k = (n + 1) // 5), from n = 165 for
+# lower_product_cs (k = n // 5) and from m = 132 output rows for
+# middle_product_cs (k = m // 4)
+CUTS = (("semi_cumulative_product", 163, 164), ("lower_product_cs", 164, 165), ("middle_product_cs", 131, 132))
+
+CUT_PRIMES = (97, 469762049, 2**61 - 1, 2**127 - 1)
+CUT_CASES = [
+    (entry, n, q, layout)
+    for entry, *sizes in CUTS
+    for n in sizes
+    for q in CUT_PRIMES
+    for layout in LAYOUTS
+]
+
+
+def _cut_input(entry, n, ring, layout):
+    """Seeded input of size n (m output rows for middle_product_cs, with a
+    37-coefficient g)."""
+    rng = random.Random(f"cut-{entry}-{n}-{ring.q}-{layout}")
+    spec = SPECS[entry]
+    if entry == "middle_product_cs":
+        x = {"f": rand_poly(rng, ring.q, n + 36), "g": rand_poly(rng, ring.q, 37)}
+    else:
+        x = spec.gen(ring, rng, n)
+    return zero_tail(spec, x, rng) if layout == "padded" else x
+
+
+def _cut_case(entry, n, q, layout):
+    """Run one entry on one layout through helpers.check (exact output,
+    inputs untouched); returns (extra_algebraic, pointer_depth,
+    base_products)."""
+    ring = Zq(q)
+    m = check(SPECS[entry], ring, _cut_input(entry, n, ring, layout), layout).metrics
+    return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
+
+
+# taken when the cuts went in; the sizes above each cut reduce as before
+CUT_PINNED = {
+    ('semi_cumulative_product', 163, 97, 'plain'): (0, 1, 26243),
+    ('semi_cumulative_product', 163, 97, 'reversed'): (0, 1, 26243),
+    ('semi_cumulative_product', 163, 97, 'padded'): (0, 1, 24450),
+    ('semi_cumulative_product', 163, 469762049, 'plain'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 469762049, 'reversed'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 469762049, 'padded'): (0, 1, 23798),
+    ('semi_cumulative_product', 163, 2**61 - 1, 'plain'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 2**61 - 1, 'reversed'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 2**61 - 1, 'padded'): (0, 1, 24450),
+    ('semi_cumulative_product', 163, 2**127 - 1, 'plain'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 2**127 - 1, 'reversed'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 2**127 - 1, 'padded'): (0, 1, 26080),
+    ('semi_cumulative_product', 164, 97, 'plain'): (0, 1, 24346),
+    ('semi_cumulative_product', 164, 97, 'reversed'): (0, 1, 24323),
+    ('semi_cumulative_product', 164, 97, 'padded'): (0, 1, 24409),
+    ('semi_cumulative_product', 164, 469762049, 'plain'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 469762049, 'reversed'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 469762049, 'padded'): (0, 1, 4649),
+    ('semi_cumulative_product', 164, 2**61 - 1, 'plain'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 2**61 - 1, 'reversed'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 2**61 - 1, 'padded'): (0, 1, 14963),
+    ('semi_cumulative_product', 164, 2**127 - 1, 'plain'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 2**127 - 1, 'reversed'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 2**127 - 1, 'padded'): (0, 1, 1360),
+    ('lower_product_cs', 164, 97, 'plain'): (0, 1, 13373),
+    ('lower_product_cs', 164, 97, 'reversed'): (0, 1, 13530),
+    ('lower_product_cs', 164, 97, 'padded'): (0, 1, 10292),
+    ('lower_product_cs', 164, 469762049, 'plain'): (0, 1, 13530),
+    ('lower_product_cs', 164, 469762049, 'reversed'): (0, 1, 13530),
+    ('lower_product_cs', 164, 469762049, 'padded'): (0, 1, 9960),
+    ('lower_product_cs', 164, 2**61 - 1, 'plain'): (0, 1, 13530),
+    ('lower_product_cs', 164, 2**61 - 1, 'reversed'): (0, 1, 13530),
+    ('lower_product_cs', 164, 2**61 - 1, 'padded'): (0, 1, 12969),
+    ('lower_product_cs', 164, 2**127 - 1, 'plain'): (0, 1, 13530),
+    ('lower_product_cs', 164, 2**127 - 1, 'reversed'): (0, 1, 13530),
+    ('lower_product_cs', 164, 2**127 - 1, 'padded'): (0, 1, 8480),
+    ('lower_product_cs', 165, 97, 'plain'): (0, 1, 13403),
+    ('lower_product_cs', 165, 97, 'reversed'): (0, 1, 13551),
+    ('lower_product_cs', 165, 97, 'padded'): (0, 1, 2391),
+    ('lower_product_cs', 165, 469762049, 'plain'): (0, 1, 13695),
+    ('lower_product_cs', 165, 469762049, 'reversed'): (0, 1, 13695),
+    ('lower_product_cs', 165, 469762049, 'padded'): (0, 1, 2570),
+    ('lower_product_cs', 165, 2**61 - 1, 'plain'): (0, 1, 13695),
+    ('lower_product_cs', 165, 2**61 - 1, 'reversed'): (0, 1, 13695),
+    ('lower_product_cs', 165, 2**61 - 1, 'padded'): (0, 1, 6843),
+    ('lower_product_cs', 165, 2**127 - 1, 'plain'): (0, 1, 13695),
+    ('lower_product_cs', 165, 2**127 - 1, 'reversed'): (0, 1, 13695),
+    ('lower_product_cs', 165, 2**127 - 1, 'padded'): (0, 1, 10007),
+    ('middle_product_cs', 131, 97, 'plain'): (0, 1, 4847),
+    ('middle_product_cs', 131, 97, 'reversed'): (0, 1, 4847),
+    ('middle_product_cs', 131, 97, 'padded'): (0, 1, 1998),
+    ('middle_product_cs', 131, 469762049, 'plain'): (0, 1, 4847),
+    ('middle_product_cs', 131, 469762049, 'reversed'): (0, 1, 4847),
+    ('middle_product_cs', 131, 469762049, 'padded'): (0, 1, 435),
+    ('middle_product_cs', 131, 2**61 - 1, 'plain'): (0, 1, 4847),
+    ('middle_product_cs', 131, 2**61 - 1, 'reversed'): (0, 1, 4847),
+    ('middle_product_cs', 131, 2**61 - 1, 'padded'): (0, 1, 4727),
+    ('middle_product_cs', 131, 2**127 - 1, 'plain'): (0, 1, 4847),
+    ('middle_product_cs', 131, 2**127 - 1, 'reversed'): (0, 1, 4847),
+    ('middle_product_cs', 131, 2**127 - 1, 'padded'): (0, 1, 231),
+    ('middle_product_cs', 132, 97, 'plain'): (0, 1, 4753),
+    ('middle_product_cs', 132, 97, 'reversed'): (0, 1, 4884),
+    ('middle_product_cs', 132, 97, 'padded'): (0, 1, 4731),
+    ('middle_product_cs', 132, 469762049, 'plain'): (0, 1, 4884),
+    ('middle_product_cs', 132, 469762049, 'reversed'): (0, 1, 4884),
+    ('middle_product_cs', 132, 469762049, 'padded'): (0, 1, 630),
+    ('middle_product_cs', 132, 2**61 - 1, 'plain'): (0, 1, 4884),
+    ('middle_product_cs', 132, 2**61 - 1, 'reversed'): (0, 1, 4884),
+    ('middle_product_cs', 132, 2**61 - 1, 'padded'): (0, 1, 3478),
+    ('middle_product_cs', 132, 2**127 - 1, 'plain'): (0, 1, 4884),
+    ('middle_product_cs', 132, 2**127 - 1, 'reversed'): (0, 1, 4884),
+    ('middle_product_cs', 132, 2**127 - 1, 'padded'): (0, 1, 4289),
+
+}
+
+
+@pytest.mark.parametrize("case", CUT_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_product_loop_cuts_are_pinned(case):
+    assert _cut_case(*case) == CUT_PINNED[case]
+
+
+def test_product_loops_below_the_cut_make_no_kit_call(monkeypatch):
+    calls = []
+    for name in ("full_into", "slice_acc", "mid_unbalanced_acc"):
+        orig = getattr(KIT, name)
+
+        def counted(*args, _orig=orig, _name=name, **kw):
+            calls.append(_name)
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(KIT, name, counted)
+    ring = Zq(469762049)
+    for entry, below, above in CUTS:
+        spec = SPECS[entry]
+        for n, reduces in ((below, False), (above, True)):
+            x = _cut_input(entry, n, ring, "plain")
+            views = build(spec, ring, x)[1]
+            calls.clear()
+            spec.call(views, x)
+            assert bool(calls) == reduces, (entry, n, calls)

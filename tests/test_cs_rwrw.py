@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from polyarena import INOUT, RW_RW, build_arena
+from polyarena import INOUT, RW_RW, Zq, build_arena
 from polyarena import cs_rwrw
-from polyarena.dense_ref import divrem, horner_eval, schoolbook_mul
+from polyarena.dense_ref import BASE, divrem, horner_eval, schoolbook_mul
+from polyarena.ops import SPECS
 from polyarena.errors import (
     BadParams,
     BadSlice,
@@ -16,7 +17,7 @@ from polyarena.errors import (
     NoSuchRoot,
     SizeContract,
 )
-from helpers import RING97, RING_FFT, low_product, rand_poly, slice_product
+from helpers import RING97, RING_FFT, check, low_product, rand_poly, slice_product
 
 RNG = random.Random(31)
 Q = 97
@@ -464,3 +465,56 @@ def test_size_contracts():
     arena, (f, g, h) = rw_arena(([1, 2], INOUT), ([3], INOUT), ([0, 0, 0], INOUT))
     with pytest.raises(SizeContract):
         cs_rwrw.cumulative_karatsuba(f, g, h)
+
+
+# Below BASE the in-place lower product and series division are one kernel
+# on Python locals each (one read of f and g, one checked slice write of f,
+# n (n + 1) / 2 counted products, no nested call); from n = 33 on they
+# split in halves as before.  The padded layout pads only ro/rw inputs, so
+# the rw/rw entries run on the plain and the reversed layout.
+INPLACE_CASES = [
+    (entry, n, q, layout)
+    for entry in ("inplace_lower", "inplace_series_div")
+    for n in (1, 2, 32, 33)
+    for q in (97, 469762049, 2**61 - 1, 2**127 - 1)
+    for layout in ("plain", "reversed")
+]
+
+
+def _inplace_case(entry, n, q, layout):
+    """Run one entry through helpers.check (exact f, g restored); returns
+    (extra_algebraic, pointer_depth, base_products)."""
+    ring = Zq(q)
+    spec = SPECS[entry]
+    x = spec.gen(ring, random.Random(f"inplace-{entry}-{n}-{q}-{layout}"), n)
+    m = check(spec, ring, x, layout).metrics
+    return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
+
+
+# below the cut the kernel's own count, one frame deep; at n = 33 taken
+# when the kernels went in (one split, then two kernels and a cumulative
+# slice)
+INPLACE_PINNED = {
+    **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[1] <= BASE},
+    ('inplace_lower', 33, 97, 'plain'): (0, 2, 561),
+    ('inplace_lower', 33, 97, 'reversed'): (0, 2, 561),
+    ('inplace_lower', 33, 469762049, 'plain'): (0, 2, 561),
+    ('inplace_lower', 33, 469762049, 'reversed'): (0, 2, 561),
+    ('inplace_lower', 33, 2**61 - 1, 'plain'): (0, 2, 561),
+    ('inplace_lower', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
+    ('inplace_lower', 33, 2**127 - 1, 'plain'): (0, 2, 561),
+    ('inplace_lower', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
+    ('inplace_series_div', 33, 97, 'plain'): (0, 2, 546),
+    ('inplace_series_div', 33, 97, 'reversed'): (0, 2, 549),
+    ('inplace_series_div', 33, 469762049, 'plain'): (0, 2, 561),
+    ('inplace_series_div', 33, 469762049, 'reversed'): (0, 2, 561),
+    ('inplace_series_div', 33, 2**61 - 1, 'plain'): (0, 2, 561),
+    ('inplace_series_div', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
+    ('inplace_series_div', 33, 2**127 - 1, 'plain'): (0, 2, 561),
+    ('inplace_series_div', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
+}
+
+
+@pytest.mark.parametrize("case", INPLACE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_inplace_kernels_are_pinned(case):
+    assert _inplace_case(*case) == INPLACE_PINNED[case]

@@ -5,6 +5,7 @@ import pytest
 
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
 from polyarena.dense_ref import (
+    BASE,
     MulKit,
     bit_reverse,
     divrem,
@@ -273,3 +274,82 @@ def test_poly_text_roundtrip():
     assert poly_from_text("97;") == (97, [])
     q, c = poly_from_text(poly_to_text(97, []))
     assert q == 97 and c == []
+
+
+# slice_acc with r = len(dst) <= BASE is one naive pass, above BASE one
+# mid_acc per block of g; f and g are three blocks of g long, with zero
+# coefficients, stored plain, back to front behind reversed views, or
+# without their two outer slots on each side behind padded windows
+SLICE_CUT_CASES = [
+    (r, q, layout)
+    for r in (32, 33)
+    for q in (97, 469762049, 2**61 - 1, 2**127 - 1)
+    for layout in ("plain", "reversed", "padded")
+]
+
+
+def _slice_cut_case(r, q, layout):
+    """(exact, mid_acc calls, (extra_algebraic, pointer_depth,
+    base_products)) of dst -= [f * g]_s^{s+r}."""
+    ring = Zq(q)
+    rng = random.Random(f"slice-cut-{r}-{q}-{layout}")
+    flen, glen, s = 4 * r + 3, 3 * r - 2, 2 * r + 1
+    f = [0 if i % 7 == 3 else rng.randrange(q) for i in range(flen)]
+    g = [0 if i % 5 == 1 else rng.randrange(q) for i in range(glen)]
+    d0 = rand_poly(rng, q, r)
+    cut = 2 if layout == "padded" else 0
+    fs, gs = f[cut : flen - cut], g[cut : glen - cut]
+    if layout == "reversed":
+        fs, gs = fs[::-1], gs[::-1]
+    arena, (fv, gv, dv, wv) = build_arena(
+        ring, RO_RW, (fs, INPUT_ONLY), (gs, INPUT_ONLY), (d0, INOUT), ([0] * (6 * r), SCRATCH)
+    )
+    if layout == "reversed":
+        fv, gv = fv.rev(), gv.rev()
+    fv, gv = fv.window(-cut, flen - cut), gv.window(-cut, glen - cut)
+    f[:cut] = f[flen - cut :] = g[:cut] = g[glen - cut :] = [0] * cut
+    kit = MulKit()
+    calls = []
+    mid_acc = kit.mid_acc
+    kit.mid_acc = lambda *a: calls.append(1) or mid_acc(*a)
+    kit.slice_acc(dv, fv, gv, s, wv, -1)
+    want = [(d - p) % q for d, p in zip(d0, slice_product(ring, f, g, s, r))]
+    m = arena.metrics
+    return dv.tolist() == want, len(calls), (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products)
+
+
+# taken when the one-pass rule went in; the same as the per-block calls made
+SLICE_CUT_PINNED = {
+    (32, 97, 'plain'): (0, 0, 2020),
+    (32, 97, 'reversed'): (0, 0, 2075),
+    (32, 97, 'padded'): (0, 0, 1991),
+    (32, 469762049, 'plain'): (0, 0, 2075),
+    (32, 469762049, 'reversed'): (0, 0, 2075),
+    (32, 469762049, 'padded'): (0, 0, 1991),
+    (32, 2**61 - 1, 'plain'): (0, 0, 2075),
+    (32, 2**61 - 1, 'reversed'): (0, 0, 2075),
+    (32, 2**61 - 1, 'padded'): (0, 0, 1991),
+    (32, 2**127 - 1, 'plain'): (0, 0, 2075),
+    (32, 2**127 - 1, 'reversed'): (0, 0, 2075),
+    (32, 2**127 - 1, 'padded'): (0, 0, 1991),
+    (33, 97, 'plain'): (0, 0, 2225),
+    (33, 97, 'reversed'): (0, 0, 2225),
+    (33, 97, 'padded'): (0, 0, 2079),
+    (33, 469762049, 'plain'): (0, 0, 2225),
+    (33, 469762049, 'reversed'): (0, 0, 2225),
+    (33, 469762049, 'padded'): (0, 0, 2139),
+    (33, 2**61 - 1, 'plain'): (0, 0, 2225),
+    (33, 2**61 - 1, 'reversed'): (0, 0, 2225),
+    (33, 2**61 - 1, 'padded'): (0, 0, 2139),
+    (33, 2**127 - 1, 'plain'): (0, 0, 2225),
+    (33, 2**127 - 1, 'reversed'): (0, 0, 2225),
+    (33, 2**127 - 1, 'padded'): (0, 0, 2139),
+}
+
+
+@pytest.mark.parametrize("case", SLICE_CUT_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_slice_acc_cut_is_pinned(case):
+    exact, mid_calls, pinned = _slice_cut_case(*case)
+    assert exact
+    assert (mid_calls > 0) == (case[0] > BASE)
+    assert pinned == SLICE_CUT_PINNED[case]

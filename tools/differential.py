@@ -6,10 +6,11 @@ Each checkout runs in its own subprocess, which imports `polyarena` from
 that checkout's `src/` and the layouts from its `tests/helpers.py`, so the
 two packages never share a process.  Every `SPECS` entry that has a
 generator is called on CASES seeded inputs of size at most CAP per prime
-(97, 469762049, 2^61 - 1), and on BIG_CASES more of a size in BIG_SIZES
-(there mp_eval_cs reduces its first batch, and the chunk loops of the
-division run long), each input on the plain, reversed and padded
-layouts.  An input the prime cannot hold (more distinct nonzero
+(97, 469762049, 2^61 - 1), and on one more case of each size in BIG_SIZES
+(from 97 points mp_eval_cs reduces its first batch and the chunk loops of
+the division run long; at 165 semi_cumulative_product and
+lower_product_cs both reduce above BASE), each input on the plain, reversed and
+padded layouts.  An input the prime cannot hold (more distinct nonzero
 interpolation points than 97 has) is skipped on both sides.  Per entry the
 report counts the cases whose non-scratch registers are identical at the
 end of the call and those whose (extra_algebraic, pointer_depth,
@@ -34,8 +35,7 @@ PRIMES = (97, 469762049, 2**61 - 1)
 LAYOUTS = ("plain", "reversed", "padded")
 CASES = 60
 CAP = 64
-BIG_CASES = 2
-BIG_SIZES = (97, 160)
+BIG_SIZES = (97, 160, 165)
 
 
 def worker(checkout: Path):
@@ -52,10 +52,10 @@ def worker(checkout: Path):
     for spec in sorted((s for s in ops.SPECS.values() if s.gen), key=lambda s: s.name):
         for q in PRIMES:
             ring = Zq(q)
-            for i in range(CASES + BIG_CASES):
+            for i in range(CASES + len(BIG_SIZES)):
                 rng = random.Random(f"differential-{spec.name}-{q}-{i}")
-                cap = CAP if i < CASES else BIG_SIZES[1]
-                n = ops.sample_size(rng, CAP) if i < CASES else rng.randint(*BIG_SIZES)
+                cap = CAP if i < CASES else max(BIG_SIZES)
+                n = ops.sample_size(rng, CAP) if i < CASES else BIG_SIZES[i - CASES]
                 if spec.name == "strassen_cs":
                     n = 1 << (n.bit_length() - 1) // 2
                 try:
