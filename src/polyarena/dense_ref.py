@@ -460,7 +460,8 @@ class MulKit:
         if len(dst) < 2 * s - 1:
             raise BadLength("full_into destination too short")
         if s <= BASE:
-            self._schoolbook_into(dst, f, g, 2 * s - 1)
+            vzero(dst, 2 * s - 1)
+            _slice_naive(dst.sub(0, 2 * s - 1), g, f, 0)
             return
         m = (s + 1) // 2
         f0, f1 = f.sub(0, m), f.sub(m, s)
@@ -485,10 +486,6 @@ class MulKit:
         vadd(dst.sub(2 * m, min(3 * m - 1, 2 * s - 1)), p2)
         if 3 * m - 1 < 2 * s - 1:
             vcopy(dst.sub(3 * m - 1, 2 * s - 1), p2.sub(m - 1, 2 * t - 1))
-
-    def _schoolbook_into(self, dst: PolyView, f: PolyView, g: PolyView, out_len: int):
-        vzero(dst, out_len)
-        _slice_naive(dst.sub(0, out_len), g, f, 0)
 
     # -- short (lower) product -----------------------------------------------
 
