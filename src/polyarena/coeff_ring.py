@@ -82,9 +82,6 @@ class Zq:
             raise ZeroInverse("0 has no inverse")
         return pow(a, self.q - 2, self.q)
 
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def _qm1_factors(self) -> list[int]:
         cached = self._factors_qm1
         if cached is None:

@@ -16,11 +16,13 @@ semi_cumulative_product, lower_product_cs and middle_product_cs make one
 dense_ref._slice_naive pass over what is left once their block k is at
 most BASE (lower_product_cs with its rows over g, the quotient in every
 caller, so that a zero coefficient costs no row).  mp_eval_cs evaluates by
-Horner per point once a batch would hold fewer than BASE points, and a
-chunk loop whose chunks are at most BASE long (semi_cumulative_lower,
-_chunked_slice_sub) is one _slice_naive pass: the same writes, rows and
-base products as its chunks' naive mid_acc calls, with no views or
-workspace per chunk.
+Horner per point once a batch would hold fewer than BASE points, and the
+one chunk loop, _chunked_slice (behind semi_cumulative_lower and
+divrem_cs), is one _slice_naive pass when its chunks are at most BASE
+long: the same writes, rows and base products as its chunks' naive mid_acc
+calls, with no views or workspace per chunk.  The naive Euclidean division
+in divrem_cs (divisors of at most c + 3 coefficients) takes its remainder
+by one _slice_naive pass with its rows over the divisor.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -160,17 +162,7 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
             raise PreconditionLowNonzero(f"h[{i}] != 0")
     require_writable(h)
     with h.arena.call():
-        b = max(1, s // (KIT.c + 1))
-        if b <= BASE:
-            # every chunk would be a naive mid_acc: one pass does their writes
-            _slice_naive(h.sub(s, n), f, g, s, sign)
-        else:
-            ws = h.sub(0, s)
-            u = s
-            while u < n:
-                chunk = h.sub(u, min(u + b, n))
-                KIT.slice_acc(chunk, f, g, u, ws, sign)
-                u += b
+        _chunked_slice(h.sub(s, n), f, g, s, h.sub(0, s), sign)
         ns = min(s, n)
         low = h.sub(0, ns)
         fv = f.sub(0, min(len(f), ns)).padded(ns)
@@ -376,14 +368,14 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
         raise NonUnitLeading("divisor leading coefficient is zero")
     require_writable(q_out, r_out)
     with q_out.arena.call():
-        if n == 1:
-            _div_recurrence(f, g, q_out, 0, m)
-            return
         if m == 0:
             vcopy(r_out, f, n - 1)
             return
         if n - 1 < KIT.c + 3:
-            _divrem_naive(f, g, q_out, r_out)
+            # the quotient, top down, is the series quotient of the reversals
+            _div_recurrence(f.sub(n - 1, m + n - 1).rev(), g.rev(), q_out.rev(), 0, m)
+            vcopy(r_out, f, n - 1)
+            _slice_naive(r_out, q_out, g, 0, -1)
             return
         nblocks = (m + n - 1) // n
         top = m - (nblocks - 1) * n
@@ -396,7 +388,7 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
             j -= 1
             blk = q_out.sub(j * n, (j + 1) * n)
             vcopy(blk, f.sub(n - 1 + j * n, n - 1 + (j + 1) * n), n)
-            _chunked_slice_sub(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), r_out)
+            _chunked_slice(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), 0, r_out, -1)
             _revdiv_inplace(blk.rev(), g.rev(), r_out)
         q0 = q_out.sub(0, min(m, n - 1)).padded(n - 1)
         lower_product_cs(g.sub(0, n - 1), q0, r_out)
@@ -404,31 +396,17 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
         vadd(r_out, f.sub(0, n - 1))
 
 
-def _chunked_slice_sub(dst: PolyView, u: PolyView, v: PolyView, ws: PolyView):
-    """dst -= (u * v) mod x^len(dst), in chunks small enough for ws; one
-    naive pass when the chunks are at most BASE long."""
+def _chunked_slice(dst: PolyView, f: PolyView, g: PolyView, s: int, ws: PolyView, sign: int):
+    """dst += sign * [f * g]_s^{s+len(dst)}, in chunks whose kit scratch
+    fits ws; one naive pass when the chunks are at most BASE long (the
+    writes and base products of their naive mid_acc calls)."""
     t = len(dst)
     cc = max(1, min(t, len(ws) // (KIT.c + 1)))
     if cc <= BASE:
-        _slice_naive(dst, u, v, 0, -1)
+        _slice_naive(dst, f, g, s, sign)
         return
-    lo = 0
-    while lo < t:
-        chunk = dst.sub(lo, min(lo + cc, t))
-        KIT.slice_acc(chunk, u, v, lo, ws, -1)
-        lo += cc
-
-
-def _divrem_naive(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
-    n = len(g)
-    m = len(q_out)
-    # the quotient, top down, is the series quotient of the reversals
-    _div_recurrence(f.sub(n - 1, m + n - 1).rev(), g.rev(), q_out.rev(), 0, m)
-    for d in range(n - 1):
-        acc = f.get(d)
-        for j in range(max(0, d - m + 1), min(d, n - 1) + 1):
-            acc -= g.get(j) * q_out.get(d - j)
-        r_out.set(d, acc)
+    for lo in range(0, t, cc):
+        KIT.slice_acc(dst.sub(lo, min(lo + cc, t)), f, g, s + lo, ws, sign)
 
 
 def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView):

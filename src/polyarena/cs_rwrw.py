@@ -10,6 +10,11 @@ All mutating recursions operate on fully backed (never fake-padded) views;
 product slices are decomposed by a clipping quadtree into full products of
 real subwindows, so the restore reasoning stays local.
 
+At or below dense_ref.BASE, cumulative_lower and a ragged full product
+(_cum_full, by its shorter operand) are one dense_ref._slice_naive pass,
+which only reads f and g; a balanced product stays on _cum_kara, which
+counts Karatsuba's 3^k products.
+
 Declared scalar budgets: plain statements hold at most four locals; in
 addition fixed-size kernels run on Python locals: a balanced product
 kernel of width <= BASE coefficients, the in-place lower product and the
@@ -67,11 +72,8 @@ def _cum_full(f: PolyView, g: PolyView, h: PolyView, sign: int):
         if a == b:
             _cum_kara(f, g, h, sign)
             return
-        if b == 1:
-            # a products of size 1: one scaled row makes the writes and the
-            # count of a size-1 base cases
-            vadd(h, f, sign * g.get(0))
-            h.arena.metrics.base_products += a
+        if b <= BASE:
+            _slice_naive(h, f, g, 0, sign)
             return
         full = a // b
         for j in range(full):
@@ -255,7 +257,8 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
     """h += sign * (f * g mod x^n), all three of size n; f, g restored.
 
     One full product per round (on g0 - g1, then f0 * g1 distributed by a
-    pre/post pair), then a tail call on the top halves, written as a loop.
+    pre/post pair), then a tail call on the top halves, written as a loop
+    that ends in one naive pass once n <= BASE.
     """
     check_sign(sign)
     if not len(f) == len(g) == len(h):
@@ -264,8 +267,8 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
         f0, g0, h0 = f, g, h
         while True:
             n = len(f0)
-            if n <= 1:
-                _cum_kara(f0, g0, h0, sign)
+            if n <= BASE:
+                _slice_naive(h0, f0, g0, 0, sign)
                 return
             m = (n + 1) // 2
             t = n - m
@@ -495,6 +498,7 @@ def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
     """
     M = len(buf)
     q = buf.arena.q
+    buf._writable_or_raise(0, M)
     if h == 1 or M == 0:
         return
     if M == h:
@@ -818,22 +822,17 @@ def inplace_divrem(f: PolyView, g: PolyView, direction: str = "apply"):
     f[n-1, m+n-1).  Every step is a reversible in-place division or a
     cumulative product, so undo simply replays them backwards.
     """
+    if direction not in ("apply", "undo"):
+        raise BadParams(f"unknown direction {direction!r}")
     n = len(g)
     m = len(f) - n + 1
     if m < 0:
         raise SizeContract("dividend shorter than divisor allows")
     if n == 0 or g.get(n - 1) == 0:
         raise NonUnitLeading("divisor leading coefficient is zero")
-    ring = f.arena.ring
     with f.arena.call():
         if n == 1:
-            c = ring.inv(g.get(0))
-            if direction == "apply":
-                vscale(f, c)
-            elif direction == "undo":
-                vscale(f, g.get(0))
-            else:
-                raise BadParams(f"unknown direction {direction!r}")
+            vscale(f, f.arena.ring.inv(g.get(0)) if direction == "apply" else g.get(0))
             return
         if m == 0:
             return
@@ -847,15 +846,13 @@ def inplace_divrem(f: PolyView, g: PolyView, direction: str = "apply"):
                 blk = f.sub(base, base + size)
                 _ipd(blk.rev(), g.sub(n - size, n).rev())
                 _cum_slice(g.sub(0, n - 1), blk, f.sub(base - stride, base), 0, -1)
-        elif direction == "undo":
+        else:
             for i in range(blocks):
                 base = stride + i * stride
                 size = b0 if i == blocks - 1 else stride
                 blk = f.sub(base, base + size)
                 _cum_slice(g.sub(0, n - 1), blk, f.sub(base - stride, base), 0, 1)
                 _ipl(blk.rev(), g.sub(n - size, n).rev())
-        else:
-            raise BadParams(f"unknown direction {direction!r}")
 
 
 def cumulative_remainder(f: PolyView, g: PolyView, r_out: PolyView):

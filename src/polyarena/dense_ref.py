@@ -426,7 +426,9 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
 def _mid_rows(dst: PolyView, f: PolyView, g: PolyView, lo: int, hi: int, sign: int = 1):
     """dst[d] += sign * sum_j f[len(g)-1+d-j] * g[j] for d in [lo, hi): one
     scalar row per d over g's real zone, each counted as g.rhi - g.rlo
-    base products."""
+    base products.  mid_acc's single rows stay here: _slice_naive made
+    them 6.5x slower (95 against 14 us at r = 33, 1411 against 207 us at
+    r = 409)."""
     top = len(g) - 1
     for d in range(lo, hi):
         acc = 0

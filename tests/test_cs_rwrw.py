@@ -355,6 +355,19 @@ def test_inplace_divrem_examples():
         cs_rwrw.inplace_divrem(f, g, "apply")
 
 
+@pytest.mark.parametrize("lf, lg", [(2, 3), (5, 1), (12, 4)], ids=["m0", "n1", "general"])
+def test_inplace_divrem_refuses_unknown_direction_with_arena_as_found(lf, lg):
+    # m = 0, n = 1 and a general shape: BadParams before any write or count
+    rng = random.Random(f"divrem-direction-{lf}-{lg}")
+    gd = rand_poly(rng, Q, lg - 1) + [rng.randrange(1, Q)]
+    arena, (f, g) = rw_arena((rand_poly(rng, Q, lf), INOUT), (gd, INOUT))
+    before = list(arena.regs)
+    with pytest.raises(BadParams):
+        cs_rwrw.inplace_divrem(f, g, "bogus")
+    assert arena.regs == before
+    assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
+
+
 def test_cumulative_remainder():
     n = 9
     m = 25
@@ -470,32 +483,50 @@ def test_size_contracts():
 # Below BASE the in-place lower product and series division are one kernel
 # on Python locals each (one read of f and g, one checked slice write of f,
 # n (n + 1) / 2 counted products, no nested call); from n = 33 on they
-# split in halves as before.  The padded layout pads only ro/rw inputs, so
-# the rw/rw entries run on the plain and the reversed layout.
+# split in halves as before.  cumulative_lower of size n <= BASE, and
+# cumulative_karatsuba with a ragged g of n <= BASE coefficients under an f
+# of 7n + 5, are one _slice_naive pass; at n = 33 they split as before.
+# The padded layout pads only ro/rw inputs, so the rw/rw entries run on the
+# plain and the reversed layout.
 INPLACE_CASES = [
     (entry, n, q, layout)
-    for entry in ("inplace_lower", "inplace_series_div")
-    for n in (1, 2, 32, 33)
-    for q in (97, 469762049, 2**61 - 1, 2**127 - 1)
+    for entry, sizes, primes in (
+        ("inplace_lower", (1, 2, 32, 33), (97, 469762049, 2**61 - 1, 2**127 - 1)),
+        ("inplace_series_div", (1, 2, 32, 33), (97, 469762049, 2**61 - 1, 2**127 - 1)),
+        ("cumulative_lower", (32, 33), (97, 2**61 - 1)),
+        ("cumulative_karatsuba", (32, 33), (97, 2**61 - 1)),
+    )
+    for n in sizes
+    for q in primes
     for layout in ("plain", "reversed")
 ]
 
 
 def _inplace_case(entry, n, q, layout):
-    """Run one entry through helpers.check (exact f, g restored); returns
-    (extra_algebraic, pointer_depth, base_products)."""
+    """Run one entry through helpers.check (exact output, g, and f where it
+    is an input, restored); returns (extra_algebraic, pointer_depth,
+    base_products)."""
     ring = Zq(q)
     spec = SPECS[entry]
-    x = spec.gen(ring, random.Random(f"inplace-{entry}-{n}-{q}-{layout}"), n)
+    rng = random.Random(f"inplace-{entry}-{n}-{q}-{layout}")
+    if entry == "cumulative_karatsuba":
+        x = {"f": rand_poly(rng, q, 7 * n + 5), "g": rand_poly(rng, q, n), "h": rand_poly(rng, q, 8 * n + 4)}
+    else:
+        x = spec.gen(ring, rng, n)
     m = check(spec, ring, x, layout).metrics
     return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
 # below the cut the kernel's own count, one frame deep; at n = 33 taken
 # when the kernels went in (one split, then two kernels and a cumulative
-# slice)
+# slice).  The cumulative products taken when their naive passes went in:
+# at n = 32, n(n+1)/2 for the lower product and 7n^2 + 5n for the ragged
+# one (seven n x n blocks and a 5 x n tail in one pass); at n = 33, one
+# round of the lower product (a 17 x 17 Karatsuba product and a 17 x 16
+# pass) before a pass of size 16, and seven 33 x 33 Karatsuba blocks
+# before a 5 x 33 pass
 INPLACE_PINNED = {
-    **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[1] <= BASE},
+    **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[0].startswith("inplace") and c[1] <= BASE},
     ('inplace_lower', 33, 97, 'plain'): (0, 2, 561),
     ('inplace_lower', 33, 97, 'reversed'): (0, 2, 561),
     ('inplace_lower', 33, 469762049, 'plain'): (0, 2, 561),
@@ -512,9 +543,51 @@ INPLACE_PINNED = {
     ('inplace_series_div', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
     ('inplace_series_div', 33, 2**127 - 1, 'plain'): (0, 2, 561),
     ('inplace_series_div', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
+    ('cumulative_lower', 32, 97, 'plain'): (0, 1, 528),
+    ('cumulative_lower', 32, 97, 'reversed'): (0, 1, 528),
+    ('cumulative_lower', 32, 2**61 - 1, 'plain'): (0, 1, 528),
+    ('cumulative_lower', 32, 2**61 - 1, 'reversed'): (0, 1, 528),
+    ('cumulative_lower', 33, 97, 'plain'): (0, 1, 520),
+    ('cumulative_lower', 33, 97, 'reversed'): (0, 1, 521),
+    ('cumulative_lower', 33, 2**61 - 1, 'plain'): (0, 1, 521),
+    ('cumulative_lower', 33, 2**61 - 1, 'reversed'): (0, 1, 521),
+    ('cumulative_karatsuba', 32, 97, 'plain'): (0, 1, 7328),
+    ('cumulative_karatsuba', 32, 97, 'reversed'): (0, 1, 7328),
+    ('cumulative_karatsuba', 32, 2**61 - 1, 'plain'): (0, 1, 7328),
+    ('cumulative_karatsuba', 32, 2**61 - 1, 'reversed'): (0, 1, 7328),
+    ('cumulative_karatsuba', 33, 97, 'plain'): (0, 2, 2314),
+    ('cumulative_karatsuba', 33, 97, 'reversed'): (0, 2, 2314),
+    ('cumulative_karatsuba', 33, 2**61 - 1, 'plain'): (0, 2, 2314),
+    ('cumulative_karatsuba', 33, 2**61 - 1, 'reversed'): (0, 2, 2314),
 }
 
 
 @pytest.mark.parametrize("case", INPLACE_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_inplace_kernels_are_pinned(case):
     assert _inplace_case(*case) == INPLACE_PINNED[case]
+
+
+def test_no_karatsuba_node_at_or_below_base(monkeypatch):
+    """cumulative_lower of size n and a ragged cumulative_karatsuba with an
+    n-coefficient g under a 7n + 5 f make no _cum_kara call for n <= BASE,
+    and split into Karatsuba nodes above it."""
+    calls = []
+    orig = cs_rwrw._cum_kara
+
+    def counted(f, g, h, sign):
+        calls.append(len(f))
+        return orig(f, g, h, sign)
+
+    monkeypatch.setattr(cs_rwrw, "_cum_kara", counted)
+    rng = random.Random("kara-calls")
+    for n in (1, 2, 16, BASE, BASE + 1):
+        for lf in (n, 7 * n + 5):
+            arena, (f, g, h) = rw_arena(
+                (rand_poly(rng, Q, lf), INOUT), (rand_poly(rng, Q, n), INOUT), (rand_poly(rng, Q, lf + n - 1), INOUT)
+            )
+            calls.clear()
+            if lf == n:
+                cs_rwrw.cumulative_lower(f, g, h.sub(0, n))
+            else:
+                cs_rwrw.cumulative_karatsuba(f, g, h)
+            assert bool(calls) == (n > BASE), (n, lf, calls)

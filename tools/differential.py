@@ -15,9 +15,9 @@ interpolation points than 97 has) is skipped on both sides.  Per entry the
 report counts the cases whose non-scratch registers are identical at the
 end of the call and those whose (extra_algebraic, pointer_depth,
 base_products) triple is identical, those where pointer_depth and
-base_products alone are, the cases where extra_algebraic went down or up,
-the calls that raised on either side, and the change's calls whose outputs
-fail the entry's check.  The exit code is 0 only when every case of every
+base_products alone are, the cases where each of the three went down
+(ea<, pd<, bp<) or up (ea>, pd>, bp>), the calls that raised on either
+side, and the change's calls whose outputs fail the entry's check.  The exit code is 0 only when every case of every
 entry is identical in registers and triple.
 """
 
@@ -108,7 +108,9 @@ def main():
     parent, change = rows
     if parent.keys() != change.keys():
         sys.exit("the checkouts called different cases")
-    cols = ("cases", "regs=", "triple=", "pd,bp=", "ea<", "ea>", "err_parent", "err_change", "inexact")
+    metrics = ("ea", "pd", "bp")
+    moves = [m + way for m in metrics for way in "<>"]
+    cols = ("cases", "regs=", "triple=", "pd,bp=", *moves, "err_parent", "err_change", "inexact")
     print(f"{'entry':28}" + "".join(f"{c:>11}" for c in cols))
     counts = {}
     for key, a in parent.items():
@@ -123,8 +125,9 @@ def main():
             c["regs="] += a["regs"] == b["regs"]
             c["triple="] += a["triple"] == b["triple"]
             c["pd,bp="] += a["triple"][1:] == b["triple"][1:]
-            c["ea<"] += b["triple"][0] < a["triple"][0]
-            c["ea>"] += b["triple"][0] > a["triple"][0]
+            for m, x, y in zip(metrics, a["triple"], b["triple"]):
+                c[m + "<"] += y < x
+                c[m + ">"] += y > x
     for name, c in counts.items():
         print(f"{name:28}" + "".join(f"{c[col]:>11}" for col in cols))
     same = all(c["regs="] == c["triple="] == c["cases"] for c in counts.values())
