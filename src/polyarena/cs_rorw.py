@@ -16,13 +16,13 @@ semi_cumulative_product, lower_product_cs and middle_product_cs make one
 dense_ref._slice_naive pass over what is left once their block k is at
 most BASE (lower_product_cs with its rows over g, the quotient in every
 caller, so that a zero coefficient costs no row).  mp_eval_cs evaluates by
-Horner per point once a batch would hold fewer than BASE points, and the
-one chunk loop, _chunked_slice (behind semi_cumulative_lower and
-divrem_cs), is one _slice_naive pass when its chunks are at most BASE
-long: the same writes, rows and base products as its chunks' naive mid_acc
-calls, with no views or workspace per chunk.  The naive Euclidean division
-in divrem_cs (divisors of at most c + 3 coefficients) takes its remainder
-by one _slice_naive pass with its rows over the divisor.
+Horner per point once a batch would hold fewer than BASE points, and
+MulKit.slice_acc, which semi_cumulative_lower and divrem_cs call with the
+workspace they have, is one _slice_naive pass when its chunks are at most
+BASE long: the same writes, rows and base products as its chunks' naive
+mid_acc calls, with no views or workspace per chunk.  The naive Euclidean
+division in divrem_cs (divisors of at most c + 3 coefficients) takes its
+remainder by one _slice_naive pass with its rows over the divisor.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -58,7 +58,7 @@ from .errors import (
     ZeroPointWithShift,
     check_sign,
 )
-from .reg_arena import PolyView, _slc, require_writable, vadd, vcopy, vneg, vzero
+from .reg_arena import PolyView, _slc, require_writable, vadd, vcopy, vscale, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +162,14 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
             raise PreconditionLowNonzero(f"h[{i}] != 0")
     require_writable(h)
     with h.arena.call():
-        _chunked_slice(h.sub(s, n), f, g, s, h.sub(0, s), sign)
+        KIT.slice_acc(h.sub(s, n), f, g, s, h.sub(0, s), sign)
         ns = min(s, n)
         low = h.sub(0, ns)
         fv = f.sub(0, min(len(f), ns)).padded(ns)
         gv = g.sub(0, min(len(g), ns)).padded(ns)
         lower_product_cs(fv, gv, low)
         if sign < 0:
-            vneg(low)
+            vscale(low, -1)
 
 
 def middle_product_cs(f: PolyView, g: PolyView, h: PolyView):
@@ -388,25 +388,12 @@ def divrem_cs(f: PolyView, g: PolyView, q_out: PolyView, r_out: PolyView):
             j -= 1
             blk = q_out.sub(j * n, (j + 1) * n)
             vcopy(blk, f.sub(n - 1 + j * n, n - 1 + (j + 1) * n), n)
-            _chunked_slice(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), 0, r_out, -1)
+            KIT.slice_acc(blk.sub(1, n), g.sub(0, n - 1), above.sub(0, min(len(above), n - 1)), 0, r_out, -1)
             _revdiv_inplace(blk.rev(), g.rev(), r_out)
         q0 = q_out.sub(0, min(m, n - 1)).padded(n - 1)
         lower_product_cs(g.sub(0, n - 1), q0, r_out)
-        vneg(r_out)
+        vscale(r_out, -1)
         vadd(r_out, f.sub(0, n - 1))
-
-
-def _chunked_slice(dst: PolyView, f: PolyView, g: PolyView, s: int, ws: PolyView, sign: int):
-    """dst += sign * [f * g]_s^{s+len(dst)}, in chunks whose kit scratch
-    fits ws; one naive pass when the chunks are at most BASE long (the
-    writes and base products of their naive mid_acc calls)."""
-    t = len(dst)
-    cc = max(1, min(t, len(ws) // (KIT.c + 1)))
-    if cc <= BASE:
-        _slice_naive(dst, f, g, s, sign)
-        return
-    for lo in range(0, t, cc):
-        KIT.slice_acc(dst.sub(lo, min(lo + cc, t)), f, g, s + lo, ws, sign)
 
 
 def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView):
@@ -437,7 +424,7 @@ def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView)
             gv = g.sub(0, n - 1).padded(n - 1)
             tv = t.sub(0, head).padded(n - 1)
             lower_product_cs(gv, tv, r_out)
-            vneg(r_out)
+            vscale(r_out, -1)
         else:
             vzero(r_out)
         vcopy(t.sub(0, s), r_out.sub(n - 1 - s, n - 1), s)

@@ -43,7 +43,7 @@ from .errors import (
     SizeContract,
     check_sign,
 )
-from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vneg, vscale, vzero
+from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vscale, vzero
 
 # ---------------------------------------------------------------------------
 # cumulative full products
@@ -97,11 +97,8 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
         # constant-size kernel on Python locals (bounded by 3 * BASE
         # scalars); the recursion shape and product count are unchanged
         regs = arena.regs
-        fs = _slc(f.off, f.dir, 0, n)
-        gs = _slc(g.off, g.dir, 0, n)
-        vals, cnt = _kara_vals(f.arena.regs[fs], g.arena.regs[gs])
-        h._writable_or_raise(0, 2 * n - 1)
-        hs = _slc(h.off, h.dir, 0, 2 * n - 1)
+        vals, cnt = _kara_vals(f.tolist(), g.tolist())
+        hs = h.span(0, 2 * n - 1)
         q = arena.q
         if sign > 0:
             regs[hs] = [(x + v) % q for x, v in zip(regs[hs], vals)]
@@ -340,7 +337,7 @@ def partial_ft(f: PolyView, k: int, ell: int, root: RootOfUnity, direction: str 
     theta = pow(w, bit_reverse(k, p - ell), q)
     sub = f.sub(0, size)
     subroot = RootOfUnity(pow(w, 1 << (p - ell), q), size)
-    f._writable_or_raise(0, size)
+    f.span(0, size)
     # Only the output prefix is rewritten: coefficients beyond it are read
     # in place, so the inverse recomputes and subtracts the same sums.
     if direction == "fwd":
@@ -498,7 +495,7 @@ def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):
     """
     M = len(buf)
     q = buf.arena.q
-    buf._writable_or_raise(0, M)
+    buf.span(0, M)
     if h == 1 or M == 0:
         return
     if M == h:
@@ -577,6 +574,7 @@ def _step(v: PolyView, s: int, coef: int, q: int, pre: int = 1, post: int = 1):
     n = cnt if u == 1 else min(s, n_len)
     if n <= 0:
         return
+    v.span(0, n)
     regs = v.arena.regs
     off, d = v.off, v.dir
     table = _powers(u, min(BLOCK, n), q) if u != 1 else None
@@ -666,9 +664,9 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
     w = ring.find_principal_root(1 << p).omega
     # every chunk transform writes inside the largest power-of-two prefix;
     # the transform of h writes all of h
-    g._writable_or_raise(0, 1 << (n.bit_length() - 1))
-    f._writable_or_raise(0, 1 << (m.bit_length() - 1))
-    h._writable_or_raise(0, N)
+    g.span(0, 1 << (n.bit_length() - 1))
+    f.span(0, 1 << (m.bit_length() - 1))
+    h.span(0, N)
     f_at = g_at = (0, p)
     with h.arena.call():
         _otfft(h, None, 1 << p, w, False)
@@ -773,8 +771,7 @@ def _kernel_write(f: PolyView, vals: list[int]):
     """f = vals (reduced) in one checked slice write, counted as the
     n (n + 1) / 2 multiplications of an in-place kernel of width n = len(f)."""
     n = len(f)
-    f._writable_or_raise(0, n)
-    f.arena.regs[_slc(f.off, f.dir, 0, n)] = vals
+    f.arena.regs[f.span(0, n)] = vals
     f.arena.metrics.base_products += n * (n + 1) // 2
 
 
@@ -808,7 +805,7 @@ def remainder_rwrw(f: PolyView, g: PolyView, r_out: PolyView):
         pos = m + n - 1 - b0
         for blk in range(blocks):
             _ipl(r_out, g.sub(0, n - 1))
-            vneg(r_out)
+            vscale(r_out, -1)
             pos -= stride
             vadd(r_out, f.sub(pos, pos + stride))
             if blk < blocks - 1:
@@ -824,12 +821,7 @@ def inplace_divrem(f: PolyView, g: PolyView, direction: str = "apply"):
     """
     if direction not in ("apply", "undo"):
         raise BadParams(f"unknown direction {direction!r}")
-    n = len(g)
-    m = len(f) - n + 1
-    if m < 0:
-        raise SizeContract("dividend shorter than divisor allows")
-    if n == 0 or g.get(n - 1) == 0:
-        raise NonUnitLeading("divisor leading coefficient is zero")
+    n, m = _divrem_sizes(f, g)
     with f.arena.call():
         if n == 1:
             vscale(f, f.arena.ring.inv(g.get(0)) if direction == "apply" else g.get(0))
@@ -855,11 +847,23 @@ def inplace_divrem(f: PolyView, g: PolyView, direction: str = "apply"):
                 _ipl(blk.rev(), g.sub(n - size, n).rev())
 
 
+def _divrem_sizes(f: PolyView, g: PolyView) -> tuple[int, int]:
+    """(n, m) = (len(g), len(f) - n + 1) once f can be divided by g."""
+    n = len(g)
+    m = len(f) - n + 1
+    if m < 0:
+        raise SizeContract("dividend shorter than divisor allows")
+    if n == 0 or g.get(n - 1) == 0:
+        raise NonUnitLeading("divisor leading coefficient is zero")
+    return n, m
+
+
 def cumulative_remainder(f: PolyView, g: PolyView, r_out: PolyView):
     """r += f mod g via apply / accumulate / undo of the in-place division."""
     n = len(g)
     if len(r_out) != n - 1:
         raise SizeContract("remainder has n-1 slots")
+    _divrem_sizes(f, g)
     with r_out.arena.call():
         inplace_divrem(f, g, "apply")
         vadd(r_out, f.sub(0, min(len(f), n - 1)))

@@ -9,10 +9,12 @@ MulKit provides the workspace-disciplined building blocks (full, short and
 middle products on arena views) that the constant-space reductions call.
 Every kit routine receives an explicit scratch view and never uses more
 than c * size registers of it, with c = 2 declared; exceeding the budget
-raises, so the bound is enforced structurally rather than by trust.  KIT
-is the one instance, and the reductions derive their thresholds from
-MulKit.c.  The naive kernels are written once each: _slice_naive (any
-slice of a product) and _mid_rows (single middle-product rows).
+raises, so the bound is enforced structurally rather than by trust.
+slice_acc, the one chunk loop, cuts its slice into chunks whose scratch
+fits the view it is given.  KIT is the one instance, and the reductions
+derive their thresholds from MulKit.c.  The naive kernels are written
+once each: _slice_naive (any slice of a product) and _mid_rows (single
+middle-product rows).
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
         raise BadLength(f"unknown direction {direction!r}")
     if n <= 1:
         return
-    view._writable_or_raise(0, n)
+    view.span(0, n)
     arena = view.arena
     q = arena.q
     regs = arena.regs
@@ -398,7 +400,7 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     r = len(dst)
     arena = dst.arena
     q = arena.q
-    dst._writable_or_raise(0, r)
+    dst.span(0, r)
     dregs = arena.regs
     doff, dd = dst.off, dst.dir
     fregs, foff, fd = f.arena.regs, f.off, f.dir
@@ -570,19 +572,26 @@ class MulKit:
         self.slice_acc(dst, fchunk, gpref, k - 1, ws, sign)
 
     def slice_acc(self, dst: PolyView, f: PolyView, g: PolyView, s: int, ws: PolyView, sign: int = 1):
-        """dst += sign * [f * g]_s^{s+len(dst)} in blocks of g.
+        """dst += sign * [f * g]_s^{s+len(dst)} in chunks of r =
+        min(len(dst), len(ws) // (c + 1)) outputs, whose scratch fits ws,
+        each in blocks of r coefficients of g.
 
-        When len(dst) <= BASE every block would be the naive mid_acc
+        When r <= BASE every block would be the naive mid_acc
         _slice_naive(dst, win, gj, r - 1), so one _slice_naive over all of
         f and g does their writes and base products; it is skipped when f
         or g has an empty real zone, as every block would be.
         """
-        r = len(dst)
-        if r == 0 or len(f) == 0 or len(g) == 0:
+        t = len(dst)
+        if t == 0 or len(f) == 0 or len(g) == 0:
             return
+        r = max(1, min(t, len(ws) // (self.c + 1)))
         if r <= BASE:
             if f.rlo < f.rhi and g.rlo < g.rhi:
                 _slice_naive(dst, f, g, s, sign)
+            return
+        if r < t:
+            for lo in range(0, t, r):
+                self.slice_acc(dst.sub(lo, min(lo + r, t)), f, g, s + lo, ws, sign)
             return
         nb = (len(g) + r - 1) // r
         for j in range(nb):

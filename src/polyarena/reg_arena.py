@@ -6,6 +6,11 @@ Metrics track the number of distinct scratch registers ever written (the
 extra algebraic space high-water) and the deepest simulated call nesting
 (the pointer-stack high-water).
 
+Every bulk write makes one check, PolyView.span, which refuses padding
+and (under ro/rw) input-only registers, counts the scratch registers it
+covers and returns the slice it checked; kernels elsewhere write that
+slice or sub-slices of their entry's span.
+
 Algorithms address the arena through PolyView windows: contiguous slices,
 reversed slices, or fake-padded slices whose out-of-range reads yield zero
 and whose out-of-range writes fail.  Views compose (subview of a reversed
@@ -288,10 +293,11 @@ class PolyView:
         real = self.arena.regs[_slc(self.off, self.dir, a, b)] if a < b else []
         return [0] * a + real + [0] * (self.L - b)
 
-    def _writable_or_raise(self, a: int, b: int, touch: bool = True):
-        """Single permission check for a bulk write over logical [a, b)."""
+    def span(self, a: int, b: int, touch: bool = True) -> slice:
+        """The one permission check for a bulk write over logical [a, b):
+        returns the physical slice of those registers."""
         if a >= b:
-            return
+            return slice(0, 0)
         if a < self.rlo or b > self.rhi:
             raise PaddingWrite(f"bulk write [{a},{b}) outside real zone [{self.rlo},{self.rhi})")
         arena = self.arena
@@ -300,6 +306,7 @@ class PolyView:
                 arena.check_span(self.off + a, self.off + b, touch)
             else:
                 arena.check_span(self.off - b + 1, self.off - a + 1, touch)
+        return _slc(self.off, self.dir, a, b)
 
 
 def require_writable(*views: PolyView):
@@ -311,7 +318,7 @@ def require_writable(*views: PolyView):
     """
     for v in views:
         if v.arena.model == RO_RW:
-            v._writable_or_raise(v.rlo, v.rhi, touch=False)
+            v.span(v.rlo, v.rhi, touch=False)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +357,10 @@ def vadd(dst: PolyView, src: PolyView, sign: int = 1, length: int | None = None)
     b = min(n, src.rhi)
     if a >= b:
         return
-    dst._writable_or_raise(a, b)
+    ds = dst.span(a, b)
     q = dst.arena.q
     dregs = dst.arena.regs
     sregs = src.arena.regs
-    ds = _slc(dst.off, dst.dir, a, b)
     ss = _slc(src.off, src.dir, a, b)
     c = sign % q
     if c == 1:
@@ -370,49 +376,28 @@ def vcopy(dst: PolyView, src: PolyView, length: int | None = None):
     n = min(dst.L, src.L) if length is None else length
     if n > dst.L:
         raise OutOfRange("copy longer than destination")
-    dst._writable_or_raise(0, n)
-    dregs = dst.arena.regs
+    ds = dst.span(0, n)
     a = max(0, min(src.rlo, n))
-    b = max(a, min(n, src.rhi, src.L))
-    if a:
-        dregs[_slc(dst.off, dst.dir, 0, a)] = [0] * a
-    if b > a:
-        sregs = src.arena.regs
-        dregs[_slc(dst.off, dst.dir, a, b)] = sregs[_slc(src.off, src.dir, a, b)]
-    if n > b:
-        dregs[_slc(dst.off, dst.dir, b, n)] = [0] * (n - b)
+    b = max(a, min(n, src.rhi))
+    vals = src.arena.regs[_slc(src.off, src.dir, a, b)] if a < b else []
+    if a or b < n:
+        vals = [0] * a + vals + [0] * (n - b)
+    dst.arena.regs[ds] = vals
 
 
 def vzero(dst: PolyView, length: int | None = None):
     n = dst.L if length is None else min(length, dst.L)
-    if n <= 0:
-        return
-    dst._writable_or_raise(0, n)
-    dst.arena.regs[_slc(dst.off, dst.dir, 0, n)] = [0] * n
+    ds = dst.span(0, n)  # claimed first: the scratch set grows before the zeros exist
+    dst.arena.regs[ds] = [0] * n
 
 
 def vscale(dst: PolyView, c: int):
     """dst *= c over the real zone."""
-    a, b = dst.rlo, dst.rhi
-    if a >= b:
-        return
-    dst._writable_or_raise(a, b)
+    ds = dst.span(dst.rlo, dst.rhi)
     q = dst.arena.q
     c %= q
     dregs = dst.arena.regs
-    ds = _slc(dst.off, dst.dir, a, b)
     dregs[ds] = [x * c % q for x in dregs[ds]]
-
-
-def vneg(dst: PolyView):
-    a, b = dst.rlo, dst.rhi
-    if a >= b:
-        return
-    dst._writable_or_raise(a, b)
-    q = dst.arena.q
-    dregs = dst.arena.regs
-    ds = _slc(dst.off, dst.dir, a, b)
-    dregs[ds] = [-x % q for x in dregs[ds]]
 
 
 def build_arena(ring: Zq, model: str, *segments) -> tuple[Arena, list[PolyView]]:

@@ -368,6 +368,20 @@ def test_inplace_divrem_refuses_unknown_direction_with_arena_as_found(lf, lg):
     assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
 
 
+@pytest.mark.parametrize(
+    "fd, gd, error", [([1, 2, 3, 4], [1, 2, 0], NonUnitLeading), ([1], [1, 2, 3], SizeContract)], ids=["lead", "short"]
+)
+def test_cumulative_remainder_refuses_before_its_scope(fd, gd, error):
+    # the division's contract is checked before the call scope opens, so a
+    # refused call leaves pointer_depth at 0
+    arena, (f, g, r) = rw_arena((fd, INOUT), (gd, INOUT), ([5] * (len(gd) - 1), INOUT))
+    before = list(arena.regs)
+    with pytest.raises(error):
+        cs_rwrw.cumulative_remainder(f, g, r)
+    assert arena.regs == before
+    assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
+
+
 def test_cumulative_remainder():
     n = 9
     m = 25

@@ -175,6 +175,19 @@ def test_cumulative_fft_mul_refuses_h_with_metrics_as_found(m):
         assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
 
 
+def test_walk_alone_counts_what_it_writes():
+    """_step claims the slots it writes: a walk on a scratch view, with no
+    check by cumulative_fft_mul around it, counts every register written."""
+    ring = RING_FFT
+    q, p = ring.q, 6
+    w = ring.find_principal_root(1 << p).omega
+    arena, (v,) = build_arena(ring, RW_RW, (rand_poly(random.Random("walk-alone"), q, 37), SCRATCH))
+    arena.regs = WriteLog(arena.regs)
+    cs_rwrw._walk(v, (0, p), (1, 4), w, q, p)
+    assert len(arena.regs.written) == 16
+    assert arena.regs.written <= arena.metrics.scratch_touched
+
+
 def test_cumulative_fft_mul_every_length_to_300():
     ring = RING_FFT
     rng = random.Random("fft-every")

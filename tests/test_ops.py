@@ -15,7 +15,26 @@ from helpers import RING97, RING_FFT, WriteLog, build_reversed, check, rand_poly
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
-from polyarena.errors import BadParams, PermissionDenied, RegionMismatch
+from polyarena.errors import (
+    BadParams,
+    BadScratch,
+    BadSlice,
+    DimMismatch,
+    DuplicatePoint,
+    LambdaZero,
+    NonMonicModulus,
+    NonUnit,
+    NonUnitConstant,
+    NonUnitLeading,
+    NotPowerOfTwo,
+    PermissionDenied,
+    PreconditionLowNonzero,
+    PreconditionTopNonzero,
+    RegionMismatch,
+    ScratchTooSmall,
+    SizeContract,
+    ZeroPointWithShift,
+)
 from polyarena.ops import OPS, SPECS
 
 PRIMES = (2, 3, 5, 97, 998244353, 2**61 - 1, 2**127 - 1)
@@ -35,25 +54,129 @@ def test_every_public_operation_declares_its_space_class():
         assert SPECS[fn.__name__].space in ops.CLASSES, f"{fn.__name__} declares no space class"
 
 
-@pytest.mark.parametrize("spec", [spec for spec in OPS if spec.model == RO_RW], ids=lambda spec: spec.name)
+def _short(name):
+    return lambda x: {name: x[name][:-1]}
+
+
+def _long(name):
+    return lambda x: {name: x[name] + [0]}
+
+
+def _zero_const(name):
+    return lambda x: {name: [0] + x[name][1:]}
+
+
+def _zero_lead(name):
+    return lambda x: {name: x[name][:-1] + [0]}
+
+
+def _short_dividend(x):
+    return {"f": x["f"][: len(x["g"]) - 2]}
+
+
+def _long_remainder(x):
+    return {"r": [0] * len(x["g"])}
+
+
+def _duplicate_point(x):
+    return {"pairs": x["pairs"][:1] + x["pairs"][:-1]}
+
+
+# entry -> every contract error its table call raises, each with the edit of
+# a valid input (of size n > 1) that provokes it
+CONTRACT_REFUSALS = {
+    "semi_cumulative_product": (
+        (SizeContract, _short("g")),
+        (PreconditionTopNonzero, lambda x: {"h": x["h"][:-1] + [1]}),
+    ),
+    "lower_product_cs": ((SizeContract, _short("g")), (SizeContract, lambda x: {"h": [0] * (len(x["f"]) + 1)})),
+    "upper_product_cs": ((SizeContract, _short("g")), (SizeContract, lambda x: {"h": [0] * len(x["f"])})),
+    "semi_cumulative_lower": (
+        (BadScratch, lambda x: {"s": 0}),
+        (BadScratch, lambda x: {"s": len(x["h"]) + 1}),
+        (PreconditionLowNonzero, lambda x: {"h": [1] + x["h"][1:]}),
+    ),
+    "middle_product_cs": ((SizeContract, lambda x: {"h": [0] * (len(x["f"]) - len(x["g"]) + 2)}),),
+    "series_inv_cs": ((SizeContract, lambda x: {"g": [0] * (len(x["f"]) + 1)}), (NonUnitConstant, _zero_const("f"))),
+    "series_div_cs": ((SizeContract, _short("g")), (NonUnitConstant, _zero_const("g"))),
+    "inplace_div_smallspace": (
+        (SizeContract, _short("g")),
+        (NonUnitConstant, _zero_const("g")),
+        (ScratchTooSmall, lambda x: {"t": [0] * 4}),
+    ),
+    "divrem_cs": (
+        (SizeContract, _short_dividend),
+        (SizeContract, _long_remainder),
+        (NonUnitLeading, _zero_lead("g")),
+    ),
+    "remainder_smallspace": (
+        (SizeContract, _long_remainder),
+        (NonUnitLeading, _zero_lead("g")),
+        (BadScratch, lambda x: {"t": [0] * len(x["g"])}),
+    ),
+    "mp_eval_cs": ((SizeContract, lambda x: {"out": [0] * (len(x["points"]) + 1)}),),
+    "partial_interp": (
+        (SizeContract, lambda x: {"k": 0}),
+        (SizeContract, lambda x: {"out": [0] * (x["k"] - 1)}),
+        (DuplicatePoint, _duplicate_point),
+        (ZeroPointWithShift, lambda x: {"g": [1], "pairs": [(0, 1)] + x["pairs"][1:]}),
+        (BadScratch, lambda x: {"w": [0] * (8 * x["k"] + 3)}),
+    ),
+    "interp_cs": (
+        (SizeContract, lambda x: {"out": [0] * (len(x["pairs"]) + 1)}),
+        (DuplicatePoint, _duplicate_point),
+        (ZeroPointWithShift, lambda x: {"pairs": [(0, 1)] + x["pairs"][1:]}),
+    ),
+    "cumulative_karatsuba": ((SizeContract, _long("h")),),
+    "partial_ft": ((BadParams, lambda x: {"k": x["root"].order}),),
+    "cumulative_fft_mul": ((SizeContract, _long("h")),),
+    "cumulative_convolution": ((SizeContract, _short("g")), (LambdaZero, lambda x: {"lam": 0})),
+    "cumulative_lower": ((SizeContract, _short("h")),),
+    "cumulative_slice": ((BadSlice, lambda x: {"s": len(x["f"]) + len(x["g"])}),),
+    "inplace_lower": ((SizeContract, _short("g")),),
+    "inplace_series_div": ((SizeContract, _short("g")), (NonUnit, _zero_const("g"))),
+    "remainder_rwrw": ((SizeContract, _long_remainder), (NonUnitLeading, _zero_lead("g"))),
+    "inplace_divrem": ((SizeContract, _short_dividend), (NonUnitLeading, _zero_lead("g"))),
+    "cumulative_remainder": (
+        (SizeContract, _long("r")),
+        (SizeContract, _short_dividend),
+        (NonUnitLeading, _zero_lead("g")),
+    ),
+    "modular_mul": (
+        (SizeContract, _long("r")),
+        (SizeContract, _long("f")),
+        (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]}),
+    ),
+    "modular_mul_any": ((SizeContract, _long("r")), (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]})),
+    "strassen_cs": (
+        (NotPowerOfTwo, lambda x: {name: x[name][:9] for name in "xyz"}),
+        (DimMismatch, lambda x: {"y": x["y"][:4]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
 def test_refused_call_leaves_arena_as_found(spec):
-    # each destination in turn tagged input-only: the call raises before
-    # it writes a register, counts a scratch register or enters a call
+    # each contract error of the entry in turn, and under ro/rw each
+    # destination in turn tagged input-only: the call raises before it
+    # writes a register, counts a scratch register or enters a call
     rng = random.Random(f"refused-{spec.name}")
-    for n in (1, 3, 17, 70):
+    for n in (4, 8) if spec.name == "strassen_cs" else (1, 3, 17, 70):
         x = ops.defaults(spec, spec.gen(RING_FFT, rng, n, cap=80))
-        for dest, role in spec.operands:
-            if role == INPUT_ONLY or not x[dest]:
-                continue
-            operands = tuple((name, INPUT_ONLY if name == dest else r) for name, r in spec.operands)
-            tagged = replace(spec, operands=operands)
-            arena, views = ops.build(tagged, RING_FFT, x)
+        cases = [(spec, {**x, **edit(x)}, error) for error, edit in CONTRACT_REFUSALS[spec.name] if n > 1]
+        if spec.model == RO_RW:
+            for dest, role in spec.operands:
+                if role != INPUT_ONLY and x[dest]:
+                    operands = tuple((name, INPUT_ONLY if name == dest else r) for name, r in spec.operands)
+                    cases.append((replace(spec, operands=operands), x, PermissionDenied))
+        for tagged, y, error in cases:
+            arena, views = ops.build(tagged, RING_FFT, y)
             before = list(arena.regs)
-            with pytest.raises(PermissionDenied):
-                tagged.call(views, x)
+            with pytest.raises(error):
+                tagged.call(views, y)
             m = arena.metrics
-            assert arena.regs == before, (n, dest)
-            assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 0, 0), (n, dest)
+            assert arena.regs == before, (n, error)
+            assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 0, 0), (n, error)
 
 
 @pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
@@ -74,6 +197,28 @@ def test_audited_writes_respect_the_table(spec):
                     perm = arena.perms[i]
                     assert not (spec.model == RO_RW and perm == INPUT_ONLY), (n, i)
                     assert perm != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
+def test_audit_sees_every_claim(spec):
+    # every operand the call may write tagged SCRATCH (under rw/rw that is
+    # every operand, inputs included): a register written outside every
+    # span the call claimed is then a scratch register left uncounted
+    operands = tuple(
+        (name, role if spec.model == RO_RW and role == INPUT_ONLY else SCRATCH) for name, role in spec.operands
+    )
+    tagged = replace(spec, operands=operands)
+    matrix = spec.name == "strassen_cs"
+    for ring in (RING97, RING_FFT):
+        rng = random.Random(f"claims-{spec.name}-{ring.q}")
+        for n in (1, 2, 4, 8) if matrix else (1, 2, 5, 17, 40, 70):
+            x = spec.gen(ring, rng, n, cap=40)
+            for layout in (ops.build, build_reversed):
+                arena, views = layout(tagged, ring, x)
+                arena.regs = WriteLog(arena.regs)
+                tagged.call(views, x)
+                missed = arena.regs.written - arena.metrics.scratch_touched
+                assert not missed, (n, sorted(missed)[:8])
 
 
 @pytest.mark.parametrize("tags", [(INOUT, SCRATCH, INOUT), (SCRATCH, SCRATCH, SCRATCH)], ids=("scratch-y", "all-scratch"))
