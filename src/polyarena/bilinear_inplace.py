@@ -26,7 +26,7 @@ from .errors import (
     ZeroRow,
     check_sign,
 )
-from .reg_arena import RO_RW, PolyView, vadd, vscale
+from .reg_arena import PolyView, vadd, vscale
 
 # instruction kinds
 ADD = "add"  # dst += coeff * src
@@ -434,7 +434,7 @@ def _check_rows(M: MatView, touch: bool = True):
 
 def _madd(dst: MatView, src: MatView, sign: int = 1):
     arena = dst.arena
-    if arena.model == RO_RW or arena.has_scratch:
+    if arena.checked:
         _check_rows(dst)
     q = arena.q
     regs = arena.regs
@@ -459,13 +459,12 @@ def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
     is 7^k and pointer_depth k + 1 at n = 2^k."""
     check_sign(sign)
     n = X.n
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"matrix dimension {n}")
     if Y.n != n or Z.n != n:
         raise DimMismatch("need three n x n operands")
     for M in (X, Y, Z):
-        if M.arena.model == RO_RW:
-            _check_rows(M, touch=False)
+        _check_rows(M, touch=False)
     with Z.arena.call():
         _sw(X, Y, Z, sign)
 
@@ -531,7 +530,7 @@ def _sw2(X: MatView, Y: MatView, Z: MatView, sign: int):
     z01, z10 = z00 + 1, z00 + Z.stride
     z11 = z10 + 1
     for arena, written in ((xa, (x10,)), (ya, (y01,)), (za, (z00, z01, z10, z11))):
-        if arena.model == RO_RW or arena.has_scratch:
+        if arena.checked:
             for i in written:
                 arena.check_span(i, i + 1)
     xr, yr, zr = xa.regs, ya.regs, za.regs

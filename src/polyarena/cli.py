@@ -28,10 +28,19 @@ from .ops import UsageError
 from .reg_arena import INOUT, INPUT_ONLY
 
 
+def _read(spec: str, parse):
+    """parse of the text of an @file operand; a file that cannot be read or
+    parsed is a usage error."""
+    try:
+        with open(spec[1:], "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad file operand {spec!r}: {exc}") from exc
+
+
 def _parse_poly(spec: str, q: int) -> list[int]:
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            fq, coeffs = poly_from_text(fh.read())
+        fq, coeffs = _read(spec, poly_from_text)
         if fq != q:
             raise UsageError(f"file modulus {fq} does not match --q {q}")
         return [c % q for c in coeffs]
@@ -70,8 +79,7 @@ def _operands(spec: ops.OpSpec, args, q: int) -> dict:
     if args.command == "exec":
         if not args.program.startswith("@"):
             raise UsageError("--program expects @file")
-        with open(args.program[1:], "r", encoding="utf-8") as fh:
-            x["program"] = bilinear.program_from_text(fh.read())
+        x["program"] = _read(args.program, bilinear.program_from_text)
     parse = _parse_mat if args.command == "strassen" else _parse_poly
     for name, role in spec.operands:
         text = getattr(args, name, None) if role in (INPUT_ONLY, INOUT) else None

@@ -43,7 +43,7 @@ from .errors import (
     SizeContract,
     check_sign,
 )
-from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vscale, vzero
+from .reg_arena import PolyView, _slc, vadd, vcopy, vscale, vzero
 
 # ---------------------------------------------------------------------------
 # cumulative full products
@@ -391,7 +391,7 @@ def _twist_fold(f: PolyView, size: int, theta: int, q: int, inverse: bool):
                 acc = 0
                 scale = 1
                 for r0 in range(1, rows + 1, BLOCK):
-                    col = regs[_slc_step(off, d, c + r0 * size, min(n, c + (r0 + BLOCK) * size), size)]
+                    col = regs[_slc(off, d, c + r0 * size, min(n, c + (r0 + BLOCK) * size), size)]
                     if big_t == 1:
                         acc += sum(col)
                     else:
@@ -481,7 +481,7 @@ def _add_virtual(buf: PolyView, lo: int, hi: int, src, shift: int, sign: int):
 
 
 def _strided(view: PolyView, start: int, step: int, count: int) -> list[int]:
-    return view.arena.regs[_slc_step(view.off, view.dir, start, start + step * (count - 1) + 1, step)]
+    return view.arena.regs[_slc(view.off, view.dir, start, start + step * (count - 1) + 1, step)]
 
 
 def _otfft(buf: PolyView, src, h: int, ww: int, inverse: bool):

@@ -27,9 +27,8 @@ from .errors import (
     NonUnitConstant,
     NonUnitLeading,
     OutOfRange,
-    SizeOrder,
 )
-from .reg_arena import PolyView, _slc, _slc_step, vadd, vcopy, vzero
+from .reg_arena import PolyView, _slc, vadd, vcopy, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -66,28 +65,6 @@ def bit_reverse(i: int, k: int) -> int:
         out = (out << 1) | (i & 1)
         i >>= 1
     return out
-
-
-def partial_product(ring: Zq, f: list[int], g: list[int], mode: str) -> list[int]:
-    """Low, upper or middle slice of the full product.
-
-    low: (f*g) mod x^len(f); upp: (f*g) quo x^len(f);
-    mid: central len(f)-len(g)+1 coefficients, requires len(f) >= len(g).
-    """
-    m, n = len(f), len(g)
-    h = schoolbook_mul(ring, f, g)
-    if mode == "low":
-        out = h[:m]
-        return out + [0] * (m - len(out))
-    if mode == "upp":
-        out = h[m:]
-        return out + [0] * (n - 1 - len(out))
-    if mode == "mid":
-        if m < n:
-            raise SizeOrder(f"middle product needs len(f) >= len(g), got {m} < {n}")
-        out = h[n - 1 : m]
-        return out + [0] * (m - n + 1 - len(out))
-    raise BadLength(f"unknown mode {mode!r}")
 
 
 def series_inv(ring: Zq, f: list[int], n: int | None = None) -> list[int]:
@@ -343,7 +320,7 @@ def _pair_runs(off, d, n, half, pairs, w, q):
         tw = None if t == 1 else t
         for s in range(i, n, span):
             e = min(n, s + span)
-            yield _slc_step(off, d, s, e, size), _slc_step(off, d, s + half, e, size), tw
+            yield _slc(off, d, s, e, size), _slc(off, d, s + half, e, size), tw
         t = t * w % q
 
 
@@ -514,7 +491,7 @@ class MulKit:
             g.sub(0, min(m, len(g))).padded(m),
             ws.sub(2 * m - 1, len(ws)),
         )
-        vadd(dst, p, sign, length=min(t, 2 * m - 1))
+        vadd(dst, p, sign)
         if len(f) > m:
             self.low_acc(dst.sub(m, t), f.sub(m, len(f)), g, ws, sign)
         if len(g) > m:

@@ -56,10 +56,6 @@ class BadOrder(PolyArenaError):
     pass
 
 
-class SizeOrder(PolyArenaError):
-    pass
-
-
 class NonUnitConstant(PolyArenaError):
     pass
 

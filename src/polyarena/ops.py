@@ -6,8 +6,8 @@ Operand roles: INPUT_ONLY for an input, which must come back bit-exact
 (ro/rw refuses writes to it, rw/rw lets the algorithm borrow it);
 OUTPUT_ONLY for an output written without being read; INOUT for one added
 into or rewritten in place; SCRATCH for a work block whose writes count.
-rw/rw never enforces INPUT_ONLY and the arena treats OUTPUT_ONLY as INOUT,
-so one rule serves both models and the tags change no register or metric.
+A rw/rw arena keeps no input-only runs, so INPUT_ONLY refuses nothing there;
+every arena treats OUTPUT_ONLY as INOUT: the tags change no register or metric.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ OPS = (
         check=lambda ring, x, out: out["h"] == _slice(ring, x["f"], x["g"], len(x["g"]) - 1, len(out["h"])),
         sizes=_middle_size,
         route=("middle", "cs"),
-        ref=lambda ring, x: [dense_ref.partial_product(ring, x["f"], x["g"], "mid")],
+        ref=lambda ring, x: [_slice(ring, x["f"], x["g"], len(x["g"]) - 1, len(x["f"]) - len(x["g"]) + 1)],
     ),
     OpSpec(
         "series_inv_cs",

@@ -6,10 +6,11 @@ Metrics track the number of distinct scratch registers ever written (the
 extra algebraic space high-water) and the deepest simulated call nesting
 (the pointer-stack high-water).
 
-Every bulk write makes one check, PolyView.span, which refuses padding
-and (under ro/rw) input-only registers, counts the scratch registers it
-covers and returns the slice it checked; kernels elsewhere write that
-slice or sub-slices of their entry's span.
+The arena decides at build what a write must check (Arena.checked): the
+input-only runs it refuses (ro/rw only) and the scratch runs it counts.
+Every bulk write makes one check, PolyView.span, which refuses padding,
+hands a checked arena its span and returns the slice it checked; kernels
+elsewhere write that slice or sub-slices of their entry's span.
 
 Algorithms address the arena through PolyView windows: contiguous slices,
 reversed slices, or fake-padded slices whose out-of-range reads yield zero
@@ -97,7 +98,7 @@ class Arena:
         "perms",
         "model",
         "metrics",
-        "has_scratch",
+        "checked",
         "_input_ranges",
         "_scratch_ranges",
     )
@@ -119,9 +120,9 @@ class Arena:
             if tag in runs:
                 runs[tag].append((lo, hi))
             lo = hi
-        self._input_ranges = runs[INPUT_ONLY]
+        self._input_ranges = runs[INPUT_ONLY] if model == RO_RW else []
         self._scratch_ranges = runs[SCRATCH]
-        self.has_scratch = bool(self._scratch_ranges)
+        self.checked = bool(self._input_ranges or self._scratch_ranges)
 
     def __len__(self):
         return len(self.regs)
@@ -146,15 +147,14 @@ class Arena:
     def check_span(self, lo: int, hi: int, touch: bool = True):
         """Single permission check for a bulk write to registers [lo, hi).
 
-        Under ro/rw a span that meets an input-only register raises; with
-        touch, the scratch registers in the span count as written.  The
-        span is intersected with the run intervals found at construction.
+        A span that meets an input-only run (kept under ro/rw only) raises;
+        with touch, the scratch registers in it count as written.  Both run
+        lists come from construction; on an unchecked arena both are empty.
         """
-        if self.model == RO_RW:
-            for a, b in self._input_ranges:
-                if a < hi and lo < b:
-                    raise PermissionDenied(f"bulk write hits input-only registers [{max(a, lo)},{min(b, hi)})")
-        if touch and self.has_scratch:
+        for a, b in self._input_ranges:
+            if a < hi and lo < b:
+                raise PermissionDenied(f"bulk write hits input-only registers [{max(a, lo)},{min(b, hi)})")
+        if touch:
             touched = self.metrics.scratch_touched
             for a, b in self._scratch_ranges:
                 o_lo, o_hi = max(a, lo), min(b, hi)
@@ -301,7 +301,7 @@ class PolyView:
         if a < self.rlo or b > self.rhi:
             raise PaddingWrite(f"bulk write [{a},{b}) outside real zone [{self.rlo},{self.rhi})")
         arena = self.arena
-        if arena.model == RO_RW or arena.has_scratch:
+        if arena.checked:
             if self.dir == 1:
                 arena.check_span(self.off + a, self.off + b, touch)
             else:
@@ -310,15 +310,14 @@ class PolyView:
 
 
 def require_writable(*views: PolyView):
-    """Refuse a call before it starts: under ro/rw, raise PermissionDenied
-    when the real zone of a destination meets an input-only register.
+    """Refuse a call before it starts: raise PermissionDenied when the real
+    zone of a destination meets a run the arena refuses (ro/rw input-only).
 
     Nothing is written and no scratch is counted, so a refused call leaves
     the registers and the metrics as it found them.
     """
     for v in views:
-        if v.arena.model == RO_RW:
-            v.span(v.rlo, v.rhi, touch=False)
+        v.span(v.rlo, v.rhi, touch=False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +331,7 @@ def require_writable(*views: PolyView):
 # ---------------------------------------------------------------------------
 
 
-def _slc(off: int, d: int, a: int, b: int) -> slice:
-    if d == 1:
-        return slice(off + a, off + b)
-    stop = off - b
-    return slice(off - a, stop if stop >= 0 else None, -1)
-
-
-def _slc_step(off: int, d: int, a: int, b: int, step: int) -> slice:
+def _slc(off: int, d: int, a: int, b: int, step: int = 1) -> slice:
     """Physical slice of the logical indices a, a+step, ... below b."""
     if d == 1:
         return slice(off + a, off + b, step)
@@ -347,12 +339,10 @@ def _slc_step(off: int, d: int, a: int, b: int, step: int) -> slice:
     return slice(off - a, stop if stop >= 0 else None, -step)
 
 
-def vadd(dst: PolyView, src: PolyView, sign: int = 1, length: int | None = None):
+def vadd(dst: PolyView, src: PolyView, sign: int = 1):
     """dst[i] += sign * src[i] over the overlap (trimmed to src's real zone);
     sign is any scalar."""
     n = min(dst.L, src.L)
-    if length is not None:
-        n = min(n, length)
     a = max(0, src.rlo)
     b = min(n, src.rhi)
     if a >= b:

@@ -11,21 +11,14 @@ import math
 import random
 import time
 
-from helpers import check, rand_poly
+from helpers import check, low_product, rand_poly
 from polyarena import Zq
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, ops
-from polyarena.dense_ref import schoolbook_mul
 from polyarena.ops import OPS, SPECS, sample_size
 
 RING97 = Zq(97)
 RING_FFT = Zq(469762049)
-
-
-def low(a, b, k):
-    """(a * b) mod x^k over 97, from the first k coefficients of each."""
-    out = schoolbook_mul(RING97, a[:k], b[:k])[:k]
-    return out + [0] * (k - len(out))
 
 
 # per-op case counts: 200 randomized cases each, split across the two primes
@@ -182,7 +175,7 @@ def test_criterion_6_tisp_reductions():
     for n in (8, 13, 16, 27, 32, 50, 64, 100, 128):
         f = rand_poly(rng, 97, n)
         g = rand_poly(rng, 97, n)
-        full = low(f, g, 2 * n - 1)
+        full = low_product(RING97, f, g, 2 * n - 1)
 
         # (a) full product assembled as low + x^n * upp, where (c) the upper
         # product is the reversed lower product
@@ -208,7 +201,7 @@ def test_criterion_7_precision_ladder():
         checks = []
 
         def ladder_inv(k):
-            checks.append(low(f, v.g.tolist(), k) == [1] + [0] * (k - 1))
+            checks.append(low_product(RING97, f, v.g.tolist(), k) == [1] + [0] * (k - 1))
 
         cs_rorw.series_inv_cs(v.f, v.g, ladder=ladder_inv)
         assert checks and all(checks)
@@ -219,7 +212,7 @@ def test_criterion_7_precision_ladder():
         checks = []
 
         def ladder_div(k):
-            checks.append(low(gd, w.h.tolist(), k) == fd[:k])
+            checks.append(low_product(RING97, gd, w.h.tolist(), k) == fd[:k])
 
         cs_rorw.series_div_cs(w.f, w.g, w.h, ladder=ladder_div)
         assert checks and all(checks)

@@ -1,7 +1,9 @@
+import random
+
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, build_arena
-from polyarena import cs_rorw, cs_rwrw
+from polyarena import cs_rorw, cs_rwrw, ops
 from polyarena.cli import main
-from helpers import RING97
+from helpers import RING97, distinct_nonzero, rand_poly
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +62,7 @@ def test_math_error_exit_code(capsys):
     assert "NonUnitConstant" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mul", "--q", "97", "--algo", "cumulative-karatsuba", "--f", "a,b", "--g", "1")
     assert code == 2
 
@@ -69,6 +71,48 @@ def test_usage_error_exit_code(capsys):
 
     code, _, err = run_cli(capsys, "strassen", "--x", "a,0;0,1", "--y", "1,0;0,1")
     assert code == 2
+
+    # @file operands: a missing file, a bad header, a bad coefficient, a bad program line
+    for name, text in (("header.poly", "x;1,2\n"), ("coeff.poly", "97;1,x\n"), ("bad.prog", "z0 += x\n")):
+        (tmp_path / name).write_text(text)
+    for argv in (
+        ("inv", "--algo", "cs", "--f", f"@{tmp_path / 'missing.poly'}"),
+        ("inv", "--algo", "cs", "--f", f"@{tmp_path / 'header.poly'}"),
+        ("inv", "--algo", "cs", "--f", f"@{tmp_path / 'coeff.poly'}"),
+        ("exec", "--program", f"@{tmp_path / 'bad.prog'}", "--x", "1", "--y", "1", "--z", "0"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("usage error:"), (argv, err)
+
+
+def _ref_route_operands(rng, q, n):
+    """CLI operands of each route that has --algo ref, of about n coefficients."""
+    text = lambda vals: ",".join(map(str, vals))
+    f = [rng.randrange(1, q)] + rand_poly(rng, q, n - 1)
+    g = rand_poly(rng, q, n // 2) + [rng.randrange(1, q)]
+    pts = distinct_nonzero(rng, q, n)
+    return {
+        "middle": ("--f", text(f), "--g", text(g)),
+        "inv": ("--f", text(f)),
+        "divrem": ("--f", text(f), "--g", text(g)),
+        "eval": ("--f", text(f), "--points", text([0] + pts)),
+        "interp": ("--points", text(pts), "--values", text(rand_poly(rng, q, n))),
+    }
+
+
+def test_ref_routes_agree_with_cs(capsys):
+    """--algo ref prints the result lines of --algo cs, without the metrics line."""
+    rng = random.Random("ref-routes")
+    for q, n in ((97, 5), (97, 70), (469762049, 40)):
+        routes = _ref_route_operands(rng, q, n)
+        assert set(routes) == {cmd for (cmd, _), spec in ops.ROUTES.items() if spec.ref}
+        for cmd, operands in routes.items():
+            code, cs_out, err = run_cli(capsys, cmd, "--q", str(q), "--algo", "cs", *operands)
+            assert code == 0, (cmd, err)
+            code, ref_out, err = run_cli(capsys, cmd, "--q", str(q), "--algo", "ref", *operands)
+            assert code == 0, (cmd, err)
+            assert ref_out.splitlines() == cs_out.splitlines()[:-1], (cmd, q, n)
 
 
 def test_poly_file_operand(tmp_path, capsys):

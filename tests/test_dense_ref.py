@@ -14,7 +14,6 @@ from polyarena.dense_ref import (
     karatsuba_mul,
     mp_eval_tree,
     ntt,
-    partial_product,
     poly_from_text,
     poly_to_text,
     schoolbook_mul,
@@ -27,7 +26,6 @@ from polyarena.errors import (
     NonUnitConstant,
     NonUnitLeading,
     OutOfRange,
-    SizeOrder,
 )
 from helpers import RING97, rand_poly, slice_product
 
@@ -80,31 +78,6 @@ def test_bit_reverse():
     assert bit_reverse(3, 3) == 6
     with pytest.raises(OutOfRange):
         bit_reverse(4, 2)
-
-
-def test_partial_products():
-    assert partial_product(RING97, [3, 5, 2], [4, 1, 0], "low") == [12, 23, 13]
-    assert partial_product(RING97, [3, 5, 2], [4, 1], "mid") == [23, 13]
-    assert partial_product(RING97, [1, 1], [96, 1], "upp") == [1]
-    with pytest.raises(SizeOrder):
-        partial_product(RING97, [1], [1, 2], "mid")
-
-
-def test_partial_product_recomposition():
-    # full = low + x^m * upp, and mid is the matching central slice
-    for _ in range(100):
-        m = RNG.randrange(1, 40)
-        n = RNG.randrange(1, m + 1)
-        f = rand_poly(RNG, 97, m)
-        g = rand_poly(RNG, 97, n)
-        full = schoolbook_mul(RING97, f, g)
-        full = full + [0] * (m + n - 1 - len(full))
-        low = partial_product(RING97, f, g, "low")
-        upp = partial_product(RING97, f, g, "upp")
-        recomposed = [(low[i] if i < m else 0) + (upp[i - m] if i >= m and i - m < len(upp) else 0) for i in range(m + n - 1)]
-        assert [c % 97 for c in recomposed] == full
-        mid = partial_product(RING97, f, g, "mid")
-        assert mid == [full[n - 1 + i] if n - 1 + i < len(full) else 0 for i in range(m - n + 1)]
 
 
 def test_series_inv():

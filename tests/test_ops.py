@@ -150,6 +150,7 @@ CONTRACT_REFUSALS = {
     "modular_mul_any": ((SizeContract, _long("r")), (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]})),
     "strassen_cs": (
         (NotPowerOfTwo, lambda x: {name: x[name][:9] for name in "xyz"}),
+        (NotPowerOfTwo, lambda x: {name: [] for name in "xyz"}),
         (DimMismatch, lambda x: {"y": x["y"][:4]}),
     ),
 }

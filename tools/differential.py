@@ -11,7 +11,12 @@ generator is called on CASES seeded inputs of size at most CAP per prime
 the division run long; at 165 semi_cumulative_product and
 lower_product_cs both reduce above BASE), each input on the plain, reversed and
 padded layouts.  An input the prime cannot hold (more distinct nonzero
-interpolation points than 97 has) is skipped on both sides.  Per entry the
+interpolation points than 97 has) is skipped on both sides.  The reference
+entries (REFERENCES) have no generator: their inputs come from ops.draw at
+the same sizes, fft_ref's capped as cumulative_fft_mul's generator caps
+them so that the prime has a root of unity of the product's length, and
+their outputs are checked against the table's product comparators.  Per
+entry the
 report counts the cases whose non-scratch registers are identical at the
 end of the call and those whose (extra_algebraic, pointer_depth,
 base_products) triple is identical, those where pointer_depth and
@@ -36,6 +41,20 @@ LAYOUTS = ("plain", "reversed", "padded")
 CASES = 60
 CAP = 64
 BIG_SIZES = (97, 160, 165)
+REFERENCES = ("schoolbook", "karatsuba_ref", "fft_ref")
+
+
+def _reference(ops, spec):
+    """Generator and check of a reference entry, which has neither."""
+
+    def gen(ring, rng, n, cap):
+        if spec.name == "fft_ref":
+            n = min(n, 1 << max(0, ops._two_adicity(ring.q) - 1))
+        return ops.draw(spec, ring, n, rng)
+
+    if spec.name == "karatsuba_ref":  # h is the product, padded to 2 max(len(f), len(g)) - 1
+        return gen, lambda ring, x, out: out["h"] == ops._slice(ring, x["f"], x["g"], 0, len(out["h"]))
+    return gen, ops._acc_product
 
 
 def worker(checkout: Path):
@@ -49,7 +68,8 @@ def worker(checkout: Path):
         if not Path(mod.__file__).resolve().is_relative_to(root):
             sys.exit(f"{mod.__name__} was imported from {mod.__file__}, not from {root}")
 
-    for spec in sorted((s for s in ops.SPECS.values() if s.gen), key=lambda s: s.name):
+    for spec in sorted((s for s in ops.SPECS.values() if s.gen or s.name in REFERENCES), key=lambda s: s.name):
+        gen, check = (spec.gen, spec.check) if spec.gen else _reference(ops, spec)
         for q in PRIMES:
             ring = Zq(q)
             for i in range(CASES + len(BIG_SIZES)):
@@ -59,7 +79,7 @@ def worker(checkout: Path):
                 if spec.name == "strassen_cs":
                     n = 1 << (n.bit_length() - 1) // 2
                 try:
-                    x = spec.gen(ring, rng, n, cap=cap)
+                    x = gen(ring, rng, n, cap=cap)
                 except ValueError:
                     continue
                 for layout in LAYOUTS:
@@ -77,7 +97,7 @@ def worker(checkout: Path):
                         row.update(
                             regs=hashlib.sha256(repr(kept).encode()).hexdigest(),
                             triple=[m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products],
-                            exact=bool(spec.check(ring, xl, out)),
+                            exact=bool(check(ring, xl, out)),
                         )
                     print(json.dumps(row), flush=True)
 
