@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena
+from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
 from polyarena.dense_ref import (
     BASE,
     MulKit,
@@ -78,6 +78,36 @@ def test_bit_reverse():
     assert bit_reverse(3, 3) == 6
     with pytest.raises(OutOfRange):
         bit_reverse(4, 2)
+
+
+def test_partial_products():
+    # the product-slice references of the table: low, middle and upper
+    # slices of f * g, zeros where the slice runs past the product
+    assert ops._low(RING97, [3, 5, 2], [4, 1, 0], 3) == [12, 23, 13]
+    assert ops._slice(RING97, [3, 5, 2], [4, 1], 1, 2) == [23, 13]
+    assert ops._slice(RING97, [1, 1], [96, 1], 2, 1) == [1]
+    assert ops._slice(RING97, [3, 5, 2], [4, 1], 3, 3) == [2, 0, 0]
+    assert ops._slice(RING97, [3, 5, 2], [4, 1], -1, 2) == [0, 12]
+    assert ops._low(RING97, [3], [4], 3) == [12, 0, 0]
+
+
+def test_partial_product_recomposition():
+    # full = low + x^m * upp, and mid is the matching central slice; the
+    # large sizes take ops._product's Karatsuba branch, checked against
+    # the schoolbook product
+    sizes = [(RNG.randrange(1, 40), None) for _ in range(100)] + [(RNG.randrange(129, 200), 65) for _ in range(4)]
+    for m, n_lo in sizes:
+        n = RNG.randrange(n_lo or 1, m + 1)
+        f = rand_poly(RNG, 97, m)
+        g = rand_poly(RNG, 97, n)
+        full = schoolbook_mul(RING97, f, g)
+        full = full + [0] * (m + n - 1 - len(full))
+        low = ops._low(RING97, f, g, m)
+        upp = ops._slice(RING97, f, g, m, n - 1)
+        recomposed = [(low[i] if i < m else 0) + (upp[i - m] if i >= m else 0) for i in range(m + n - 1)]
+        assert [c % 97 for c in recomposed] == full
+        mid = ops._slice(RING97, f, g, n - 1, m - n + 1)
+        assert mid == full[n - 1 : m]
 
 
 def test_series_inv():
