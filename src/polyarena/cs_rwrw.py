@@ -13,11 +13,14 @@ real subwindows, so the restore reasoning stays local.
 At or below dense_ref.BASE, cumulative_lower and a ragged full product
 (_cum_full, by its shorter operand) are one dense_ref._slice_naive pass,
 which only reads f and g; a balanced product stays on _cum_kara, which
-counts Karatsuba's 3^k products.
+counts Karatsuba's 3^k products.  Both end in dense_ref._kron, the one
+Kronecker-substitution product kernel: _cum_kara's leaf (n <= BASE) is
+one _kron of its two operands, counted as the Karatsuba split below it.
 
 Declared scalar budgets: plain statements hold at most four locals; in
-addition fixed-size kernels run on Python locals: a balanced product
-kernel of width <= BASE coefficients, the in-place lower product and the
+addition fixed-size kernels run on Python locals: the product leaf of
+_cum_kara (two packed operands of at most BASE coefficients, their product
+and its 2 BASE - 1 coefficients), the in-place lower product and the
 in-place series division of width <= BASE (each reads its two operands
 once and writes its result in one slice), and the blocks of at most BLOCK
 scalars (both dense_ref constants) used by butterflies, twiddle tables and
@@ -29,10 +32,11 @@ the pointer stack, not the input.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul
 
 from .coeff_ring import RootOfUnity
-from .dense_ref import BASE, BLOCK, _butterflies, _powers, _slice_naive, bit_reverse, ntt
+from .dense_ref import BASE, BLOCK, _butterflies, _kron, _powers, _slice_naive, bit_reverse, ntt
 from .errors import (
     BadParams,
     BadSlice,
@@ -94,17 +98,17 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
         return
     arena = h.arena
     if n <= BASE:
-        # constant-size kernel on Python locals (bounded by 3 * BASE
-        # scalars); the recursion shape and product count are unchanged
-        regs = arena.regs
-        vals, cnt = _kara_vals(f.tolist(), g.tolist())
-        hs = h.span(0, 2 * n - 1)
+        # one Kronecker product of the two size-n operands, counted as the
+        # Karatsuba split below would count it (3^k at n = 2^k)
         q = arena.q
+        vals = _kron(f.tolist(), g.tolist(), q, 0, 2 * n - 1)
+        regs = arena.regs
+        hs = h.span(0, 2 * n - 1)
         if sign > 0:
             regs[hs] = [(x + v) % q for x, v in zip(regs[hs], vals)]
         else:
             regs[hs] = [(x - v) % q for x, v in zip(regs[hs], vals)]
-        arena.metrics.base_products += cnt
+        arena.metrics.base_products += _kara_count(n)
         return
     m = (n + 1) // 2
     L = 2 * n - 1
@@ -127,52 +131,13 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
         vadd(g.sub(0, t), g.sub(m, n), 1)
 
 
-def _kara_vals(fa: list[int], gb: list[int]) -> tuple[list[int], int]:
-    """Karatsuba on small coefficient lists; returns (product, #mults).
-
-    Same split as the register recursion, so the multiplication count is
-    identical whether or not a node is handled by this kernel.  The sizes
-    1, 2 and 4 are unrolled.
-    """
-    n = len(fa)
-    if n == 2:
-        a0, a1 = fa
-        b0, b1 = gb
-        p0 = a0 * b0
-        p2 = a1 * b1
-        return [p0, p0 + p2 - (a0 - a1) * (b0 - b1), p2], 3
+@cache
+def _kara_count(n: int) -> int:
+    """Base products of _cum_kara at size n, split down to size 1."""
     if n == 1:
-        return [fa[0] * gb[0]], 1
-    if n == 4:
-        a0, a1, a2, a3 = fa
-        b0, b1, b2, b3 = gb
-        p0 = a0 * b0
-        p2 = a1 * b1
-        l0, l1, l2 = p0, p0 + p2 - (a0 - a1) * (b0 - b1), p2
-        r0 = a2 * b2
-        r2 = a3 * b3
-        h0, h1, h2 = r0, r0 + r2 - (a2 - a3) * (b2 - b3), r2
-        c0, c1 = a0 - a2, a1 - a3
-        d0, d1 = b0 - b2, b1 - b3
-        m0 = c0 * d0
-        m2 = c1 * d1
-        m1 = m0 + m2 - (c0 - c1) * (d0 - d1)
-        return [l0, l1, l2 + l0 - m0 + h0, l1 - m1 + h1, l2 - m2 + h2 + h0, h1, h2], 9
+        return 1
     m = (n + 1) // 2
-    t = n - m
-    lo, c1 = _kara_vals(fa[:m], gb[:m])
-    hi, c2 = _kara_vals(fa[m:], gb[m:])
-    fd = [fa[i] - (fa[m + i] if i < t else 0) for i in range(m)]
-    gd = [gb[i] - (gb[m + i] if i < t else 0) for i in range(m)]
-    mid, c3 = _kara_vals(fd, gd)
-    out = [0] * (2 * n - 1)
-    for i, v in enumerate(lo):
-        out[i] += v
-        out[m + i] += v - mid[i]
-    for i, v in enumerate(hi):
-        out[2 * m + i] += v
-        out[m + i] += v
-    return out, c1 + c2 + c3
+    return 2 * _kara_count(m) + _kara_count(n - m)
 
 
 # ---------------------------------------------------------------------------

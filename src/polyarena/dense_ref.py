@@ -12,12 +12,22 @@ than c * size registers of it, with c = 2 declared; exceeding the budget
 raises, so the bound is enforced structurally rather than by trust.
 slice_acc, the one chunk loop, cuts its slice into chunks whose scratch
 fits the view it is given.  KIT is the one instance, and the reductions
-derive their thresholds from MulKit.c.  The naive kernels are written
-once each: _slice_naive (any slice of a product) and _mid_rows (single
-middle-product rows).
+derive their thresholds from MulKit.c.
+
+One exact product kernel, _kron, serves every product at or below BASE
+that adds into a separate destination: it packs both operands into Python
+ints and multiplies them once (Kronecker substitution).  _slice_naive (any
+slice of a product, the kit's blocks at or below BASE included) feeds it
+blocks of at most max(len(dst), BASE) coefficients of g, so its transient
+stays a few times that; cs_rwrw._cum_kara's leaf feeds it two operands of
+at most BASE.  _mid_rows keeps single middle-product rows on Python
+scalars.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .coeff_ring import RootOfUnity, Zq
 from .errors import (
@@ -205,7 +215,7 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 
 
 BLOCK = 128  # width of every butterfly block and twiddle table (scalar budget)
-BASE = 32  # products at or below this size run on the naive kernel or on Python locals
+BASE = 32  # products at or below this size run on the Kronecker kernel (_kron) or, in place, on Python locals
 
 
 def _powers(w: int, k: int, q: int) -> list[int]:
@@ -368,46 +378,121 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
         half <<= 1
 
 
+def _slot_bytes(q: int, m: int) -> int:
+    """Bytes per coefficient slot of _kron over Z/q when the shorter operand
+    has m coefficients: room for m (q - 1)^2, that is 2 bitlen(q - 1) +
+    bitlen(m) bits, rounded up to 4 or 8 bytes (array "I" / "Q") when it
+    fits in 8."""
+    bits = 2 * (q - 1).bit_length() + m.bit_length()
+    return 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+
+
+def _kron(fa: list[int], gb: list[int], q: int, s: int, r: int) -> list[int]:
+    """(fa * gb)[s : s + r] as exact ints, zero outside the product, for
+    coefficients in [0, q): one big-int product (Kronecker substitution).
+
+    Each list is packed into an int, one slot of _slot_bytes per
+    coefficient.  A slot holds min(len) (q - 1)^2, so none carries into the
+    next and the slots of the integer product are the coefficients of the
+    polynomial product.  Slots of 4 or 8 bytes are packed and unpacked by
+    array("I" / "Q"), wider ones by int.to_bytes.  The transient is the two
+    packed operands, their product and the r returned ints, and the callers
+    bound the operands: _slice_naive passes fewer than 2 max(len(dst), BASE)
+    coefficients each, dst its output, and _cum_kara's leaf at most BASE.
+    """
+    la, lb = len(fa), len(gb)
+    n = la + lb - 1
+    lo, hi = max(s, 0), min(s + r, n)
+    if not la or not lb or lo >= hi:
+        return [0] * r
+    if la == 1 or lb == 1:
+        # one coefficient times a row: nothing to pack
+        c, row = (fa[0], gb) if la == 1 else (gb[0], fa)
+        out = [c * y for y in row[lo:hi]]
+    elif (w := _slot_bytes(q, min(la, lb))) <= 8:
+        code = "I" if w == 4 else "Q"
+        order = sys.byteorder
+        x = int.from_bytes(array(code, fa).tobytes(), order)
+        y = int.from_bytes(array(code, gb).tobytes(), order)
+        out = array(code, (x * y).to_bytes(n * w, order)[lo * w : hi * w]).tolist()
+    else:
+        x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in fa]), "little")
+        y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in gb]), "little")
+        raw = (x * y).to_bytes(n * w, "little")
+        out = [int.from_bytes(raw[i : i + w], "little") for i in range(lo * w, hi * w, w)]
+    if lo > s or hi < s + r:
+        out = [0] * (lo - s) + out + [0] * (s + r - hi)
+    return out
+
+
+def _tri(t: int) -> int:
+    """#{(i, j) : i, j >= 0, i + j < t}."""
+    return t * (t + 1) // 2 if t > 0 else 0
+
+
+def _pairs(a: int, b: int, lo: int, hi: int) -> int:
+    """#{(i, j) : 0 <= i < a, 0 <= j < b, lo <= i + j < hi}, by inclusion
+    and exclusion over the pairs with i + j below hi and below lo."""
+    return (
+        _tri(hi) - _tri(hi - a) - _tri(hi - b) + _tri(hi - a - b)
+        - _tri(lo) + _tri(lo - a) + _tri(lo - b) - _tri(lo - a - b)
+    )
+
+
 def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1):
     """dst[d] += sign * (f * g)[s + d] for d < len(dst); f and g are only read.
 
-    One list-slice row per nonzero g[j] of g's real zone, reading only f's
-    real zone, with one permission check on dst.
+    The g[j] of g's real zone that meet dst are taken in blocks of at most
+    max(len(dst), BASE); each block is one _kron against the window of f's
+    real zone it meets, then one slice write, with one permission check on
+    dst.  base_products counts rows: for each nonzero g[j], the f[i] of f's
+    real zone with s <= i + j < s + len(dst).
     """
     r = len(dst)
     arena = dst.arena
     q = arena.q
     dst.span(0, r)
+    flo, fhi = f.rlo, f.rhi
+    # g[j] meets dst through f's real zone iff s - fhi < j < s + r - flo
+    jlo = max(g.rlo, s - fhi + 1)
+    jhi = min(g.rhi, s + r - flo)
+    if r == 0 or flo >= fhi or jlo >= jhi:
+        return
     dregs = arena.regs
     doff, dd = dst.off, dst.dir
     fregs, foff, fd = f.arena.regs, f.off, f.dir
-    flo, fhi = f.rlo, f.rhi
     gregs, goff, gd = g.arena.regs, g.off, g.dir
-    prods = 0
-    for j in range(g.rlo, g.rhi):
-        c = gregs[goff + gd * j]
-        if not c:
-            continue
-        if sign < 0:
-            c = q - c
-        # f[s + d - j] must lie in f's real zone
-        dlo = max(0, flo + j - s)
-        dhi = min(r, fhi + j - s)
-        if dhi <= dlo:
-            continue
+    prods = _pairs(fhi - flo, jhi - jlo, s - flo - jlo, s + r - flo - jlo)
+    width = max(r, BASE)
+    for j0 in range(jlo, jhi, width):
+        j1 = min(j0 + width, jhi)
+        gb = gregs[_slc(goff, gd, j0, j1)]
+        if 0 in gb:
+            prods -= sum(min(r, fhi + j - s) - max(0, flo + j - s) for j, c in enumerate(gb, j0) if not c)
+            if not any(gb):
+                continue
+        # the f[i] that meet dst with one of g[j0 : j1]
+        i0 = max(flo, s - j1 + 1)
+        i1 = min(fhi, s + r - j0)
+        dlo = max(0, i0 + j0 - s)
+        dhi = min(r, i1 + j1 - 1 - s)
+        vals = _kron(fregs[_slc(foff, fd, i0, i1)], gb, q, s + dlo - i0 - j0, dhi - dlo)
         ds = _slc(doff, dd, dlo, dhi)
-        fs = _slc(foff + fd * (s - j), fd, dlo, dhi)
-        dregs[ds] = [(x + c * y) % q for x, y in zip(dregs[ds], fregs[fs])]
-        prods += dhi - dlo
+        if sign < 0:
+            dregs[ds] = [(x - v) % q for x, v in zip(dregs[ds], vals)]
+        else:
+            dregs[ds] = [(x + v) % q for x, v in zip(dregs[ds], vals)]
     arena.metrics.base_products += prods
 
 
 def _mid_rows(dst: PolyView, f: PolyView, g: PolyView, lo: int, hi: int, sign: int = 1):
     """dst[d] += sign * sum_j f[len(g)-1+d-j] * g[j] for d in [lo, hi): one
     scalar row per d over g's real zone, each counted as g.rhi - g.rlo
-    base products.  mid_acc's single rows stay here: _slice_naive made
-    them 6.5x slower (95 against 14 us at r = 33, 1411 against 207 us at
-    r = 409)."""
+    base products.  mid_acc's single rows stay here: one output row on
+    _slice_naive, even on the Kronecker kernel, is 1.5-2.0x slower at
+    r = 33 (27-36 against 18 us) and 1.2-1.3x at r = 409 (179-295 against
+    152-234 us; min of 5 over 469762049, 2-core x86), and this count does
+    not skip zeros, so moving them would move pinned goldens."""
     top = len(g) - 1
     for d in range(lo, hi):
         acc = 0

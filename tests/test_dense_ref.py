@@ -4,9 +4,13 @@ import random
 import pytest
 
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
+from polyarena import cs_rwrw, dense_ref
 from polyarena.dense_ref import (
     BASE,
     MulKit,
+    _kron,
+    _slice_naive,
+    _slot_bytes,
     bit_reverse,
     divrem,
     horner_eval,
@@ -70,6 +74,142 @@ def test_karatsuba_random_cases():
         f = rand_poly(RNG, 97, a)
         g = rand_poly(RNG, 97, b)
         assert karatsuba_mul(RING97, f, g) == schoolbook_mul(RING97, f, g)
+
+
+KRON_PRIMES = (2, 97, 8191, 469762049, 2**61 - 1, 2**127 - 1)
+
+
+def _kron_case(q, fa, gb, s, r):
+    full = schoolbook_mul(Zq(q), fa, gb)
+    want = [full[s + d] if 0 <= s + d < len(full) else 0 for d in range(r)]
+    got = _kron(fa, gb, q, s, r)
+    assert [v % q for v in got] == want, (q, len(fa), len(gb), s, r)
+    return got
+
+
+def test_kron_matches_schoolbook():
+    # unequal lengths, slices from below 0 to past the product, and exact
+    # ints: on small cases every returned value is the exact convolution
+    rng = random.Random("kron")
+    for q in KRON_PRIMES:
+        for _ in range(40):
+            la, lb = rng.randrange(1, 40), rng.randrange(1, 40)
+            fa, gb = rand_poly(rng, q, la), rand_poly(rng, q, lb)
+            n = la + lb - 1
+            s = rng.randrange(-5, n + 3)
+            r = rng.randrange(0, n + 8)
+            got = _kron_case(q, fa, gb, s, r)
+            exact = [sum(fa[i] * gb[s + d - i] for i in range(la) if 0 <= s + d - i < lb) for d in range(r)]
+            assert got == exact
+
+
+def _slot_switches(q, cap=1100):
+    """Lengths m <= cap of the shorter operand at which _kron's slot widens."""
+    return [m for m in range(2, cap + 1) if _slot_bytes(q, m) != _slot_bytes(q, m - 1)]
+
+
+def test_kron_at_each_slot_width_switch():
+    # operands on both sides of every switch of the kernel's own width
+    # rule: random ones against the schoolbook product, and all q - 1 (the
+    # largest coefficient each slot must hold) against the exact count
+    assert _slot_bytes(469762049, 63) == 8 < _slot_bytes(469762049, 64)
+    assert _slot_switches(97) == [] and _slot_bytes(97, 1100) == 4
+    rng = random.Random("kron-switch")
+    seen = set()
+    for q in KRON_PRIMES:
+        for m0 in _slot_switches(q):
+            for m in (m0 - 1, m0):
+                seen.add(_slot_bytes(q, m))
+                for la, lb in ((m, m + 3), (m + 2, m)):
+                    fa, gb = rand_poly(rng, q, la), rand_poly(rng, q, lb)
+                    _kron_case(q, fa, gb, -2, la + lb + 1)
+                    n = la + lb - 1
+                    top = _kron([q - 1] * la, [q - 1] * lb, q, 0, n)
+                    assert top == [(q - 1) ** 2 * min(k + 1, la, lb, n - k) for k in range(n)], (q, la, lb)
+    assert {4, 8, 9, 16, 17, 32, 33, 34} <= seen
+
+
+def _rows(f, frz, g, grz, s, r):
+    """base_products of the row rule: for each nonzero g[j] of g's real
+    zone, the f[i] of f's real zone with s <= i + j < s + r."""
+    return sum(
+        sum(1 for i in range(*frz) if s <= i + j < s + r) for j in range(*grz) if g[j]
+    )
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("layout", ("plain", "reversed", "padded"))
+def test_slice_naive_counts_the_row_rule(q, layout):
+    # zero-laden operands, runs of zeros included, with slices that start
+    # below 0, end past the product, and destinations shorter and longer
+    # than BASE (one block and many)
+    ring = Zq(q)
+    rng = random.Random(f"rows-{q}-{layout}")
+    rev = layout == "reversed"
+    c = 2 if layout == "padded" else 0
+    for _ in range(60):
+        # stored f and g; padded, each view adds c zero slots on either side
+        f = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randrange(1, 90))]
+        g = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randrange(1, 90))]
+        cut = rng.randrange(len(g))
+        k = min(rng.randrange(40), len(g) - cut)
+        g[cut : cut + k] = [0] * k
+        n = len(f) + len(g) + 4 * c - 1
+        s = rng.randrange(-40, n + 5)
+        r = rng.choice((rng.randrange(1, BASE + 1), rng.randrange(BASE + 1, n + 60)))
+        d0 = rand_poly(rng, q, r)
+        arena, (fv, gv, dv) = build_arena(
+            ring, RO_RW, (f[::-1] if rev else f, INPUT_ONLY), (g[::-1] if rev else g, INPUT_ONLY), (d0, INOUT)
+        )
+        if rev:
+            fv, gv = fv.rev(), gv.rev()
+        fv, gv = fv.window(-c, len(f) + c), gv.window(-c, len(g) + c)
+        f, g = [0] * c + f + [0] * c, [0] * c + g + [0] * c
+        _slice_naive(dv, fv, gv, s, -1)
+        assert dv.tolist() == [(d - p) % q for d, p in zip(d0, slice_product(ring, f, g, s, r))]
+        rows = _rows(f, (fv.rlo, fv.rhi), g, (gv.rlo, gv.rhi), s, r)
+        assert arena.metrics.base_products == rows, (len(f), len(g), s, r)
+
+
+def _spy(monkeypatch, module):
+    seen = []
+
+    def spy(fa, gb, q, s, r):
+        seen.append((len(fa), len(gb)))
+        return _kron(fa, gb, q, s, r)
+
+    monkeypatch.setattr(module, "_kron", spy)
+    return seen
+
+
+@pytest.mark.parametrize("t", (1, 20, BASE))
+def test_kron_operands_within_the_slice_bound(monkeypatch, t):
+    # slice_acc with len(dst) <= BASE is one _slice_naive pass over all of
+    # f and g: its blocks stay below 2 max(len(dst), BASE) per operand
+    q = 469762049
+    rng = random.Random(f"bound-{t}")
+    f, g = rand_poly(rng, q, 1200), rand_poly(rng, q, 1100)
+    d0 = rand_poly(rng, q, t)
+    arena, (fv, gv, dv, wv) = build_arena(Zq(q), RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (d0, INOUT), ([0] * 3 * t, SCRATCH))
+    seen = _spy(monkeypatch, dense_ref)
+    s = 1000
+    MulKit().slice_acc(dv, fv, gv, s, wv)
+    assert dv.tolist() == [(d + p) % q for d, p in zip(d0, slice_product(Zq(q), f, g, s, t))]
+    assert seen and max(max(pair) for pair in seen) < 2 * max(t, BASE)
+
+
+def test_kron_operands_within_the_leaf_bound(monkeypatch):
+    # a 4096 cumulative Karatsuba reaches the kernel only through
+    # _cum_kara's leaves, at most BASE coefficients each, and still counts
+    # the 3^12 products of the split
+    rng = random.Random("bound-kara")
+    n = 4096
+    f, g = rand_poly(rng, 97, n), rand_poly(rng, 97, n)
+    seen = _spy(monkeypatch, cs_rwrw)
+    arena, _ = ops.run(ops.SPECS["cumulative_karatsuba"], RING97, {"f": f, "g": g})
+    assert len(seen) == 3**7
+    assert max(max(pair) for pair in seen) <= BASE
+    assert arena.metrics.base_products == 3**12
 
 
 def test_bit_reverse():

@@ -180,7 +180,22 @@ def test_refused_call_leaves_arena_as_found(spec):
             assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) == (0, 0, 0), (n, error)
 
 
-@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
+# the reference entries have no generator: their inputs come from ops.draw
+# as tools/differential.py draws them (exec_program's cannot: it needs a
+# program, and draw needs a size rule it lacks)
+REFERENCES = [SPECS[name] for name in ("schoolbook", "karatsuba_ref", "fft_ref")]
+AUDITED = [spec for spec in SPECS.values() if spec.gen] + REFERENCES
+
+
+def _inputs(spec, ring, rng, n, cap):
+    if spec.gen:
+        return spec.gen(ring, rng, n, cap=cap)
+    if spec.name == "fft_ref":  # the prime needs a root of unity of the product's length
+        n = min(n, 1 << max(0, ops._two_adicity(ring.q) - 1))
+    return ops.draw(spec, ring, n, rng)
+
+
+@pytest.mark.parametrize("spec", AUDITED, ids=lambda spec: spec.name)
 def test_audited_writes_respect_the_table(spec):
     # the arena's own accounting checked against every write the call makes:
     # under ro/rw no input-only register is written, and every scratch
@@ -189,7 +204,7 @@ def test_audited_writes_respect_the_table(spec):
     for ring in (RING97, RING_FFT):
         rng = random.Random(f"audit-{spec.name}-{ring.q}")
         for n in (1, 2, 4, 8) if matrix else (1, 2, 5, 17, 40):
-            x = spec.gen(ring, rng, n, cap=40)
+            x = _inputs(spec, ring, rng, n, 40)
             for layout in (ops.build, build_reversed):
                 arena, views = layout(spec, ring, x)
                 arena.regs = WriteLog(arena.regs)
@@ -200,7 +215,7 @@ def test_audited_writes_respect_the_table(spec):
                     assert perm != SCRATCH or i in arena.metrics.scratch_touched, (n, i)
 
 
-@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", AUDITED, ids=lambda spec: spec.name)
 def test_audit_sees_every_claim(spec):
     # every operand the call may write tagged SCRATCH (under rw/rw that is
     # every operand, inputs included): a register written outside every
@@ -213,7 +228,7 @@ def test_audit_sees_every_claim(spec):
     for ring in (RING97, RING_FFT):
         rng = random.Random(f"claims-{spec.name}-{ring.q}")
         for n in (1, 2, 4, 8) if matrix else (1, 2, 5, 17, 40, 70):
-            x = spec.gen(ring, rng, n, cap=40)
+            x = _inputs(spec, ring, rng, n, 40)
             for layout in (ops.build, build_reversed):
                 arena, views = layout(tagged, ring, x)
                 arena.regs = WriteLog(arena.regs)
@@ -281,6 +296,21 @@ def test_sign_other_than_one_or_minus_one_is_refused(name, sign):
         call(views, sign)
     assert arena.regs == before
     assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
+
+
+@pytest.mark.parametrize("ring", (RING97, RING_FFT), ids=lambda ring: str(ring.q))
+def test_fft_ref_on_reversed_views_is_exact(ring):
+    # the pointwise product multiplies the registers of both transforms,
+    # stored back to front
+    spec = SPECS["fft_ref"]
+    rng = random.Random(f"fft-ref-{ring.q}")
+    for n in (1, 2, 3, 9, 16, 40):
+        x = ops.defaults(spec, _inputs(spec, ring, rng, n, 40))
+        arena, views = build_reversed(spec, ring, x)
+        size = len(arena)
+        spec.call(views, x)
+        assert len(arena) == size
+        assert ops._acc_product(ring, x, {"h": views.h.tolist()}), n
 
 
 @pytest.mark.parametrize("n", (1, 2, 4, 8))
