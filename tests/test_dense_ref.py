@@ -132,9 +132,7 @@ def test_kron_at_each_slot_width_switch():
 def _rows(f, frz, g, grz, s, r):
     """base_products of the row rule: for each nonzero g[j] of g's real
     zone, the f[i] of f's real zone with s <= i + j < s + r."""
-    return sum(
-        sum(1 for i in range(*frz) if s <= i + j < s + r) for j in range(*grz) if g[j]
-    )
+    return sum(sum(1 for i in range(*frz) if s <= i + j < s + r) for j in range(*grz) if g[j])
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -190,7 +188,9 @@ def test_kron_operands_within_the_slice_bound(monkeypatch, t):
     rng = random.Random(f"bound-{t}")
     f, g = rand_poly(rng, q, 1200), rand_poly(rng, q, 1100)
     d0 = rand_poly(rng, q, t)
-    arena, (fv, gv, dv, wv) = build_arena(Zq(q), RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (d0, INOUT), ([0] * 3 * t, SCRATCH))
+    arena, (fv, gv, dv, wv) = build_arena(
+        Zq(q), RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (d0, INOUT), ([0] * 3 * t, SCRATCH)
+    )
     seen = _spy(monkeypatch, dense_ref)
     s = 1000
     MulKit().slice_acc(dv, fv, gv, s, wv)
