@@ -178,11 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help, required="", optional="", func=_operation):
-        """Subparser with --q, --seed, the table's algorithms as --algo
-        (with "ref" when one has a reference) and the operand flags."""
+        """Subparser with --q, the table's algorithms as --algo (with "ref"
+        when one has a reference) and the operand flags."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--q", type=int, default=DEFAULT_TEST_PRIME)
-        p.add_argument("--seed", type=int, default=0)
         algos = [algo for cmd, algo in ops.ROUTES if cmd == name and algo]
         if any(ops.ROUTES[(name, algo)].ref for algo in algos):
             algos.append("ref")
@@ -221,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("strassen", "Z += X*Y in place", "x y", "z")
     p = add("bench", "CSV timings: one row per (op, n)", "ops", func=_bench)
     p.add_argument("--sizes", default="")
+    p.add_argument("--seed", type=int, default=0)
     return top
 
 

@@ -5,24 +5,24 @@ results are produced.  Every product runs on the one MulKit instance of
 dense_ref, and each reduction derives its block threshold from the kit's
 declared scratch factor MulKit.c, so nothing here hard-codes c = 2.
 
-Below those thresholds the reductions run scalar base cases, each written
-once: every power-series division (inversion, quotient, the quotient of a
-Euclidean division read through reversed views) is the recurrence of
-_div_recurrence.
+Below those thresholds every power-series division (inversion, quotient,
+the quotient of a Euclidean division read through reversed views) is
+dense_ref._div_recurrence, the one naive division, which cs_rwrw._ipd's
+leaf runs too.
 
-Below the kit's base size dense_ref.BASE, where every product is schoolbook
-anyway, nothing is reduced block by block.  The product loops
+Below the kit's base size dense_ref.BASE, where every product is
+schoolbook anyway, nothing is reduced block by block.  The product loops
 semi_cumulative_product, lower_product_cs and middle_product_cs make one
 dense_ref._slice_naive pass over what is left once their block k is at
-most BASE (lower_product_cs with its rows over g, the quotient in every
-caller, so that a zero coefficient costs no row).  mp_eval_cs evaluates by
-Horner per point once a batch would hold fewer than BASE points, and
-MulKit.slice_acc, which semi_cumulative_lower and divrem_cs call with the
-workspace they have, is one _slice_naive pass when its chunks are at most
-BASE long: the same writes, rows and base products as its chunks' naive
-mid_acc calls, with no views or workspace per chunk.  The naive Euclidean
-division in divrem_cs (divisors of at most c + 3 coefficients) takes its
-remainder by one _slice_naive pass with its rows over the divisor.
+most BASE.  mp_eval_cs evaluates by Horner per point once a batch would
+hold fewer than BASE points, and MulKit.slice_acc, which
+semi_cumulative_lower and divrem_cs call with the workspace they have, is
+one _slice_naive pass when its chunks are at most BASE long: the same
+writes and base products as its chunks' naive mid_acc calls, with no views
+or workspace per chunk.  The naive Euclidean division in divrem_cs
+(divisors of at most c + 3 coefficients) takes its remainder by one
+_slice_naive pass.  Every base case counts its base products by the rule
+of reg_arena.SpaceMetrics.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -35,9 +35,10 @@ four per loop below (one running product per interpolation weight), except
 the small-size interpolation fallback: one block of at most twelve values.
 The row kernels of evaluation and interpolation (_build_modulus, the
 synthetic division of partial_interp, _horner_view) hold one row as a
-transient of one statement, as vadd and dense_ref._slice_naive do.  The
-writing ones check permissions once per call (the synthetic division once
-per block), never once per row or coefficient.
+transient of one statement, as vadd and dense_ref._slice_naive do, and
+dense_ref._div_recurrence declares its rows.  The writing ones check
+permissions once per call (the synthetic division once per block), never
+once per row or coefficient.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, pairwise
 
 from .coeff_ring import Zq
-from .dense_ref import BASE, KIT, _slice_naive
+from .dense_ref import BASE, KIT, _div_recurrence, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -290,18 +291,6 @@ def series_div_cs(f: PolyView, g: PolyView, h: PolyView, ladder=None):
                 ladder(n)
 
 
-def _div_recurrence(f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
-    """h[j] = (f[j] - sum_{1 <= i <= min(j, len(g)-1)} g[i] h[j-i]) / g[0]
-    for j in [lo, hi): the coefficients of f / g, reading h below lo.  h
-    may alias f, since h[j] is written after f[j] is read."""
-    g0inv = h.arena.ring.inv(g.get(0))
-    for j in range(lo, hi):
-        acc = f.get(j)
-        for i in range(1, min(j, len(g) - 1) + 1):
-            acc -= g.get(i) * h.get(j - i)
-        h.set(j, acc * g0inv)
-
-
 def inplace_div_smallspace(f: PolyView, g: PolyView, t: PolyView):
     """Replace f by f / g mod x^n using only the scratch block t of size s.
 
@@ -448,7 +437,9 @@ def remainder_smallspace(f: PolyView, g: PolyView, r_out: PolyView, t: PolyView)
 
 def _horner_view(f: PolyView, a: int, q: int) -> int:
     """f(a): the view is read once (tolist: one slice of its real zone, its
-    padding as zeros), then Horner runs over the Python ints."""
+    padding as zeros), then Horner runs over the Python ints, len(f) base
+    products."""
+    f.arena.metrics.base_products += len(f)
     acc = 0
     for c in reversed(f.tolist()):
         acc = (acc * a + c) % q
@@ -545,6 +536,7 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
                 w = _weight(ring, g, pts, a, b)
                 quo = accumulate(regs[ms], lambda acc, c: (c + a * acc) % q)
                 regs[ns] = [(x + w * y) % q for x, y in zip(regs[ns], quo)]
+            out.arena.metrics.base_products += kb * kb
             KIT.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
 
 
@@ -580,6 +572,7 @@ def _build_modulus(dst: PolyView, roots):
         live = min(live + 1, t)
         ds = _slc(dst.off, dst.dir, 0, live)
         regs[ds] = [(p - a * c) % q for p, c in pairwise(chain((0,), regs[ds]))]
+        dst.arena.metrics.base_products += live
 
 
 def interp_cs(pairs, out: PolyView):
@@ -632,6 +625,7 @@ def _interp_small_tail(ring: Zq, pts, out: PolyView, done: int):
         for a2, _ in tail:
             if a2 == a:
                 continue
+            out.arena.metrics.base_products += len(basis)
             basis = [(-a2 * basis[0]) % q] + [
                 (basis[d - 1] - a2 * basis[d]) % q for d in range(1, len(basis))
             ] + [basis[-1]]

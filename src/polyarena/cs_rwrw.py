@@ -15,16 +15,17 @@ At or below dense_ref.BASE, cumulative_lower and a ragged full product
 which only reads f and g; a balanced product stays on _cum_kara, which
 counts Karatsuba's 3^k products.  Both end in dense_ref._kron, the one
 Kronecker-substitution product kernel: _cum_kara's leaf (n <= BASE) is
-one _kron of its two operands, counted as the Karatsuba split below it.
+one _kron of its two operands, counted as the Karatsuba split below it,
+and so is _ipl's leaf; _ipd's leaf is dense_ref._div_recurrence.
 
 Declared scalar budgets: plain statements hold at most four locals; in
-addition fixed-size kernels run on Python locals: the product leaf of
-_cum_kara (two packed operands of at most BASE coefficients, their product
-and its 2 BASE - 1 coefficients), the in-place lower product and the
-in-place series division of width <= BASE (each reads its two operands
-once and writes its result in one slice), and the blocks of at most BLOCK
-scalars (both dense_ref constants) used by butterflies, twiddle tables and
-fold sums.
+addition fixed-size kernels run on Python locals: the product leaves of
+_cum_kara and _ipl (two packed operands of at most BASE coefficients,
+their product and at most 2 BASE - 1 coefficients), the in-place series
+division's leaf (dense_ref._div_recurrence on width <= BASE: g's row, f
+and the quotient, at most BASE values each, written in one slice), and
+the blocks of at most BLOCK scalars (both dense_ref constants) used by
+butterflies, twiddle tables and fold sums.
 None of them grows with the input.  The truncated FFT's virtual reads hold
 a few such blocks per level of their recursion, so their budget grows with
 the pointer stack, not the input.
@@ -36,7 +37,7 @@ from functools import cache
 from operator import mul
 
 from .coeff_ring import RootOfUnity
-from .dense_ref import BASE, BLOCK, _butterflies, _kron, _powers, _slice_naive, bit_reverse, ntt
+from .dense_ref import BASE, BLOCK, _butterflies, _div_recurrence, _kron, _pairs, _powers, _slice_naive, bit_reverse, ntt
 from .errors import (
     BadParams,
     BadSlice,
@@ -685,11 +686,10 @@ def _ipl(f: PolyView, g: PolyView):
     if n == 0:
         return
     if n <= BASE:
-        # kernel on Python locals: f[d] <- sum_{i <= d} f[i] g[d - i]
+        # f <- (f * g) mod x^n: one Kronecker product, one checked slice write
         q = f.arena.q
-        fa = f.tolist()
-        grev = g.tolist()[n - 1 :: -1]
-        _kernel_write(f, [sum(map(mul, fa[: d + 1], grev[n - 1 - d :])) % q for d in range(n)])
+        f.arena.regs[f.span(0, n)] = [v % q for v in _kron(f.tolist(), g.tolist(), q, 0, n)]
+        f.arena.metrics.base_products += _pairs(n, n, 0, n)
         return
     k = (n + 1) // 2
     with f.arena.call():
@@ -715,29 +715,13 @@ def _ipd(f: PolyView, g: PolyView):
     if n == 0:
         return
     if n <= BASE:
-        # kernel on Python locals: h[j] = (f[j] - sum_{1 <= i <= j} g[i] h[j - i]) / g[0]
-        q = f.arena.q
-        gl = g.tolist()
-        g0inv = f.arena.ring.inv(gl[0])
-        g1 = gl[1:n]
-        h = []
-        for fj in f.tolist():
-            h.append((fj - sum(map(mul, g1, reversed(h)))) * g0inv % q)
-        _kernel_write(f, h)
+        _div_recurrence(f, g, f, 0, n)
         return
     k = (n + 1) // 2
     with f.arena.call():
         _ipd(f.sub(0, k), g.sub(0, k))
         _cum_slice(f.sub(0, k), g.sub(1, n), f.sub(k, n), k - 1, -1)
         _ipd(f.sub(k, n), g.sub(0, n - k))
-
-
-def _kernel_write(f: PolyView, vals: list[int]):
-    """f = vals (reduced) in one checked slice write, counted as the
-    n (n + 1) / 2 multiplications of an in-place kernel of width n = len(f)."""
-    n = len(f)
-    f.arena.regs[f.span(0, n)] = vals
-    f.arena.metrics.base_products += n * (n + 1) // 2
 
 
 # ---------------------------------------------------------------------------

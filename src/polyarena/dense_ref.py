@@ -14,20 +14,21 @@ slice_acc, the one chunk loop, cuts its slice into chunks whose scratch
 fits the view it is given.  KIT is the one instance, and the reductions
 derive their thresholds from MulKit.c.
 
-One exact product kernel, _kron, serves every product at or below BASE
-that adds into a separate destination: it packs both operands into Python
-ints and multiplies them once (Kronecker substitution).  _slice_naive (any
-slice of a product, the kit's blocks at or below BASE included) feeds it
-blocks of at most max(len(dst), BASE) coefficients of g, so its transient
-stays a few times that; cs_rwrw._cum_kara's leaf feeds it two operands of
-at most BASE.  _mid_rows keeps single middle-product rows on Python
-scalars.
+One exact product kernel, _kron, serves every product at or below BASE:
+it packs both operands into Python ints and multiplies them once
+(Kronecker substitution).  _slice_naive (any slice of a product, the kit's
+blocks at or below BASE included) feeds it blocks of at most
+max(len(dst), BASE) coefficients of g (one output is a dot product per
+block), so its transient stays a few times that; the leaves of
+cs_rwrw._cum_kara and _ipl feed it two operands of at most BASE.
+_div_recurrence is the one naive power-series division.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from operator import mul
 
 from .coeff_ring import RootOfUnity, Zq
 from .errors import (
@@ -215,7 +216,7 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 
 
 BLOCK = 128  # width of every butterfly block and twiddle table (scalar budget)
-BASE = 32  # products at or below this size run on the Kronecker kernel (_kron) or, in place, on Python locals
+BASE = 32  # products at or below this size run on the Kronecker kernel (_kron), in-place divisions on _div_recurrence
 
 
 def _powers(w: int, k: int, q: int) -> list[int]:
@@ -445,8 +446,9 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     The g[j] of g's real zone that meet dst are taken in blocks of at most
     max(len(dst), BASE); each block is one _kron against the window of f's
     real zone it meets, then one slice write, with one permission check on
-    dst.  base_products counts rows: for each nonzero g[j], the f[i] of f's
-    real zone with s <= i + j < s + len(dst).
+    dst.  One output is a dot product per block (f read upward, then
+    reversed), written once.  base_products counts the pairs of the two
+    real zones that meet dst.
     """
     r = len(dst)
     arena = dst.arena
@@ -462,44 +464,53 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     doff, dd = dst.off, dst.dir
     fregs, foff, fd = f.arena.regs, f.off, f.dir
     gregs, goff, gd = g.arena.regs, g.off, g.dir
-    prods = _pairs(fhi - flo, jhi - jlo, s - flo - jlo, s + r - flo - jlo)
+    arena.metrics.base_products += _pairs(fhi - flo, jhi - jlo, s - flo - jlo, s + r - flo - jlo)
     width = max(r, BASE)
+    if r == 1:
+        acc = 0
+        for j0 in range(jlo, jhi, width):
+            j1 = min(j0 + width, jhi)
+            acc += sum(map(mul, reversed(fregs[_slc(foff, fd, s - j1 + 1, s - j0 + 1)]), gregs[_slc(goff, gd, j0, j1)]))
+        dregs[doff] = (dregs[doff] - acc if sign < 0 else dregs[doff] + acc) % q
+        return
     for j0 in range(jlo, jhi, width):
         j1 = min(j0 + width, jhi)
-        gb = gregs[_slc(goff, gd, j0, j1)]
-        if 0 in gb:
-            prods -= sum(min(r, fhi + j - s) - max(0, flo + j - s) for j, c in enumerate(gb, j0) if not c)
-            if not any(gb):
-                continue
         # the f[i] that meet dst with one of g[j0 : j1]
         i0 = max(flo, s - j1 + 1)
         i1 = min(fhi, s + r - j0)
         dlo = max(0, i0 + j0 - s)
         dhi = min(r, i1 + j1 - 1 - s)
-        vals = _kron(fregs[_slc(foff, fd, i0, i1)], gb, q, s + dlo - i0 - j0, dhi - dlo)
+        vals = _kron(fregs[_slc(foff, fd, i0, i1)], gregs[_slc(goff, gd, j0, j1)], q, s + dlo - i0 - j0, dhi - dlo)
         ds = _slc(doff, dd, dlo, dhi)
         if sign < 0:
             dregs[ds] = [(x - v) % q for x, v in zip(dregs[ds], vals)]
         else:
             dregs[ds] = [(x + v) % q for x, v in zip(dregs[ds], vals)]
-    arena.metrics.base_products += prods
 
 
-def _mid_rows(dst: PolyView, f: PolyView, g: PolyView, lo: int, hi: int, sign: int = 1):
-    """dst[d] += sign * sum_j f[len(g)-1+d-j] * g[j] for d in [lo, hi): one
-    scalar row per d over g's real zone, each counted as g.rhi - g.rlo
-    base products.  mid_acc's single rows stay here: one output row on
-    _slice_naive, even on the Kronecker kernel, is 1.5-2.0x slower at
-    r = 33 (27-36 against 18 us) and 1.2-1.3x at r = 409 (179-295 against
-    152-234 us; min of 5 over 469762049, 2-core x86), and this count does
-    not skip zeros, so moving them would move pinned goldens."""
-    top = len(g) - 1
-    for d in range(lo, hi):
-        acc = 0
-        for j in range(g.rlo, g.rhi):
-            acc += f.get(top + d - j) * g.get(j)
-        dst.set(d, dst.get(d) + (acc if sign > 0 else -acc))
-    dst.arena.metrics.base_products += (hi - lo) * (g.rhi - g.rlo)
+def _div_recurrence(f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
+    """h[j] = (f[j] - sum_{1 <= i <= min(j, len(g)-1)} g[i] h[j-i]) / g[0]
+    for j in [lo, hi): the coefficients of f / g, reading h below lo.
+
+    f[lo:hi] is read before h is written, so h may alias f; each h[j] is
+    one dot product of g's row against the window of h it reads, and
+    h[lo:hi] one checked slice write.  Scalar budget: g's row, f[lo:hi]
+    and the window of h, at most hi values each, held for the call.
+    """
+    if lo >= hi:
+        return
+    arena = h.arena
+    q = arena.q
+    t = min(len(g), hi)
+    g0, *g1 = g.sub(0, t).tolist()
+    g0inv = arena.ring.inv(g0)
+    fl = f.sub(lo, hi).tolist()
+    hs = h.span(lo, hi)
+    hl = h.sub(max(0, lo - t + 1), lo).tolist()
+    for fj in fl:
+        hl.append((fj - sum(map(mul, g1, reversed(hl)))) * g0inv % q)
+    arena.regs[hs] = hl[lo - hi :]
+    arena.metrics.base_products += _pairs(hi, len(g), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +576,7 @@ class MulKit:
         if f.rhi <= f.rlo or g.rhi <= g.rlo:
             return
         if t <= BASE or min(f.rhi - f.rlo, g.rhi - g.rlo) <= 2:
-            # operands swapped so that the rows skip zeros of f
+            # operands swapped: f's coefficients are the ones taken in blocks
             _slice_naive(dst, g, f, 0, sign)
             return
         m = (t + 1) // 2
@@ -602,9 +613,8 @@ class MulKit:
             return
         if r % 2:
             # last output row and the g[r-1] rank-one row, then an even core
-            _mid_rows(dst, fwin, g, r - 1, r, sign)
-            if g.get(r - 1):
-                _slice_naive(dst.sub(0, r - 1), fwin, g.sub(r - 1, r), 0, sign)
+            _slice_naive(dst.sub(r - 1, r), fwin, g, 2 * r - 2, sign)
+            _slice_naive(dst.sub(0, r - 1), fwin, g.sub(r - 1, r), 0, sign)
             self.mid_acc(dst.sub(0, r - 1), fwin.sub(1, 2 * r - 2), g.sub(0, r - 1), ws, sign)
             return
         h = r // 2
@@ -658,13 +668,8 @@ class MulKit:
         nb = (len(g) + r - 1) // r
         for j in range(nb):
             gj = g.sub(j * r, min((j + 1) * r, len(g))).padded(r)
-            if gj.rhi <= gj.rlo:
-                continue
             u = s - j * r
-            win = f.window(u - r + 1, u + r)
-            if win.rhi <= win.rlo:
-                continue
-            self.mid_acc(dst, win, gj, ws, sign)
+            self.mid_acc(dst, f.window(u - r + 1, u + r), gj, ws, sign)
 
 
 KIT = MulKit()

@@ -61,7 +61,23 @@ class SpaceMetrics:
     block its caller passes) and Python frames of helpers that open no scope
     are excluded by this convention.
 
-    base_products counts the scalar products of the recursion base cases.
+    base_products counts the scalar products of the base cases by one rule:
+    those the algorithm makes on its operands' real zones (their lengths
+    where it reads padding as zeros), never reading values, so a zero
+    coefficient costs what any other does.
+    - dense_ref._slice_naive: the pairs (i, j) of f's and g's real zones
+      with s <= i + j < s + len(dst) (dense_ref._pairs);
+    - dense_ref._div_recurrence on [lo, hi): _pairs(hi, len(g), lo, hi),
+      per coefficient its dot-product terms and its division by g[0];
+    - the in-place leaves cs_rwrw._ipl and _ipd: n (n + 1) / 2;
+    - cs_rwrw._cum_kara's leaf: its Karatsuba split's, 3^k at n = 2^k;
+    - Strassen-Winograd, an executed PROD, an FFT pointwise product: one;
+    - cs_rorw: Horner len(f) per point; a modulus build one per live
+      coefficient per root; partial_interp's synthetic division one per
+      quotient coefficient per point; the small interpolation tail one per
+      basis coefficient per factor.
+    Scalings never count: vscale, vadd's coefficient, twiddles, twist and
+    fold, and the Lagrange weights.
     """
 
     __slots__ = ("scratch_touched", "pointer_depth_highwater", "base_products", "depth")

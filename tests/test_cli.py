@@ -145,6 +145,28 @@ def test_bench_row_counts(capsys):
     assert len(rows) == 1  # header only
 
 
+def test_seed_belongs_to_bench(monkeypatch, capsys):
+    # only bench draws inputs, so only bench takes --seed
+    code, _, _ = run_cli(capsys, "mul", "--seed", "3", "--algo", "cumulative-karatsuba", "--f", "1,2", "--g", "3,4")
+    assert code == 2
+
+    drawn = []
+    draw = ops.draw
+    monkeypatch.setattr(ops, "draw", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+
+    def bench(seed):
+        drawn.clear()
+        code, out, _ = run_cli(capsys, "bench", "--ops", "cumulative-karatsuba,lower-cs", "--sizes", "5,40", "--seed", seed)
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+        return [row[:2] + row[3:] for row in rows], list(drawn)
+
+    rows, inputs = bench("3")
+    assert len(rows) == 4
+    assert bench("3") == (rows, inputs)
+    assert bench("4")[1] != inputs
+
+
 def test_more_ops_smoke(capsys):
     cases = [
         ("lower", "--algo", "cs", "--f", "3,5,2", "--g", "4,1,0"),

@@ -318,45 +318,46 @@ EVAL_CASES = [
 # (fingerprint of every register, extra_algebraic, pointer_depth,
 # base_products), taken once batches below BASE points went to Horner;
 # base_products re-taken once the product loops stopped reducing below
-# BASE (a naive row is counted per nonzero coefficient of its row operand,
-# so cases with zero coefficients, padded f or q = 97, moved)
+# BASE, and again once every base case counted by the zone rule of
+# reg_arena.SpaceMetrics (Horner counts len(f) per point, so the padded
+# layout now counts what the plain one does)
 EVAL_PINNED = {
-    (97, 97, "plain"): (892269, 0, 4, 2123),
-    (97, 97, "reversed"): (956481, 0, 4, 2124),
-    (97, 97, "padded"): (606932, 0, 4, 835),
-    (97, 128, "plain"): (1802522, 0, 4, 3677),
-    (97, 128, "reversed"): (1458841, 0, 4, 3723),
-    (97, 128, "padded"): (596879, 0, 4, 71),
-    (97, 300, "plain"): (8789434, 0, 4, 47290),
-    (97, 300, "reversed"): (8657864, 0, 4, 47049),
-    (97, 300, "padded"): (8506804, 0, 4, 43748),
-    (469762049, 97, "plain"): (4336234211715, 0, 4, 2154),
-    (469762049, 97, "reversed"): (4559727237603, 0, 4, 2154),
-    (469762049, 97, "padded"): (2453819881367, 0, 4, 406),
-    (469762049, 128, "plain"): (7212756786721, 0, 4, 3723),
-    (469762049, 128, "reversed"): (8198295220620, 0, 4, 3723),
-    (469762049, 128, "padded"): (7302681368839, 0, 4, 3167),
-    (469762049, 300, "plain"): (39748916835590, 0, 4, 47862),
-    (469762049, 300, "reversed"): (42436593473320, 0, 4, 47862),
-    (469762049, 300, "padded"): (20722736600825, 0, 4, 9072),
-    (2**61 - 1, 97, "plain"): (260940898453825883, 0, 4, 2154),
-    (2**61 - 1, 97, "reversed"): (5558894185568542, 0, 4, 2154),
-    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 439),
-    (2**61 - 1, 128, "plain"): (1416550681800146247, 0, 4, 3723),
-    (2**61 - 1, 128, "reversed"): (2042612054513736835, 0, 4, 3723),
-    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 3682),
-    (2**61 - 1, 300, "plain"): (2228108598266594375, 0, 4, 47862),
-    (2**61 - 1, 300, "reversed"): (355988671046548696, 0, 4, 47862),
-    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 37268),
-    (2**127 - 1, 97, "plain"): (771219688529678405, 0, 4, 2154),
-    (2**127 - 1, 97, "reversed"): (427575253100115503, 0, 4, 2154),
-    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 1594),
-    (2**127 - 1, 128, "plain"): (289559462239451092, 0, 4, 3723),
-    (2**127 - 1, 128, "reversed"): (1791009378761539696, 0, 4, 3723),
-    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 157),
-    (2**127 - 1, 300, "plain"): (1029261899133715617, 0, 4, 47862),
-    (2**127 - 1, 300, "reversed"): (1218870322512719048, 0, 4, 47862),
-    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 4920),
+    (97, 97, "plain"): (892269, 0, 4, 10074),
+    (97, 97, "reversed"): (956481, 0, 4, 10074),
+    (97, 97, "padded"): (606932, 0, 4, 10074),
+    (97, 128, "plain"): (1802522, 0, 4, 17485),
+    (97, 128, "reversed"): (1458841, 0, 4, 17485),
+    (97, 128, "padded"): (596879, 0, 4, 17485),
+    (97, 300, "plain"): (8789434, 0, 4, 99999),
+    (97, 300, "reversed"): (8657864, 0, 4, 99999),
+    (97, 300, "padded"): (8506804, 0, 4, 99999),
+    (469762049, 97, "plain"): (4336234211715, 0, 4, 10074),
+    (469762049, 97, "reversed"): (4559727237603, 0, 4, 10074),
+    (469762049, 97, "padded"): (2453819881367, 0, 4, 10074),
+    (469762049, 128, "plain"): (7212756786721, 0, 4, 17485),
+    (469762049, 128, "reversed"): (8198295220620, 0, 4, 17485),
+    (469762049, 128, "padded"): (7302681368839, 0, 4, 17485),
+    (469762049, 300, "plain"): (39748916835590, 0, 4, 99999),
+    (469762049, 300, "reversed"): (42436593473320, 0, 4, 99999),
+    (469762049, 300, "padded"): (20722736600825, 0, 4, 99999),
+    (2**61 - 1, 97, "plain"): (260940898453825883, 0, 4, 10074),
+    (2**61 - 1, 97, "reversed"): (5558894185568542, 0, 4, 10074),
+    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 10074),
+    (2**61 - 1, 128, "plain"): (1416550681800146247, 0, 4, 17485),
+    (2**61 - 1, 128, "reversed"): (2042612054513736835, 0, 4, 17485),
+    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 17485),
+    (2**61 - 1, 300, "plain"): (2228108598266594375, 0, 4, 99999),
+    (2**61 - 1, 300, "reversed"): (355988671046548696, 0, 4, 99999),
+    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 99999),
+    (2**127 - 1, 97, "plain"): (771219688529678405, 0, 4, 10074),
+    (2**127 - 1, 97, "reversed"): (427575253100115503, 0, 4, 10074),
+    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 10074),
+    (2**127 - 1, 128, "plain"): (289559462239451092, 0, 4, 17485),
+    (2**127 - 1, 128, "reversed"): (1791009378761539696, 0, 4, 17485),
+    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 17485),
+    (2**127 - 1, 300, "plain"): (1029261899133715617, 0, 4, 99999),
+    (2**127 - 1, 300, "reversed"): (1218870322512719048, 0, 4, 99999),
+    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 99999),
 }
 
 
@@ -469,26 +470,27 @@ BASE_CASES = (
 # base_products), taken before the base cases shared one recurrence helper;
 # divrem_cs at n = 2-5 re-taken when its naive remainder became one
 # _slice_naive pass, which counts the n (n - 1) / 2 products the scalar
-# loop did not (the fingerprints did not move)
+# loop did not (the fingerprints did not move); base_products re-taken
+# once _div_recurrence counted its products (the zone rule)
 BASE_PINNED = {
-    ("divrem_cs", 1): (40456861421, 0, 1, 0),
-    ("divrem_cs", 2): (43713317692, 0, 1, 1),
-    ("divrem_cs", 3): (63063844963, 0, 1, 3),
-    ("divrem_cs", 4): (72261358652, 0, 1, 6),
-    ("divrem_cs", 5): (102112989973, 0, 1, 10),
-    ("series_inv_cs", 2): (3474747677, 0, 1, 0),
-    ("series_inv_cs", 3): (5872123408, 0, 1, 0),
-    ("series_inv_cs", 4): (5465163334, 0, 1, 0),
-    ("series_inv_cs", 40): (836793845606, 0, 1, 702),
-    ("series_div_cs", 1): (1993276534, 0, 1, 0),
-    ("series_div_cs", 2): (3810043537, 0, 1, 0),
-    ("series_div_cs", 3): (10003489858, 0, 1, 0),
-    ("series_div_cs", 30): (934189851746, 0, 2, 360),
+    ("divrem_cs", 1): (40456861421, 0, 1, 8),
+    ("divrem_cs", 2): (43713317692, 0, 1, 16),
+    ("divrem_cs", 3): (63063844963, 0, 1, 24),
+    ("divrem_cs", 4): (72261358652, 0, 1, 32),
+    ("divrem_cs", 5): (102112989973, 0, 1, 40),
+    ("series_inv_cs", 2): (3474747677, 0, 1, 2),
+    ("series_inv_cs", 3): (5872123408, 0, 1, 5),
+    ("series_inv_cs", 4): (5465163334, 0, 1, 9),
+    ("series_inv_cs", 40): (836793845606, 0, 1, 819),
+    ("series_div_cs", 1): (1993276534, 0, 1, 1),
+    ("series_div_cs", 2): (3810043537, 0, 1, 3),
+    ("series_div_cs", 3): (10003489858, 0, 1, 6),
+    ("series_div_cs", 30): (934189851746, 0, 2, 492),
     ("middle_product_cs", 1): (12207473919, 0, 1, 4),
     ("middle_product_cs", 2): (19507143011, 0, 1, 8),
     ("middle_product_cs", 3): (25534267099, 0, 1, 12),
-    ("remainder_smallspace", 1): (527142339440, 1, 3, 319),
-    ("remainder_smallspace", 11): (683345119658, 11, 3, 348),
+    ("remainder_smallspace", 1): (527142339440, 1, 3, 348),
+    ("remainder_smallspace", 11): (683345119658, 11, 3, 354),
     ("inplace_div_smallspace", 40): (703161989447, 2, 2, 820),
 }
 
@@ -545,17 +547,19 @@ CHUNK_CASES = (
     + [("divrem_cs", 400, n, None) for n in (40, 97, 100)]
 )
 
-# goldens taken while every chunk was its own kit call
+# goldens taken while every chunk was its own kit call; base_products
+# re-taken under the zone rule (zero rows count, and so do the recurrence
+# and Horner)
 CHUNK_PINNED = {
-    ("remainder_smallspace", 300, 100, 8): (29813430110987, 8, 3, 20099),
-    ("remainder_smallspace", 300, 100, 64): (35810425912790, 64, 3, 20252),
-    ("remainder_smallspace", 600, 200, 120): (146311730228952, 120, 3, 74345),
+    ("remainder_smallspace", 300, 100, 8): (29813430110987, 8, 3, 20100),
+    ("remainder_smallspace", 300, 100, 64): (35810425912790, 64, 3, 20375),
+    ("remainder_smallspace", 600, 200, 120): (146311730228952, 120, 3, 75901),
     ("semi_cumulative_lower", 200, 200, 6): (42580225684986, 0, 2, 20100),
     ("semi_cumulative_lower", 200, 200, 96): (39921622634579, 0, 2, 20100),
     ("semi_cumulative_lower", 200, 200, 99): (42894035659241, 0, 2, 20100),
-    ("divrem_cs", 400, 40, None): (82915639932270, 0, 3, 14520),
-    ("divrem_cs", 400, 97, None): (87109846430006, 0, 3, 29947),
-    ("divrem_cs", 400, 100, None): (93366890582019, 0, 3, 30504),
+    ("divrem_cs", 400, 40, None): (82915639932270, 0, 3, 14683),
+    ("divrem_cs", 400, 97, None): (87109846430006, 0, 3, 30145),
+    ("divrem_cs", 400, 100, None): (93366890582019, 0, 3, 30667),
 }
 
 
@@ -617,20 +621,22 @@ def _interp_case(entry, q, n, s=0, k=None):
 
 
 # goldens taken while partial_interp still reduced the other blocks'
-# moduli modulo its own block's: the output, pointer depth and products
-# stay, and the scratch it writes may only shrink
+# moduli modulo its own block's: the output and pointer depth stay, and
+# the scratch it writes may only shrink; products re-taken once Horner,
+# the moduli, the synthetic division and the small tail's basis counted
+# theirs (the zone rule)
 INTERP_PINNED = {
-    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 13),
-    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 327),
-    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 1365),
-    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 11708),
-    ("interp_cs", 97, 40): (45653, 0, 2, 552),
-    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 49, 1, 78),
-    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 37, 1, 60),
-    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 23, 1, 60),
-    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 51, 1, 259),
-    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 267, 1, 1520),
-    ("partial_interp", 97, 30, 4, 6): (1154, 44, 1, 95),
+    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 1012),
+    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 9784),
+    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 45409),
+    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 415685),
+    ("interp_cs", 97, 40): (45653, 0, 2, 17416),
+    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 49, 1, 312),
+    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 37, 1, 576),
+    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 23, 1, 1340),
+    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 51, 1, 4900),
+    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 267, 1, 6489),
+    ("partial_interp", 97, 30, 4, 6): (1154, 44, 1, 1034),
 }
 
 
@@ -686,6 +692,28 @@ def test_horner_view_matches_horner_eval(q):
             # padding below and above the real zone reads as zeros
             padded = [0, 0] + fd + [0, 0, 0]
             assert cs_rorw._horner_view(f.window(-2, n + 3), a, q) == horner_eval(ring, padded, a)
+
+
+@pytest.mark.parametrize("zero", (False, True), ids=("random", "zero"))
+def test_row_kernels_count_their_products(zero):
+    # Horner counts len(f) per point, padding included; a modulus build one
+    # product per live coefficient per root; zero values count the same
+    q = 469762049
+    ring = Zq(q)
+    rng = random.Random(f"row-counts-{zero}")
+    for n in (0, 1, 5, 40):
+        fd = [0] * n if zero else rand_poly(rng, q, n)
+        arena, (f,) = build_arena(ring, RO_RW, (fd, INPUT_ONLY))
+        for view in (f, f.rev(), f.window(-2, n + 3)):
+            before = arena.metrics.base_products
+            cs_rorw._horner_view(view, rng.randrange(q), q)
+            assert arena.metrics.base_products - before == len(view)
+    for t in (1, 2, 7):
+        for k in (0, 1, 3, 10):
+            roots = [0] * k if zero else rand_poly(rng, q, k)
+            arena, (dst,) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH))
+            cs_rorw._build_modulus(dst, roots)
+            assert arena.metrics.base_products == sum(min(i + 1, t) for i in range(1, k + 1))
 
 
 def test_interp_cs_makes_no_scalar_loop(monkeypatch):
@@ -749,11 +777,12 @@ def _cut_case(entry, n, q, layout):
     return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
-# taken when the cuts went in; the sizes above each cut reduce as before
+# taken when the cuts went in, base_products re-taken under the zone rule;
+# the sizes above each cut reduce as before
 CUT_PINNED = {
-    ('semi_cumulative_product', 163, 97, 'plain'): (0, 1, 26243),
-    ('semi_cumulative_product', 163, 97, 'reversed'): (0, 1, 26243),
-    ('semi_cumulative_product', 163, 97, 'padded'): (0, 1, 24450),
+    ('semi_cumulative_product', 163, 97, 'plain'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 97, 'reversed'): (0, 1, 26569),
+    ('semi_cumulative_product', 163, 97, 'padded'): (0, 1, 24939),
     ('semi_cumulative_product', 163, 469762049, 'plain'): (0, 1, 26569),
     ('semi_cumulative_product', 163, 469762049, 'reversed'): (0, 1, 26569),
     ('semi_cumulative_product', 163, 469762049, 'padded'): (0, 1, 23798),
@@ -763,21 +792,21 @@ CUT_PINNED = {
     ('semi_cumulative_product', 163, 2**127 - 1, 'plain'): (0, 1, 26569),
     ('semi_cumulative_product', 163, 2**127 - 1, 'reversed'): (0, 1, 26569),
     ('semi_cumulative_product', 163, 2**127 - 1, 'padded'): (0, 1, 26080),
-    ('semi_cumulative_product', 164, 97, 'plain'): (0, 1, 24346),
-    ('semi_cumulative_product', 164, 97, 'reversed'): (0, 1, 24323),
-    ('semi_cumulative_product', 164, 97, 'padded'): (0, 1, 24409),
+    ('semi_cumulative_product', 164, 97, 'plain'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 97, 'reversed'): (0, 1, 24635),
+    ('semi_cumulative_product', 164, 97, 'padded'): (0, 1, 24635),
     ('semi_cumulative_product', 164, 469762049, 'plain'): (0, 1, 24635),
     ('semi_cumulative_product', 164, 469762049, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 469762049, 'padded'): (0, 1, 4649),
+    ('semi_cumulative_product', 164, 469762049, 'padded'): (0, 1, 5754),
     ('semi_cumulative_product', 164, 2**61 - 1, 'plain'): (0, 1, 24635),
     ('semi_cumulative_product', 164, 2**61 - 1, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**61 - 1, 'padded'): (0, 1, 14963),
+    ('semi_cumulative_product', 164, 2**61 - 1, 'padded'): (0, 1, 15490),
     ('semi_cumulative_product', 164, 2**127 - 1, 'plain'): (0, 1, 24635),
     ('semi_cumulative_product', 164, 2**127 - 1, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**127 - 1, 'padded'): (0, 1, 1360),
-    ('lower_product_cs', 164, 97, 'plain'): (0, 1, 13373),
+    ('semi_cumulative_product', 164, 2**127 - 1, 'padded'): (0, 1, 3281),
+    ('lower_product_cs', 164, 97, 'plain'): (0, 1, 13530),
     ('lower_product_cs', 164, 97, 'reversed'): (0, 1, 13530),
-    ('lower_product_cs', 164, 97, 'padded'): (0, 1, 10292),
+    ('lower_product_cs', 164, 97, 'padded'): (0, 1, 10604),
     ('lower_product_cs', 164, 469762049, 'plain'): (0, 1, 13530),
     ('lower_product_cs', 164, 469762049, 'reversed'): (0, 1, 13530),
     ('lower_product_cs', 164, 469762049, 'padded'): (0, 1, 9960),
@@ -787,18 +816,18 @@ CUT_PINNED = {
     ('lower_product_cs', 164, 2**127 - 1, 'plain'): (0, 1, 13530),
     ('lower_product_cs', 164, 2**127 - 1, 'reversed'): (0, 1, 13530),
     ('lower_product_cs', 164, 2**127 - 1, 'padded'): (0, 1, 8480),
-    ('lower_product_cs', 165, 97, 'plain'): (0, 1, 13403),
-    ('lower_product_cs', 165, 97, 'reversed'): (0, 1, 13551),
-    ('lower_product_cs', 165, 97, 'padded'): (0, 1, 2391),
+    ('lower_product_cs', 165, 97, 'plain'): (0, 1, 13695),
+    ('lower_product_cs', 165, 97, 'reversed'): (0, 1, 13695),
+    ('lower_product_cs', 165, 97, 'padded'): (0, 1, 2370),
     ('lower_product_cs', 165, 469762049, 'plain'): (0, 1, 13695),
     ('lower_product_cs', 165, 469762049, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 469762049, 'padded'): (0, 1, 2570),
+    ('lower_product_cs', 165, 469762049, 'padded'): (0, 1, 2520),
     ('lower_product_cs', 165, 2**61 - 1, 'plain'): (0, 1, 13695),
     ('lower_product_cs', 165, 2**61 - 1, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**61 - 1, 'padded'): (0, 1, 6843),
+    ('lower_product_cs', 165, 2**61 - 1, 'padded'): (0, 1, 6792),
     ('lower_product_cs', 165, 2**127 - 1, 'plain'): (0, 1, 13695),
     ('lower_product_cs', 165, 2**127 - 1, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**127 - 1, 'padded'): (0, 1, 10007),
+    ('lower_product_cs', 165, 2**127 - 1, 'padded'): (0, 1, 9954),
     ('middle_product_cs', 131, 97, 'plain'): (0, 1, 4847),
     ('middle_product_cs', 131, 97, 'reversed'): (0, 1, 4847),
     ('middle_product_cs', 131, 97, 'padded'): (0, 1, 1998),
@@ -811,12 +840,12 @@ CUT_PINNED = {
     ('middle_product_cs', 131, 2**127 - 1, 'plain'): (0, 1, 4847),
     ('middle_product_cs', 131, 2**127 - 1, 'reversed'): (0, 1, 4847),
     ('middle_product_cs', 131, 2**127 - 1, 'padded'): (0, 1, 231),
-    ('middle_product_cs', 132, 97, 'plain'): (0, 1, 4753),
+    ('middle_product_cs', 132, 97, 'plain'): (0, 1, 4884),
     ('middle_product_cs', 132, 97, 'reversed'): (0, 1, 4884),
     ('middle_product_cs', 132, 97, 'padded'): (0, 1, 4731),
     ('middle_product_cs', 132, 469762049, 'plain'): (0, 1, 4884),
     ('middle_product_cs', 132, 469762049, 'reversed'): (0, 1, 4884),
-    ('middle_product_cs', 132, 469762049, 'padded'): (0, 1, 630),
+    ('middle_product_cs', 132, 469762049, 'padded'): (0, 1, 595),
     ('middle_product_cs', 132, 2**61 - 1, 'plain'): (0, 1, 4884),
     ('middle_product_cs', 132, 2**61 - 1, 'reversed'): (0, 1, 4884),
     ('middle_product_cs', 132, 2**61 - 1, 'padded'): (0, 1, 3478),

@@ -129,18 +129,19 @@ def test_kron_at_each_slot_width_switch():
     assert {4, 8, 9, 16, 17, 32, 33, 34} <= seen
 
 
-def _rows(f, frz, g, grz, s, r):
-    """base_products of the row rule: for each nonzero g[j] of g's real
-    zone, the f[i] of f's real zone with s <= i + j < s + r."""
-    return sum(sum(1 for i in range(*frz) if s <= i + j < s + r) for j in range(*grz) if g[j])
+def _zone_pairs(frz, grz, s, r):
+    """base_products of the zone rule: the pairs (i, j) of f's and g's
+    real zones with s <= i + j < s + r, whatever the values."""
+    return sum(1 for i in range(*frz) for j in range(*grz) if s <= i + j < s + r)
 
 
 @pytest.mark.parametrize("q", (2, 3))
 @pytest.mark.parametrize("layout", ("plain", "reversed", "padded"))
-def test_slice_naive_counts_the_row_rule(q, layout):
+def test_slice_naive_counts_the_zone_rule(q, layout):
     # zero-laden operands, runs of zeros included, with slices that start
-    # below 0, end past the product, and destinations shorter and longer
-    # than BASE (one block and many)
+    # below 0, end past the product, and destinations of one output,
+    # shorter and longer than BASE (one block and many); the zero rows
+    # count like any other
     ring = Zq(q)
     rng = random.Random(f"rows-{q}-{layout}")
     rev = layout == "reversed"
@@ -154,7 +155,7 @@ def test_slice_naive_counts_the_row_rule(q, layout):
         g[cut : cut + k] = [0] * k
         n = len(f) + len(g) + 4 * c - 1
         s = rng.randrange(-40, n + 5)
-        r = rng.choice((rng.randrange(1, BASE + 1), rng.randrange(BASE + 1, n + 60)))
+        r = rng.choice((1, rng.randrange(1, BASE + 1), rng.randrange(BASE + 1, n + 60)))
         d0 = rand_poly(rng, q, r)
         arena, (fv, gv, dv) = build_arena(
             ring, RO_RW, (f[::-1] if rev else f, INPUT_ONLY), (g[::-1] if rev else g, INPUT_ONLY), (d0, INOUT)
@@ -165,8 +166,75 @@ def test_slice_naive_counts_the_row_rule(q, layout):
         f, g = [0] * c + f + [0] * c, [0] * c + g + [0] * c
         _slice_naive(dv, fv, gv, s, -1)
         assert dv.tolist() == [(d - p) % q for d, p in zip(d0, slice_product(ring, f, g, s, r))]
-        rows = _rows(f, (fv.rlo, fv.rhi), g, (gv.rlo, gv.rhi), s, r)
-        assert arena.metrics.base_products == rows, (len(f), len(g), s, r)
+        pairs = _zone_pairs((fv.rlo, fv.rhi), (gv.rlo, gv.rhi), s, r)
+        assert arena.metrics.base_products == pairs, (len(f), len(g), s, r)
+
+
+def _div_oracle(q, f, g, h, lo, hi):
+    """h with h[lo:hi] replaced by the quotient recurrence, on lists."""
+    h = list(h)
+    g0inv = pow(g[0], q - 2, q)
+    for j in range(lo, hi):
+        acc = f[j] - sum(g[i] * h[j - i] for i in range(1, min(j, len(g) - 1) + 1))
+        h[j] = acc * g0inv % q
+    return h
+
+
+def _div_count(lg, lo, hi):
+    """base_products of _div_recurrence: per coefficient j, its dot
+    product of min(j, len(g) - 1) terms and its division by g[0]."""
+    return sum(min(j, lg - 1) + 1 for j in range(lo, hi))
+
+
+@pytest.mark.parametrize("q", (2, 97, 469762049, 2**127 - 1))
+def test_div_recurrence_counts_its_products(q):
+    # lo > 0 (h below lo is read, not written), len(g) below and above hi,
+    # h aliasing f, h stored back to front, and a numerator whose view
+    # pads zeros on both sides
+    ring = Zq(q)
+    rng = random.Random(f"div-recurrence-{q}")
+    for n, lg, lo in ((1, 1, 0), (5, 2, 0), (12, 4, 3), (12, 20, 7), (40, 40, 0), (40, 9, 33), (70, 3, 69)):
+        g = [rng.randrange(1, q)] + rand_poly(rng, q, lg - 1)
+        for layout in ("plain", "alias", "reversed", "padded"):
+            f = rand_poly(rng, q, n)
+            h0 = rand_poly(rng, q, n)
+            arena, (fv, gv, hv) = build_arena(ring, RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (h0[::-1], INOUT))
+            hv = hv.rev()
+            if layout == "alias":
+                h0 = f
+                arena, (hv, gv) = build_arena(ring, RO_RW, (f, INOUT), (g, INPUT_ONLY))
+                fv = hv
+            elif layout == "padded":
+                f = [0, 0] + f[2:-2] + [0, 0] if n > 4 else [0] * n
+                fv = fv.sub(min(2, n), max(min(2, n), n - 2)).window(-min(2, n), n - min(2, n))
+            dense_ref._div_recurrence(fv, gv, hv, lo, n)
+            assert hv.tolist() == _div_oracle(q, f, g, h0, lo, n), (n, lg, lo, layout)
+            assert arena.metrics.base_products == _div_count(lg, lo, n), (n, lg, lo, layout)
+
+
+def test_counts_do_not_read_values():
+    # the same zones count the same whether every value is zero or random:
+    # _slice_naive on padded windows (one output and many), and
+    # _div_recurrence, whose one needed value is the unit g[0]
+    q = 97
+    ring = Zq(q)
+    rng = random.Random("values")
+    for _ in range(40):
+        lf, lg = rng.randrange(1, 70), rng.randrange(1, 70)
+        s, r = rng.randrange(-5, lf + lg), rng.choice((1, rng.randrange(1, 80)))
+        lo = rng.randrange(lf)
+        counts = set()
+        for zero in (False, True):
+            f = [0] * lf if zero else rand_poly(rng, q, lf)
+            g = [1] + ([0] * (lg - 1) if zero else rand_poly(rng, q, lg - 1))
+            arena, (fv, gv, dv, hv) = build_arena(
+                ring, RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), ([0] * r, INOUT), (rand_poly(rng, q, lf), INOUT)
+            )
+            _slice_naive(dv, fv.window(-2, lf + 3), gv.window(-1, lg + 2), s)
+            slice_count = arena.metrics.base_products
+            dense_ref._div_recurrence(fv, gv, hv, lo, lf)
+            counts.add((slice_count, arena.metrics.base_products - slice_count))
+        assert len(counts) == 1, (lf, lg, s, r, counts)
 
 
 def _spy(monkeypatch, module):
@@ -183,7 +251,8 @@ def _spy(monkeypatch, module):
 @pytest.mark.parametrize("t", (1, 20, BASE))
 def test_kron_operands_within_the_slice_bound(monkeypatch, t):
     # slice_acc with len(dst) <= BASE is one _slice_naive pass over all of
-    # f and g: its blocks stay below 2 max(len(dst), BASE) per operand
+    # f and g: its blocks stay below 2 max(len(dst), BASE) per operand, and
+    # one output is a dot product per block, which never reaches _kron
     q = 469762049
     rng = random.Random(f"bound-{t}")
     f, g = rand_poly(rng, q, 1200), rand_poly(rng, q, 1100)
@@ -195,7 +264,11 @@ def test_kron_operands_within_the_slice_bound(monkeypatch, t):
     s = 1000
     MulKit().slice_acc(dv, fv, gv, s, wv)
     assert dv.tolist() == [(d + p) % q for d, p in zip(d0, slice_product(Zq(q), f, g, s, t))]
-    assert seen and max(max(pair) for pair in seen) < 2 * max(t, BASE)
+    if t == 1:
+        assert not seen
+        assert dv.tolist() == [(d0[0] + sum(f[s - j] * g[j] for j in range(s + 1))) % q]
+    else:
+        assert seen and max(max(pair) for pair in seen) < 2 * max(t, BASE)
 
 
 def test_kron_operands_within_the_leaf_bound(monkeypatch):
@@ -360,20 +433,21 @@ KIT_CASES = [
 ]
 
 # (fingerprint of every register, extra_algebraic, base_products), taken
-# before the kit's naive loops were folded into one kernel
+# before the kit's naive loops were folded into one kernel; base_products
+# re-taken under the zone rule (zero rows and padded windows count)
 KIT_PINNED = {
     ("low_acc", 5): (11839272391, 0, 1),
     ("mid_acc", 5): (13809681824, 0, 5),
-    ("slice_acc", 5): (59773909812, 0, 26),
-    ("mid_unbalanced_acc", 5): (73608337149, 0, 40),
-    ("low_acc", 37): (2388191483497, 37, 471),
-    ("mid_acc", 37): (3109440142286, 35, 843),
-    ("slice_acc", 37): (3447670958853, 35, 1069),
-    ("mid_unbalanced_acc", 37): (6183696876173, 35, 1819),
-    ("low_acc", 70): (10201912088836, 105, 1721),
-    ("mid_acc", 70): (14677002378185, 102, 2362),
-    ("slice_acc", 70): (15621940099309, 102, 2800),
-    ("mid_unbalanced_acc", 70): (29771200448445, 102, 4987),
+    ("slice_acc", 5): (59773909812, 0, 30),
+    ("mid_unbalanced_acc", 5): (73608337149, 0, 45),
+    ("low_acc", 37): (2388191483497, 37, 561),
+    ("mid_acc", 37): (3109440142286, 35, 951),
+    ("slice_acc", 37): (3447670958853, 35, 1311),
+    ("mid_unbalanced_acc", 37): (6183696876173, 35, 2242),
+    ("low_acc", 70): (10201912088836, 105, 1991),
+    ("mid_acc", 70): (14677002378185, 102, 2719),
+    ("slice_acc", 70): (15621940099309, 102, 3953),
+    ("mid_unbalanced_acc", 70): (29771200448445, 102, 6653),
 }
 
 
@@ -461,32 +535,33 @@ def _slice_cut_case(r, q, layout):
     return dv.tolist() == want, len(calls), (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products)
 
 
-# taken when the one-pass rule went in; the same as the per-block calls made
+# taken when the one-pass rule went in, base_products re-taken under the
+# zone rule; the same as the per-block calls made
 SLICE_CUT_PINNED = {
-    (32, 97, 'plain'): (0, 0, 2020),
-    (32, 97, 'reversed'): (0, 0, 2075),
-    (32, 97, 'padded'): (0, 0, 1991),
-    (32, 469762049, 'plain'): (0, 0, 2075),
-    (32, 469762049, 'reversed'): (0, 0, 2075),
-    (32, 469762049, 'padded'): (0, 0, 1991),
-    (32, 2**61 - 1, 'plain'): (0, 0, 2075),
-    (32, 2**61 - 1, 'reversed'): (0, 0, 2075),
-    (32, 2**61 - 1, 'padded'): (0, 0, 1991),
-    (32, 2**127 - 1, 'plain'): (0, 0, 2075),
-    (32, 2**127 - 1, 'reversed'): (0, 0, 2075),
-    (32, 2**127 - 1, 'padded'): (0, 0, 1991),
-    (33, 97, 'plain'): (0, 0, 2225),
-    (33, 97, 'reversed'): (0, 0, 2225),
-    (33, 97, 'padded'): (0, 0, 2079),
-    (33, 469762049, 'plain'): (0, 0, 2225),
-    (33, 469762049, 'reversed'): (0, 0, 2225),
-    (33, 469762049, 'padded'): (0, 0, 2139),
-    (33, 2**61 - 1, 'plain'): (0, 0, 2225),
-    (33, 2**61 - 1, 'reversed'): (0, 0, 2225),
-    (33, 2**61 - 1, 'padded'): (0, 0, 2139),
-    (33, 2**127 - 1, 'plain'): (0, 0, 2225),
-    (33, 2**127 - 1, 'reversed'): (0, 0, 2225),
-    (33, 2**127 - 1, 'padded'): (0, 0, 2139),
+    (32, 97, 'plain'): (0, 0, 2602),
+    (32, 97, 'reversed'): (0, 0, 2602),
+    (32, 97, 'padded'): (0, 0, 2474),
+    (32, 469762049, 'plain'): (0, 0, 2602),
+    (32, 469762049, 'reversed'): (0, 0, 2602),
+    (32, 469762049, 'padded'): (0, 0, 2474),
+    (32, 2**61 - 1, 'plain'): (0, 0, 2602),
+    (32, 2**61 - 1, 'reversed'): (0, 0, 2602),
+    (32, 2**61 - 1, 'padded'): (0, 0, 2474),
+    (32, 2**127 - 1, 'plain'): (0, 0, 2602),
+    (32, 2**127 - 1, 'reversed'): (0, 0, 2602),
+    (32, 2**127 - 1, 'padded'): (0, 0, 2474),
+    (33, 97, 'plain'): (0, 0, 2766),
+    (33, 97, 'reversed'): (0, 0, 2766),
+    (33, 97, 'padded'): (0, 0, 2634),
+    (33, 469762049, 'plain'): (0, 0, 2766),
+    (33, 469762049, 'reversed'): (0, 0, 2766),
+    (33, 469762049, 'padded'): (0, 0, 2634),
+    (33, 2**61 - 1, 'plain'): (0, 0, 2766),
+    (33, 2**61 - 1, 'reversed'): (0, 0, 2766),
+    (33, 2**61 - 1, 'padded'): (0, 0, 2634),
+    (33, 2**127 - 1, 'plain'): (0, 0, 2766),
+    (33, 2**127 - 1, 'reversed'): (0, 0, 2766),
+    (33, 2**127 - 1, 'padded'): (0, 0, 2634),
 }
 
 

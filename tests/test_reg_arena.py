@@ -186,9 +186,10 @@ RAW_WRITERS = {
     "bilinear_inplace._madd": "checks its own rows (_check_rows)",
     "bilinear_inplace._sw2": "checks its own registers (check_span)",
     "dense_ref._slice_naive": "its own dst.span",
+    "dense_ref._div_recurrence": "its own h.span",
     "dense_ref._butterflies": "ntt's or _otfft's span",
     "cs_rwrw._cum_kara": "its kernel's own h.span",
-    "cs_rwrw._kernel_write": "its own f.span",
+    "cs_rwrw._ipl": "its own f.span",
     "cs_rwrw._step": "its own v.span",
     "cs_rwrw._add_virtual": "_otfft's span",
     "cs_rwrw._twist_fold": "partial_ft's span",
