@@ -35,10 +35,12 @@ four per loop below (one running product per interpolation weight), except
 the small-size interpolation fallback: one block of at most twelve values.
 The row kernels of evaluation and interpolation (_build_modulus, the
 synthetic division of partial_interp, _horner_view) hold one row as a
-transient of one statement, as vadd and dense_ref._slice_naive do, and
-dense_ref._div_recurrence declares its rows.  The writing ones check
-permissions once per call (the synthetic division once per block), never
-once per row or coefficient.
+transient of one statement, as the region ops and
+dense_ref._slice_naive do, and dense_ref._div_recurrence holds one block
+of at most BASE values.  The two writing ones write their rows
+themselves under one claim, a vzero of the row's whole register block
+(the synthetic division's once per block), never once per row or
+coefficient.
 """
 
 from __future__ import annotations
@@ -229,8 +231,7 @@ def series_inv_cs(f: PolyView, g: PolyView, ladder=None):
             KIT.mid_unbalanced_acc(dst, f.sub(1, k + ell), g.sub(0, k), g.sub(k, n - ell))
             out = g.sub(k, k + ell)
             vzero(out)
-            free_lo = min(k + ell, n - ell)
-            KIT.low_acc(out, g.sub(0, ell), dst, g.sub(free_lo, n - ell), -1)
+            KIT.low_acc(out, g.sub(0, ell), dst, g.sub(k + ell, n - ell), -1)
             k += ell
             if ladder:
                 ladder(k)

@@ -22,13 +22,15 @@ Declared scalar budgets: plain statements hold at most four locals; in
 addition fixed-size kernels run on Python locals: the product leaves of
 _cum_kara and _ipl (two packed operands of at most BASE coefficients,
 their product and at most 2 BASE - 1 coefficients), the in-place series
-division's leaf (dense_ref._div_recurrence on width <= BASE: g's row, f
-and the quotient, at most BASE values each, written in one slice), and
-the blocks of at most BLOCK scalars (both dense_ref constants) used by
-butterflies, twiddle tables and fold sums.
+division's leaf (dense_ref._div_recurrence: one block of at most BASE
+values and g's row within it), and the blocks of at most BLOCK scalars
+(both dense_ref constants) used by butterflies, twiddle tables and fold
+sums.
 None of them grows with the input.  The truncated FFT's virtual reads hold
 a few such blocks per level of their recursion, so their budget grows with
-the pointer stack, not the input.
+the pointer stack, not the input.  Every kernel here lands the block or
+row it computed through reg_arena.vacc or vset, which claim what they
+write; only the butterflies write under the claim of ntt or _otfft.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     SizeContract,
     check_sign,
 )
-from .reg_arena import PolyView, _slc, vadd, vcopy, vscale, vzero
+from .reg_arena import PolyView, _slc, vacc, vadd, vcopy, vscale, vset, vzero
 
 # ---------------------------------------------------------------------------
 # cumulative full products
@@ -101,14 +103,7 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
     if n <= BASE:
         # one Kronecker product of the two size-n operands, counted as the
         # Karatsuba split below would count it (3^k at n = 2^k)
-        q = arena.q
-        vals = _kron(f.tolist(), g.tolist(), q, 0, 2 * n - 1)
-        regs = arena.regs
-        hs = h.span(0, 2 * n - 1)
-        if sign > 0:
-            regs[hs] = [(x + v) % q for x, v in zip(regs[hs], vals)]
-        else:
-            regs[hs] = [(x - v) % q for x, v in zip(regs[hs], vals)]
+        vacc(h, _kron(f.tolist(), g.tolist(), arena.q, 0, 2 * n - 1), sign)
         arena.metrics.base_products += _kara_count(n)
         return
     m = (n + 1) // 2
@@ -378,18 +373,15 @@ def _twist_fold(f: PolyView, size: int, theta: int, q: int, inverse: bool):
                     sums[:cnt] = [y * t_row for y in row]
                 else:
                     sums[:cnt] = [s + y * t_row for s, y in zip(sums, row)]
-        ps = _slc(off, d, c0, c0 + b)
         if table is None:
-            if inverse:
-                regs[ps] = [(x - s) % q for x, s in zip(regs[ps], sums)]
-            else:
-                regs[ps] = [(x + s) % q for x, s in zip(regs[ps], sums)]
+            vacc(f, sums, -1 if inverse else 1, c0)
             continue
+        xs = regs[_slc(off, d, c0, c0 + b)]
         tw = table if cur == 1 else [cur * t % q for t in table]
         if inverse:
-            regs[ps] = [(x * t - s) % q for x, s, t in zip(regs[ps], sums, tw)]
+            vset(f, [x * t - s for x, s, t in zip(xs, sums, tw)], c0)
         else:
-            regs[ps] = [(x + s) * t % q for x, s, t in zip(regs[ps], sums, tw)]
+            vset(f, [(x + s) * t for x, s, t in zip(xs, sums, tw)], c0)
         cur = tw[-1] * tw_root % q
 
 
@@ -435,15 +427,8 @@ def _add_virtual(buf: PolyView, lo: int, hi: int, src, shift: int, sign: int):
     if src is None:
         return
     q = buf.arena.q
-    regs = buf.arena.regs
     for a in range(lo, hi, BLOCK):
-        b = min(hi, a + BLOCK)
-        s = _slc(buf.off, buf.dir, a, b)
-        vs = _vread(src, a + shift, 1, b - a, q)
-        if sign > 0:
-            regs[s] = [(x + v) % q for x, v in zip(regs[s], vs)]
-        else:
-            regs[s] = [(x - v) % q for x, v in zip(regs[s], vs)]
+        vacc(buf, _vread(src, a + shift, 1, min(hi, a + BLOCK) - a, q), sign, a)
 
 
 def _strided(view: PolyView, start: int, step: int, count: int) -> list[int]:
@@ -540,7 +525,6 @@ def _step(v: PolyView, s: int, coef: int, q: int, pre: int = 1, post: int = 1):
     n = cnt if u == 1 else min(s, n_len)
     if n <= 0:
         return
-    v.span(0, n)
     regs = v.arena.regs
     off, d = v.off, v.dir
     table = _powers(u, min(BLOCK, n), q) if u != 1 else None
@@ -549,20 +533,19 @@ def _step(v: PolyView, s: int, coef: int, q: int, pre: int = 1, post: int = 1):
     for a in range(0, n, BLOCK):
         b = min(n, a + BLOCK)
         m = min(b, cnt) - a
-        ls = _slc(off, d, a, b)
-        xs = regs[ls]
+        xs = regs[_slc(off, d, a, b)]
         if m <= 0:
-            regs[ls] = [x * t * cur % q for x, t in zip(xs, table)]
+            vset(v, [x * t * cur for x, t in zip(xs, table)], a)
         else:
             ys = regs[_slc(off, d, a + s, a + s + m)]
             if m < b - a:
                 ys += [0] * (b - a - m)
             if u == 1:
-                regs[ls] = [(x + coef * y) % q for x, y in zip(xs, ys)]
+                vset(v, [x + coef * y for x, y in zip(xs, ys)], a)
             elif post != 1:
-                regs[ls] = [(x + coef * y) * t * cur % q for x, y, t in zip(xs, ys, table)]
+                vset(v, [(x + coef * y) * t * cur for x, y, t in zip(xs, ys, table)], a)
             else:
-                regs[ls] = [(x * t * cur + coef * y) % q for x, y, t in zip(xs, ys, table)]
+                vset(v, [x * t * cur + coef * y for x, y, t in zip(xs, ys, table)], a)
         cur = cur * step % q
 
 
@@ -650,15 +633,10 @@ def cumulative_fft_mul(f: PolyView, g: PolyView, h: PolyView):
                 _walk(f, f_at, f_node, w, q, p)
                 f_at = f_node
                 _node_ft(f, f_node, w, q, p, False)
-                base = off + (s << ell)
                 cnt = 1 << ell
-                hs = _slc(h.off, h.dir, base, base + cnt)
                 fs = _slc(f.off, f.dir, 0, cnt)
                 gs = _slc(g.off, g.dir, s << ell, (s + 1) << ell)
-                hregs = h.arena.regs
-                hregs[hs] = [
-                    (x + a * b) % q for x, a, b in zip(hregs[hs], f.arena.regs[fs], g.arena.regs[gs])
-                ]
+                vacc(h, list(map(mul, f.arena.regs[fs], g.arena.regs[gs])), 1, off + (s << ell))
                 h.arena.metrics.base_products += cnt
                 _node_ft(f, f_node, w, q, p, True)
             _node_ft(g, g_node, w, q, p, True)
@@ -686,9 +664,8 @@ def _ipl(f: PolyView, g: PolyView):
     if n == 0:
         return
     if n <= BASE:
-        # f <- (f * g) mod x^n: one Kronecker product, one checked slice write
-        q = f.arena.q
-        f.arena.regs[f.span(0, n)] = [v % q for v in _kron(f.tolist(), g.tolist(), q, 0, n)]
+        # f <- (f * g) mod x^n: one Kronecker product, one vset
+        vset(f, _kron(f.tolist(), g.tolist(), f.arena.q, 0, n))
         f.arena.metrics.base_products += _pairs(n, n, 0, n)
         return
     k = (n + 1) // 2
@@ -832,16 +809,11 @@ def _top_nonzero(v: PolyView) -> int:
 
 
 def modular_mul(f: PolyView, g: PolyView, r_out: PolyView, p: PolyView):
-    """r += f * g mod p for a monic modulus p of size n+1."""
-    n = len(r_out)
-    if len(p) != n + 1:
-        raise SizeContract("modulus must have n+1 coefficients")
-    if p.get(n) != 1:
-        raise NonMonicModulus("modulus must be monic")
-    if len(f) > n or len(g) > n:
+    """r += f * g mod p for a monic modulus p of size n+1 and operands of
+    size <= n: modular_mul_any, which then reduces nothing."""
+    if len(f) > len(r_out) or len(g) > len(r_out):
         raise SizeContract("operands must have size <= n (reduce first)")
-    with r_out.arena.call():
-        _modmul_core(f, g, r_out, p)
+    modular_mul_any(f, g, r_out, p)
 
 
 def _modmul_core(f: PolyView, g: PolyView, r_out: PolyView, p: PolyView):

@@ -21,7 +21,8 @@ blocks at or below BASE included) feeds it blocks of at most
 max(len(dst), BASE) coefficients of g (one output is a dot product per
 block), so its transient stays a few times that; the leaves of
 cs_rwrw._cum_kara and _ipl feed it two operands of at most BASE.
-_div_recurrence is the one naive power-series division.
+_div_recurrence is the one naive power-series division, in output blocks
+of at most BASE on _slice_naive.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     NonUnitLeading,
     OutOfRange,
 )
-from .reg_arena import PolyView, _slc, vadd, vcopy, vzero
+from .reg_arena import PolyView, _slc, vacc, vadd, vcopy, vset, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +446,10 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
 
     The g[j] of g's real zone that meet dst are taken in blocks of at most
     max(len(dst), BASE); each block is one _kron against the window of f's
-    real zone it meets, then one slice write, with one permission check on
-    dst.  One output is a dot product per block (f read upward, then
-    reversed), written once.  base_products counts the pairs of the two
-    real zones that meet dst.
+    real zone it meets, landed by one vacc.  The opening claim of all of
+    dst refuses the call before it counts.  One output is a dot product
+    per block (f read upward, then reversed), landed once.  base_products
+    counts the pairs of the two real zones that meet dst.
     """
     r = len(dst)
     arena = dst.arena
@@ -460,8 +461,6 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     jhi = min(g.rhi, s + r - flo)
     if r == 0 or flo >= fhi or jlo >= jhi:
         return
-    dregs = arena.regs
-    doff, dd = dst.off, dst.dir
     fregs, foff, fd = f.arena.regs, f.off, f.dir
     gregs, goff, gd = g.arena.regs, g.off, g.dir
     arena.metrics.base_products += _pairs(fhi - flo, jhi - jlo, s - flo - jlo, s + r - flo - jlo)
@@ -471,7 +470,7 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
         for j0 in range(jlo, jhi, width):
             j1 = min(j0 + width, jhi)
             acc += sum(map(mul, reversed(fregs[_slc(foff, fd, s - j1 + 1, s - j0 + 1)]), gregs[_slc(goff, gd, j0, j1)]))
-        dregs[doff] = (dregs[doff] - acc if sign < 0 else dregs[doff] + acc) % q
+        vacc(dst, [acc], sign)
         return
     for j0 in range(jlo, jhi, width):
         j1 = min(j0 + width, jhi)
@@ -481,36 +480,44 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
         dlo = max(0, i0 + j0 - s)
         dhi = min(r, i1 + j1 - 1 - s)
         vals = _kron(fregs[_slc(foff, fd, i0, i1)], gregs[_slc(goff, gd, j0, j1)], q, s + dlo - i0 - j0, dhi - dlo)
-        ds = _slc(doff, dd, dlo, dhi)
-        if sign < 0:
-            dregs[ds] = [(x - v) % q for x, v in zip(dregs[ds], vals)]
-        else:
-            dregs[ds] = [(x + v) % q for x, v in zip(dregs[ds], vals)]
+        vacc(dst, vals, sign, dlo)
 
 
 def _div_recurrence(f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
     """h[j] = (f[j] - sum_{1 <= i <= min(j, len(g)-1)} g[i] h[j-i]) / g[0]
     for j in [lo, hi): the coefficients of f / g, reading h below lo.
 
-    f[lo:hi] is read before h is written, so h may alias f; each h[j] is
-    one dot product of g's row against the window of h it reads, and
-    h[lo:hi] one checked slice write.  Scalar budget: g's row, f[lo:hi]
-    and the window of h, at most hi values each, held for the call.
+    In output blocks of at most BASE: the block of f lands in h's block
+    (nothing to move when h is f itself; else h and f must not overlap),
+    the part of the sum that reads h below the block is one _slice_naive
+    pass, and the in-block triangle runs on the block's values and at
+    most BASE - 1 coefficients of g, landed by one vset.  So no slice read
+    holds more than 2 BASE values, whatever len(g) and hi - lo.
+    base_products counts _pairs(hi, len(g), lo, hi), per coefficient its
+    dot-product terms and its division by g[0] (on g's full length, where
+    _slice_naive would count g's real zone only).
     """
     if lo >= hi:
         return
     arena = h.arena
     q = arena.q
-    t = min(len(g), hi)
-    g0, *g1 = g.sub(0, t).tolist()
-    g0inv = arena.ring.inv(g0)
-    fl = f.sub(lo, hi).tolist()
-    hs = h.span(lo, hi)
-    hl = h.sub(max(0, lo - t + 1), lo).tolist()
-    for fj in fl:
-        hl.append((fj - sum(map(mul, g1, reversed(hl)))) * g0inv % q)
-    arena.regs[hs] = hl[lo - hi :]
-    arena.metrics.base_products += _pairs(hi, len(g), lo, hi)
+    metrics = arena.metrics
+    count = metrics.base_products + _pairs(hi, len(g), lo, hi)
+    g0inv = arena.ring.inv(g.get(0))
+    g1 = g.sub(1, len(g))
+    row = g.sub(1, min(len(g), BASE)).tolist()
+    for j0 in range(lo, hi, BASE):
+        j1 = min(j0 + BASE, hi)
+        blk = h.sub(j0, j1)
+        if f is not h:
+            vcopy(blk, f.sub(j0, j1))
+        if j0:
+            _slice_naive(blk, g1, h.sub(0, j0), j0 - 1, -1)
+        out = []
+        for x in blk.tolist():
+            out.append((x - sum(map(mul, row, reversed(out)))) * g0inv % q)
+        vset(blk, out)
+    metrics.base_products = count
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 from types import SimpleNamespace
 from typing import Callable
 
@@ -22,7 +23,7 @@ from . import bilinear_inplace as bilinear
 from . import cs_rorw, cs_rwrw, dense_ref
 from .dense_ref import KIT, divrem, horner_eval, karatsuba_mul, ntt, poly_to_text, schoolbook_mul
 from .errors import RegionMismatch
-from .reg_arena import INOUT, INPUT_ONLY, OUTPUT_ONLY, RO_RW, RW_RW, SCRATCH, _slc, build_arena, vadd, vcopy, vzero
+from .reg_arena import INOUT, INPUT_ONLY, OUTPUT_ONLY, RO_RW, RW_RW, SCRATCH, _slc, build_arena, vadd, vcopy, vset, vzero
 
 # declared space classes
 TAIL = "tail"  # O(1) extra registers; tail recursion runs as loops, call depth <= 1
@@ -323,11 +324,9 @@ def _fft_ref(v, x):
         vzero(buf)
         vcopy(buf.sub(0, len(src)), src, len(src))
         ntt(buf, root, "fwd")
-    q = arena.q
     regs = arena.regs
-    wf = _slc(v.wf.off, v.wf.dir, 0, p2)
-    wg = _slc(v.wg.off, v.wg.dir, 0, p2)
-    regs[wf] = [a * b % q for a, b in zip(regs[wf], regs[wg])]
+    wf = regs[_slc(v.wf.off, v.wf.dir, 0, p2)]
+    vset(v.wf, list(map(mul, wf, regs[_slc(v.wg.off, v.wg.dir, 0, p2)])))
     ntt(v.wf, root, "inv")
     vadd(v.h, v.wf.sub(0, len(v.h)))
 

@@ -9,8 +9,12 @@ extra algebraic space high-water) and the deepest simulated call nesting
 The arena decides at build what a write must check (Arena.checked): the
 input-only runs it refuses (ro/rw only) and the scratch runs it counts.
 Every bulk write makes one check, PolyView.span, which refuses padding,
-hands a checked arena its span and returns the slice it checked; kernels
-elsewhere write that slice or sub-slices of their entry's span.
+hands a checked arena its span and returns the slice it checked.  A
+kernel lands a row it computed through vacc (add it) or vset (overwrite
+with it), which claim and write one span each; only the butterflies, the
+Strassen matrix rows and the two row loops of cs_rorw (modulus builds,
+synthetic division) write registers themselves, under a claim they or
+their caller made.
 
 Algorithms address the arena through PolyView windows: contiguous slices,
 reversed slices, or fake-padded slices whose out-of-range reads yield zero
@@ -76,8 +80,8 @@ class SpaceMetrics:
       coefficient per root; partial_interp's synthetic division one per
       quotient coefficient per point; the small interpolation tail one per
       basis coefficient per factor.
-    Scalings never count: vscale, vadd's coefficient, twiddles, twist and
-    fold, and the Lagrange weights.
+    Scalings never count: vscale, vadd's and vacc's coefficient,
+    twiddles, twist and fold, and the Lagrange weights.
     """
 
     __slots__ = ("scratch_touched", "pointer_depth_highwater", "base_products", "depth")
@@ -355,26 +359,37 @@ def _slc(off: int, d: int, a: int, b: int, step: int = 1) -> slice:
     return slice(off - a, stop if stop >= 0 else None, -step)
 
 
+def vacc(dst: PolyView, vals: list[int], sign: int = 1, a: int = 0):
+    """dst[a + i] += sign * vals[i] for i < len(vals), one claim and one
+    slice write; vals are ints of any size and sign, sign is any scalar."""
+    ds = dst.span(a, a + len(vals))
+    q = dst.arena.q
+    regs = dst.arena.regs
+    c = sign % q
+    if c == 1:
+        regs[ds] = [(x + v) % q for x, v in zip(regs[ds], vals)]
+    elif c == q - 1:
+        regs[ds] = [(x - v) % q for x, v in zip(regs[ds], vals)]
+    else:
+        regs[ds] = [(x + c * v) % q for x, v in zip(regs[ds], vals)]
+
+
+def vset(dst: PolyView, vals: list[int], a: int = 0):
+    """dst[a + i] = vals[i] mod q for i < len(vals), one claim and one
+    slice write; vals are ints of any size and sign."""
+    ds = dst.span(a, a + len(vals))
+    q = dst.arena.q
+    dst.arena.regs[ds] = [v % q for v in vals]
+
+
 def vadd(dst: PolyView, src: PolyView, sign: int = 1):
     """dst[i] += sign * src[i] over the overlap (trimmed to src's real zone);
     sign is any scalar."""
     n = min(dst.L, src.L)
     a = max(0, src.rlo)
     b = min(n, src.rhi)
-    if a >= b:
-        return
-    ds = dst.span(a, b)
-    q = dst.arena.q
-    dregs = dst.arena.regs
-    sregs = src.arena.regs
-    ss = _slc(src.off, src.dir, a, b)
-    c = sign % q
-    if c == 1:
-        dregs[ds] = [(x + y) % q for x, y in zip(dregs[ds], sregs[ss])]
-    elif c == q - 1:
-        dregs[ds] = [(x - y) % q for x, y in zip(dregs[ds], sregs[ss])]
-    else:
-        dregs[ds] = [(x + c * y) % q for x, y in zip(dregs[ds], sregs[ss])]
+    if a < b:
+        vacc(dst, src.arena.regs[_slc(src.off, src.dir, a, b)], sign, a)
 
 
 def vcopy(dst: PolyView, src: PolyView, length: int | None = None):

@@ -15,10 +15,6 @@ def rand_poly(rng: random.Random, q: int, n: int) -> list[int]:
     return [rng.randrange(q) for _ in range(n)]
 
 
-def full_product(ring, f, g):
-    return schoolbook_mul(ring, f, g)
-
-
 def low_product(ring, f, g, t):
     full = schoolbook_mul(ring, f, g)
     out = full[:t]
@@ -28,15 +24,6 @@ def low_product(ring, f, g, t):
 def slice_product(ring, f, g, s, r):
     full = schoolbook_mul(ring, f, g)
     return [(full[s + i] if 0 <= s + i < len(full) else 0) for i in range(r)]
-
-
-def log_uniform_size(rng: random.Random, lo_exp: float = 0.0, hi_exp: float = 9.0) -> int:
-    """Random size covering [1, 512] with a bias toward small values."""
-    if rng.random() < 0.8:
-        e = rng.uniform(lo_exp, min(6.5, hi_exp))
-    else:
-        e = rng.uniform(min(6.5, hi_exp), hi_exp)
-    return max(1, min(512, round(2.0 ** e)))
 
 
 def build_reversed(spec, ring, x):

@@ -212,6 +212,44 @@ def test_div_recurrence_counts_its_products(q):
             assert arena.metrics.base_products == _div_count(lg, lo, n), (n, lg, lo, layout)
 
 
+class ReadLog(list):
+    """Register list that keeps the length of the longest slice read from it."""
+
+    longest = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.longest = max(self.longest, len(out))
+        return out
+
+
+@pytest.mark.parametrize("lg, lo", ((4, 0), (4000, 0), (4000, 3997), (300, 1000)))
+def test_div_recurrence_reads_bounded_slices(lg, lo):
+    # the constant-space reductions run it on a short divisor and a long
+    # quotient (divrem_cs), or a long divisor and a short tail
+    # (series_inv_cs, series_div_cs): no register slice it reads holds
+    # more than 2 BASE values, on its own numerator or on an aliased one
+    q = 469762049
+    ring = Zq(q)
+    n = 4000
+    rng = random.Random(f"div-reads-{lg}-{lo}")
+    g = [rng.randrange(1, q)] + rand_poly(rng, q, lg - 1)
+    f, h0 = rand_poly(rng, q, n), rand_poly(rng, q, n)
+    for alias in (False, True):
+        arena, (fv, gv, hv) = build_arena(ring, RO_RW, (f, INPUT_ONLY), (g, INPUT_ONLY), (h0, INOUT))
+        if alias:
+            hv = fv = build_arena(ring, RO_RW, (h0[:lo] + f[lo:], INOUT))[1][0]
+            arena = fv.arena
+        arena.regs = ReadLog(arena.regs)
+        dense_ref._div_recurrence(fv, gv, hv, lo, n)
+        assert arena.regs.longest <= 2 * BASE, (lg, lo, alias)
+        h = hv.tolist()
+        assert h[:lo] == h0[:lo]
+        assert [c % q for c in _kron(g, h, q, lo, n - lo)] == f[lo:], (lg, lo, alias)
+        assert arena.metrics.base_products == _div_count(lg, lo, n)
+
+
 def test_counts_do_not_read_values():
     # the same zones count the same whether every value is zero or random:
     # _slice_naive on padded windows (one output and many), and

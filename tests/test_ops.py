@@ -353,3 +353,24 @@ def test_table_fuzz_over_primes_and_view_kinds(spec, q, kind, n, seed):
     rng = random.Random(seed)
     x = spec.gen(ring, rng, n, cap=32)
     check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)
+
+
+SWEEP_PRIMES = (2, 3, 2**127 - 1)
+
+
+@pytest.mark.parametrize("q", SWEEP_PRIMES)
+@pytest.mark.parametrize("spec", [spec for spec in SPECS.values() if spec.gen], ids=lambda spec: spec.name)
+def test_oracle_sweep_over_primes_and_layouts(spec, q):
+    # every entry against its oracle on the smallest primes and one above
+    # 2^64, on the plain, reversed and padded layouts, below and above
+    # BASE; Strassen on power-of-two sizes; the interpolation entries only
+    # where the prime has the points they need (see the fuzz above)
+    ring = RINGS[q]
+    sizes = (1, 2, 4, 8) if spec.name == "strassen_cs" else (1, 2, 3, 4, 5, 8, 16, 17, 32, 33, 40, 64, 65, 97)
+    for n in sizes:
+        if spec.name in ("interp_cs", "partial_interp") and q <= n + 1:
+            continue
+        rng = random.Random(f"sweep-{spec.name}-{q}-{n}")
+        x = spec.gen(ring, rng, n, cap=100)
+        for kind in ("plain", "reversed", "padded"):
+            check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)

@@ -13,7 +13,7 @@ from polyarena.errors import (
     PermissionDenied,
     UnderflowExit,
 )
-from polyarena.reg_arena import build_arena, vadd, vcopy, vscale, vzero
+from polyarena.reg_arena import build_arena, vacc, vadd, vcopy, vscale, vset, vzero
 
 RING = Zq(97)
 
@@ -136,6 +136,40 @@ def test_padding_write_through_region_ops():
     assert dst.tolist() == [6, 5, 5]
 
 
+def test_vacc_and_vset():
+    # any ints land reduced, at offset a, on a reversed view; padding and
+    # input-only runs (ro/rw) refuse before anything is written; a scratch
+    # register counts once however often it is written
+    arena, (x, t) = build_arena(RING, RO_RW, ([1, 2, 3], INOUT), ([0, 0, 0, 0], SCRATCH))
+    vacc(x, [200, -5])
+    assert x.tolist() == [7, 94, 3]
+    vacc(x, [1, 2], -1, 1)
+    assert x.tolist() == [7, 93, 1]
+    vacc(x, [10**40], 3, 2)
+    assert x.tolist() == [7, 93, (1 + 3 * 10**40) % 97]
+    vset(x, [-1, 10**30])
+    assert x.tolist() == [96, 10**30 % 97, (1 + 3 * 10**40) % 97]
+    vset(t.rev(), [5, -6, 7], 1)
+    assert t.tolist() == [7, 91, 5, 0]
+    vacc(t, [1] * 4)
+    vset(t, [2, 2])
+    assert t.tolist() == [2, 2, 6, 1]
+    assert arena.metrics.extra_algebraic_highwater == 4
+    before = list(arena.regs)
+    for op in (lambda v: vacc(v, [1, 1]), lambda v: vset(v, [1, 1], 1)):
+        with pytest.raises(PaddingWrite):
+            op(x.sub(1, 3).padded(4).sub(1, 4))
+    arena2, (a, b) = build_arena(RING, RO_RW, ([1, 2], INPUT_ONLY), ([0], INOUT))
+    for op in (lambda: vacc(a, [1]), lambda: vset(a, [1], 1), lambda: vacc(a.rev(), [4, 4], -1)):
+        with pytest.raises(PermissionDenied):
+            op()
+    assert arena.regs == before and arena2.regs == [1, 2, 0]
+    # under rw/rw the same input-only run is written
+    _, (a,) = build_arena(RING, RW_RW, ([1, 2], INPUT_ONLY))
+    vacc(a, [1, 1], 5)
+    assert a.tolist() == [6, 7]
+
+
 def test_dump_format():
     arena = Arena(RING, [7, 0], [INPUT_ONLY, SCRATCH], RO_RW)
     lines = arena.dump().splitlines()
@@ -180,23 +214,15 @@ def test_tolist_matches_get_on_composed_views():
 
 
 # Every function outside reg_arena that assigns into a register list, with
-# the claim that covers its writes.  A new raw writer fails the census until
-# it is listed here with its claim.
+# the claim that covers its writes.  Every other kernel lands its rows
+# through vacc or vset.  A new raw writer fails the census until it is
+# listed here with its claim.
 RAW_WRITERS = {
-    "bilinear_inplace._madd": "checks its own rows (_check_rows)",
-    "bilinear_inplace._sw2": "checks its own registers (check_span)",
-    "dense_ref._slice_naive": "its own dst.span",
-    "dense_ref._div_recurrence": "its own h.span",
-    "dense_ref._butterflies": "ntt's or _otfft's span",
-    "cs_rwrw._cum_kara": "its kernel's own h.span",
-    "cs_rwrw._ipl": "its own f.span",
-    "cs_rwrw._step": "its own v.span",
-    "cs_rwrw._add_virtual": "_otfft's span",
-    "cs_rwrw._twist_fold": "partial_ft's span",
-    "cs_rwrw.cumulative_fft_mul": "its entry span of h",
-    "cs_rorw._build_modulus": "its vzero(dst)",
-    "cs_rorw.partial_interp": "its vzero(ni)",
-    "ops._fft_ref": "its vzero(buf)",
+    "bilinear_inplace._madd": "writes MatView rows and checks them itself (_check_rows)",
+    "bilinear_inplace._sw2": "writes MatView rows and checks its registers itself (check_span)",
+    "dense_ref._butterflies": "strides through raw regs under ntt's or _otfft's span",
+    "cs_rorw._build_modulus": "one row per root under its vzero(dst)",
+    "cs_rorw.partial_interp": "one row per point under its vzero(ni)",
 }
 
 
