@@ -31,24 +31,28 @@ its outputs and scratch blocks (`require_writable`), so a call refused for
 its permissions leaves the registers and the metrics as it found them.
 
 Declared scalar budgets (Python locals per arithmetic statement): at most
-four per loop below (one running product per interpolation weight), except
-the small-size interpolation fallback: one block of at most twelve values.
-The row kernels of evaluation and interpolation (_build_modulus, the
-synthetic division of partial_interp, _horner_view) hold one row as a
-transient of one statement, as the region ops and
-dense_ref._slice_naive do, and dense_ref._div_recurrence holds one block
-of at most BASE values.  The two writing ones write their rows
-themselves under one claim, a vzero of the row's whole register block
-(the synthetic division's once per block), never once per row or
-coefficient.
+four per loop below (one running product per interpolation weight, over
+at most BASE differences at a time), except the small-size interpolation
+tail: one block of at most twelve values.  The row kernels of evaluation
+and interpolation hold one row as a transient of one statement, as the
+region ops and dense_ref._slice_naive do: _build_modulus its prefix of
+at most len(dst) values and a group product of at most BASE + 1,
+partial_interp one point's row and its chunk's sum, at most BASE values
+each, _horner_view the polynomial it reads; dense_ref._div_recurrence
+holds one block of at most BASE values.  _build_modulus writes its rows
+itself under one claim, the vzero of its whole register block, never
+once per row or coefficient; partial_interp lands its sums through vacc,
+vset and vadd.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain, islice, pairwise, repeat
+from math import prod
+from operator import add, sub
 
 from .coeff_ring import Zq
-from .dense_ref import BASE, KIT, _div_recurrence, _slice_naive
+from .dense_ref import BASE, KIT, _div_recurrence, _kron, _pairs, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -61,7 +65,7 @@ from .errors import (
     ZeroPointWithShift,
     check_sign,
 )
-from .reg_arena import PolyView, _slc, require_writable, vadd, vcopy, vscale, vzero
+from .reg_arena import PolyView, _slc, require_writable, vacc, vadd, vcopy, vscale, vset, vzero
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +492,24 @@ def mp_eval_cs(f: PolyView, points, out: PolyView):
 def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView):
     """First k coefficients of h where g + x^s * h interpolates the pairs.
 
-    s = len(g) is the number of already-known low coefficients.  Block
-    Lagrange interpolation: the pairs are cut into ceil(len/k) blocks (the
-    last may be short).  Block i contributes n_i * s_i mod x^k: m_i is the
-    product of (x - a) over its points, s_i that of (x - b) over all other
-    points mod x^k, n_i the sum of w_a * m_i / (x - a), and the weight
-    w_a = (b_a - g(a)) / (a^s * prod_{b != a} (a - b)) over all the points.
-    Scratch: 8k + 4 registers, for m_i (k + 1), s_i, n_i (k each) and the
-    kit workspace (the rest).
+    s = len(g) is the number of already-known low coefficients.  h is the
+    Lagrange interpolant of the values (b - g(a)) / a^s, that is
+    M * sum_a w_a / (x - a) with M the product of (x - a) over the points
+    and w_a = (b - g(a)) / (a^s * prod_{b != a} (a - b)), so h mod x^k is
+    M mod x^k times the sum's power series mod x^k.  Point a's term is
+    the geometric row -w_a * a^-1 * (a^-1)^d.  The points go in chunks of
+    at most BASE: the chunk's rows, cut to t = min(k, len(chunk))
+    coefficients, are summed in Python locals; past t the chunk's sum is
+    n_C / m_C with m_C its points' modulus and deg n_C < t, so it extends
+    by dense_ref._div_recurrence on m_C alone, in scratch, and lands on
+    out[0:k] by one vadd.  Then out[0:k] is copied into scratch, and one
+    low product by M mod x^k (one _build_modulus into scratch) lands in
+    out[0:k].  A zero point (s = 0 only) has no series: with M0 the
+    product over the other points, h = M0 * (w_0 + x * sum_{a != 0}
+    w_a / (x - a)), so M0 is built, the other series land one place up
+    and w_0 is the constant term.
+    Scratch: 2k registers, for M mod x^k (first a chunk's m_C) and the
+    series (then the copy).
     """
     ring = out.arena.ring
     q = ring.q
@@ -505,49 +519,61 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
         raise SizeContract(f"need 1 <= k <= {npts}")
     if len(out) < k:
         raise SizeContract("output too short")
-    if len(set(a for a, _ in pts)) != npts:
+    xs = [a for a, _ in pts]
+    if len(set(xs)) != npts:
         raise DuplicatePoint("interpolation points must be distinct")
-    if len(g) and any(a == 0 for a, _ in pts):
+    if len(g) and 0 in xs:
         raise ZeroPointWithShift("zero point is not allowed when a prefix is known")
-    if len(scratch) < 8 * k + 4:
-        raise BadScratch(f"need scratch >= {8 * k + 4}, got {len(scratch)}")
-    require_writable(out.sub(0, k), scratch.sub(0, 8 * k + 4))
+    if len(scratch) < 2 * k:
+        raise BadScratch(f"need scratch >= {2 * k}, got {len(scratch)}")
+    require_writable(out.sub(0, k), scratch.sub(0, 2 * k))
     with out.arena.call():
-        mi = scratch.sub(0, k + 1)
-        sk = scratch.sub(k + 1, 2 * k + 1)
-        ni = scratch.sub(2 * k + 1, 3 * k + 1)
-        ws = scratch.sub(3 * k + 1, 8 * k + 4)
-        regs = scratch.arena.regs
+        mk = scratch.sub(0, k)
+        row = scratch.sub(k, 2 * k)
         out_k = out.sub(0, k)
+        metrics = out.arena.metrics
+        shift = 0 in xs
+        n = k - shift  # the length of the nonzero points' series
+        sums = out_k.sub(shift, k)
+        series = row.sub(0, n)
         vzero(out_k)
-        for lo in range(0, npts, k):
-            block = pts[lo : lo + k]
-            kb = len(block)
-            _build_modulus(mi, [a for a, _ in block])
-            _build_modulus(sk, (a for j, (a, _) in enumerate(pts) if not lo <= j < lo + kb))
-            vzero(ni)
-            # synthetic division of mi by (x - a), top down: Q[kb-1] = mi[kb],
-            # Q[d-1] = mi[d] + a * Q[d]; ni[d] += w * Q[d].  One slice read of
-            # mi and one slice write of ni per point; vzero(ni) checked ni.
-            mtop = mi.sub(1, kb + 1).rev()
-            ntop = ni.sub(0, kb).rev()
-            ms = _slc(mtop.off, mtop.dir, 0, kb)
-            ns = _slc(ntop.off, ntop.dir, 0, kb)
-            for a, b in block:
-                w = _weight(ring, g, pts, a, b)
-                quo = accumulate(regs[ms], lambda acc, c: (c + a * acc) % q)
-                regs[ns] = [(x + w * y) % q for x, y in zip(regs[ns], quo)]
-            out.arena.metrics.base_products += kb * kb
-            KIT.low_acc(out_k, ni.sub(0, kb).padded(k), sk, ws)
+        if shift:
+            i = xs.index(0)
+            vacc(out_k, [_weight(ring, g, xs, i, pts[i][1])])
+        for lo in range(0, npts if n else 0, BASE):
+            chunk = [i for i in range(lo, min(lo + BASE, npts)) if xs[i]]
+            t = min(n, len(chunk))
+            head = [0] * t
+            for i in chunk:
+                a, b = pts[i]
+                r = ring.inv(a)
+                c = -_weight(ring, g, xs, i, b) * r % q
+                head = list(map(add, head, accumulate(repeat(r, t - 1), lambda x, y: x * y % q, initial=c)))
+            metrics.base_products += t * len(chunk)
+            if t == n:
+                vacc(sums, head)
+            elif chunk:
+                mc = mk.sub(0, t + 1)
+                _build_modulus(mc, (xs[i] for i in chunk))
+                vset(series, head)
+                _div_recurrence(series.sub(0, 0).padded(n), mc, series, t, n)
+                vadd(sums, series)
+        _build_modulus(mk, (a for a in xs if a))
+        vcopy(row, out_k)
+        vzero(out_k)
+        _slice_naive(out_k, row, mk, 0)
 
 
-def _weight(ring: Zq, g: PolyView, pts, a: int, b: int) -> int:
-    """Lagrange weight (b - g(a)) / (a^len(g) * prod_{a2 != a} (a - a2))."""
+def _weight(ring: Zq, g: PolyView, xs, i: int, b: int) -> int:
+    """Lagrange weight (b - g(a)) / (a^len(g) * prod_{j != i} (a - xs[j]))
+    of a = xs[i]; the product runs over chunks of at most BASE differences,
+    one math.prod each, reduced after each."""
     q = ring.q
+    a = xs[i]
+    diffs = map(sub, repeat(a), chain(islice(xs, i), islice(xs, i + 1, None)))
     denom = pow(a, len(g), q)
-    for a2, _ in pts:
-        if a2 != a:
-            denom = denom * (a - a2) % q
+    for _ in range(0, len(xs) - 1, BASE):
+        denom = prod(islice(diffs, BASE), start=denom) % q
     return (b - _horner_view(g, a, q)) * ring.inv(denom) % q
 
 
@@ -556,32 +582,48 @@ def _build_modulus(dst: PolyView, roots):
     first, so nothing it held before is read.
 
     The opening vzero is the call's one permission check and counts dst as
-    scratch.  Then each root is one list-slice pass over the live prefix,
-    which grows by one per root up to t: new[d] = old[d - 1] - a * old[d]
-    with old[-1] = 0 (the register just above the old prefix still holds
-    its zero).
+    scratch.  The first t - 1 roots fill the prefix, one list-slice pass
+    each over the live part, which grows by one per root up to t:
+    new[d] = old[d - 1] - a * old[d] with old[-1] = 0 (the register just
+    above the old prefix still holds its zero).  Any further roots go in
+    groups of at most BASE: the group's product mod x^t is built by the
+    same passes on Python locals, then multiplies the full row in one
+    _kron pass.
     """
     t = len(dst)
     if not t:
         return
     vzero(dst)
-    regs = dst.arena.regs
-    q = dst.arena.q
+    arena = dst.arena
+    regs, q, metrics = arena.regs, arena.q, arena.metrics
     regs[dst.off] = 1
+    roots = iter(roots)
     live = 1
-    for a in roots:
-        live = min(live + 1, t)
+    for a in islice(roots, t - 1):
+        live += 1
         ds = _slc(dst.off, dst.dir, 0, live)
         regs[ds] = [(p - a * c) % q for p, c in pairwise(chain((0,), regs[ds]))]
-        dst.arena.metrics.base_products += live
+        metrics.base_products += live
+    ds = _slc(dst.off, dst.dir, 0, t)
+    while group := list(islice(roots, BASE)):
+        poly = [1]
+        for a in group:
+            poly = [(p - a * c) % q for p, c in pairwise(chain((0,), poly, (0,)))][:t]
+            metrics.base_products += len(poly)
+        regs[ds] = [v % q for v in _kron(regs[ds], poly, q, 0, t)]
+        metrics.base_products += _pairs(t, len(poly), 0, t)
 
 
 def interp_cs(pairs, out: PolyView):
     """The unique interpolant through the pairs, grown prefix by prefix.
 
     Points must be pairwise distinct and nonzero (later stages divide by
-    a_i ** s).  Small tails fall back to direct Lagrange combination over
-    at most a dozen points, held in Python locals (declared budget).
+    a_i ** s).  Each round is one partial_interp over the rem points left,
+    for k = rem // 3 coefficients, with the 2k output slots above them as
+    its scratch, so rem shrinks by a third per round.  The last twelve
+    points or fewer go to the direct Lagrange tail, held in Python locals
+    (declared budget): below thirteen points a round costs more than the
+    tail.
     """
     ring = out.arena.ring
     q = ring.q
@@ -600,10 +642,10 @@ def interp_cs(pairs, out: PolyView):
         done = 0
         while done < P:
             rem = P - done
-            k = (rem - 4) // 9
-            if k < 1:
+            if rem <= 12:
                 _interp_small_tail(ring, pts, out, done)
                 return
+            k = rem // 3
             partial_interp(
                 out.sub(0, done),
                 pts[done:],
@@ -619,9 +661,10 @@ def _interp_small_tail(ring: Zq, pts, out: PolyView, done: int):
     q = ring.q
     rem = len(pts) - done
     tail = pts[done:]
+    xs = [a for a, _ in tail]
     coeffs = [0] * rem
-    for a, b in tail:
-        w = _weight(ring, out.sub(0, done), tail, a, b)
+    for i, (a, b) in enumerate(tail):
+        w = _weight(ring, out.sub(0, done), xs, i, b)
         basis = [1]
         for a2, _ in tail:
             if a2 == a:

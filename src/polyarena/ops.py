@@ -569,7 +569,7 @@ OPS = (
         space=SMALL,
         gen=_gen_partial_interp,
         check=lambda ring, x, out: out["out"] == (x["poly"][len(x["g"]) :] + [0] * len(x["poly"]))[: x["k"]],
-        sizes=lambda x: {"out": x["k"], "w": 8 * x["k"] + 4},
+        sizes=lambda x: {"out": x["k"], "w": 2 * x["k"]},
     ),
     OpSpec(
         "interp_cs",

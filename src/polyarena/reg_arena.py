@@ -12,9 +12,8 @@ Every bulk write makes one check, PolyView.span, which refuses padding,
 hands a checked arena its span and returns the slice it checked.  A
 kernel lands a row it computed through vacc (add it) or vset (overwrite
 with it), which claim and write one span each; only the butterflies, the
-Strassen matrix rows and the two row loops of cs_rorw (modulus builds,
-synthetic division) write registers themselves, under a claim they or
-their caller made.
+Strassen matrix rows and cs_rorw's modulus build write registers
+themselves, under a claim they or their caller made.
 
 Algorithms address the arena through PolyView windows: contiguous slices,
 reversed slices, or fake-padded slices whose out-of-range reads yield zero
@@ -77,9 +76,15 @@ class SpaceMetrics:
     - cs_rwrw._cum_kara's leaf: its Karatsuba split's, 3^k at n = 2^k;
     - Strassen-Winograd, an executed PROD, an FFT pointwise product: one;
     - cs_rorw: Horner len(f) per point; a modulus build one per live
-      coefficient per root; partial_interp's synthetic division one per
-      quotient coefficient per point; the small interpolation tail one per
-      basis coefficient per factor.
+      coefficient per root while its row fills, then per group of at most
+      BASE further roots the group's product by that rule and its product
+      with the full row, _pairs(t, len(group product), 0, t);
+      partial_interp's geometric rows one per coefficient, min(n,
+      len(chunk)) per nonzero point with n = k (k - 1 beside a zero
+      point, whose own term is its weight), the rest of a chunk's series
+      by _div_recurrence's rule and the final low product by
+      _slice_naive's; the small interpolation tail one per basis
+      coefficient per factor.
     Scalings never count: vscale, vadd's and vacc's coefficient,
     twiddles, twist and fold, and the Lagrange weights.
     """

@@ -5,7 +5,7 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, PolyView, Zq, build_arena
 from polyarena import cs_rorw
 from polyarena.ops import SPECS, build, distinct_nonzero
-from polyarena.dense_ref import KIT, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
+from polyarena.dense_ref import BASE, KIT, _pairs, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
 from polyarena.errors import (
     BadScratch,
     DuplicatePoint,
@@ -396,7 +396,7 @@ def test_partial_interp_examples():
     fd = rand_poly(RNG, Q, n)
     pts = RNG.sample(range(1, Q), n - s)
     vals = [horner_eval(RING97, fd, a) for a in pts]
-    arena, (g, out, ws) = ro_arena((fd[:s], INPUT_ONLY), ([0] * k, INOUT), ([0] * (8 * k + 4), SCRATCH))
+    arena, (g, out, ws) = ro_arena((fd[:s], INPUT_ONLY), ([0] * k, INOUT), ([0] * (2 * k), SCRATCH))
     cs_rorw.partial_interp(g, list(zip(pts, vals)), k, out, ws)
     assert out.tolist() == fd[s : s + k]
 
@@ -407,12 +407,12 @@ def test_partial_interp_examples():
 
 
 def test_partial_interp_ragged_blocks():
-    # k does not divide the number of pairs; the last block is smaller
+    # k divides neither the number of pairs nor the chunk size BASE
     n, s, k = 23, 3, 5
     fd = rand_poly(RNG, Q, n)
     pts = RNG.sample(range(1, Q), n - s)
     vals = [horner_eval(RING97, fd, a) for a in pts]
-    arena, (g, out, ws) = ro_arena((fd[:s], INPUT_ONLY), ([0] * k, INOUT), ([0] * (8 * k + 4), SCRATCH))
+    arena, (g, out, ws) = ro_arena((fd[:s], INPUT_ONLY), ([0] * k, INOUT), ([0] * (2 * k), SCRATCH))
     cs_rorw.partial_interp(g, list(zip(pts, vals)), k, out, ws)
     assert out.tolist() == fd[s : s + k]
 
@@ -438,6 +438,124 @@ def test_interp_examples():
     with pytest.raises(ZeroPointWithShift):
         arena, (out,) = ro_arena(([0, 0], INOUT))
         cs_rorw.interp_cs([(0, 1), (1, 2)], out)
+
+
+def _interp_pairs(ring, rng, poly, npts, zero=False):
+    """npts distinct points (one of them 0 when zero) and poly's values."""
+    pts = distinct_nonzero(rng, ring.q, npts - zero) + [0] * zero
+    rng.shuffle(pts)
+    return [(a, horner_eval(ring, poly, a)) for a in pts]
+
+
+def _partial_arena(ring, rng, poly, s, k, layout, w):
+    """g = poly[:s] (input-only), out (k slots) and w scratch registers, a
+    guard register behind them; reversed: every operand stored back to
+    front (out two slots longer than k); padded: g stored without its zero
+    top and out as k registers behind a view three slots longer."""
+    rev = layout == "reversed"
+    g = poly[:s][::-1] if rev else poly[: rng.randrange(0, s + 1) if layout == "padded" else s]
+    arena, (gv, out, ws, guard) = build_arena(
+        ring, RO_RW, (g, INPUT_ONLY), (rand_poly(rng, ring.q, k + 2 * rev), INOUT),
+        (rand_poly(rng, ring.q, w), SCRATCH), ([5], INPUT_ONLY),
+    )
+    if rev:
+        gv, out, ws = gv.rev(), out.rev(), ws.rev()
+    elif layout == "padded":
+        gv, out = gv.padded(s), out.padded(k + 3)
+    return arena, gv, out, ws, guard
+
+
+def _partial_case(q, npts, s, k, layout, zero=False):
+    """partial_interp on npts points of a random poly of s + npts
+    coefficients (the top of its known prefix zero on the padded layout),
+    with exactly 2k scratch: out[0:k] must be poly[s:s+k]."""
+    ring = Zq(q)
+    rng = random.Random(f"partial-{q}-{npts}-{s}-{k}-{layout}-{zero}")
+    poly = rand_poly(rng, q, s + npts)
+    arena, g, out, ws, guard = _partial_arena(ring, rng, poly, s, k, layout, 2 * k)
+    poly[:s] = g.tolist()
+    pairs = _interp_pairs(ring, rng, poly, npts, zero)
+    cs_rorw.partial_interp(g, pairs, k, out, ws)
+    assert out.tolist()[:k] == poly[s : s + k], (q, npts, s, k, layout, zero)
+    assert g.tolist() == poly[:s] and guard.tolist() == [5 % q]
+    assert arena.metrics.extra_algebraic_highwater <= 2 * k
+    assert arena.metrics.pointer_depth_highwater == 1
+
+
+def test_partial_interp_scratch_is_2k():
+    # exactly 2k scratch registers suffice; with 2k - 1 the call is refused
+    # before it writes a register, counts one or enters a call
+    q = 469762049
+    ring = Zq(q)
+    rng = random.Random("partial-2k")
+    for npts, s, k in ((1, 0, 1), (5, 2, 1), (12, 0, 4), (40, 3, 13), (100, 7, 33), (70, 0, 70)):
+        _partial_case(q, npts, s, k, "plain")
+        poly = rand_poly(rng, q, s + npts)
+        arena, g, out, ws, guard = _partial_arena(ring, rng, poly, s, k, "plain", 2 * k - 1)
+        before = list(arena.regs)
+        with pytest.raises(BadScratch):
+            cs_rorw.partial_interp(g, _interp_pairs(ring, rng, poly, npts), k, out, ws)
+        assert arena.regs == before
+        m = arena.metrics
+        assert (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products, m.depth) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("q", (2, 3, 97, 469762049, 2**127 - 1))
+def test_partial_interp_zero_point(q):
+    # a zero point (s = 0 only) has no series: M0 and the weight w_0 carry
+    # it; k = 1 (w_0 alone), 2 and npts, the zero at a seeded position
+    # among up to 70 points (past one chunk of BASE)
+    for npts in [n for n in (1, 2, 3, 5, 33, 70) if n <= q]:
+        for k in sorted({1, min(2, npts), npts}):
+            for layout in ("plain", "reversed", "padded"):
+                _partial_case(q, npts, 0, k, layout, zero=True)
+
+
+def _interp_rounds(n):
+    """Rounds of interp_cs on n points: k = rem // 3 while rem > 12."""
+    rounds = 0
+    while n > 12:
+        n -= n // 3
+        rounds += 1
+    return rounds
+
+
+# the sizes around every change in interp_cs's number of rounds, around the
+# first round whose k passes BASE (99 points) and around whole chunks
+ROUND_SIZES = sorted(
+    {m for n in range(2, 260) if _interp_rounds(n) != _interp_rounds(n - 1) for m in (n - 1, n)}
+    | {32, 33, 64, 65, 98, 99, 100}
+)
+
+
+def _sweep_sizes(q):
+    """Every size a small prime holds; ROUND_SIZES on the large ones (up
+    to 136 points above 2^64, where every product costs more)."""
+    if q <= 97:
+        return list(range(1, q))
+    return [n for n in ROUND_SIZES if q < 2**64 or n <= 136]
+
+
+@pytest.mark.parametrize("q", (2, 3, 97, 469762049, 2**127 - 1))
+def test_interpolation_oracle_sweep(q):
+    # interp_cs on plain and reversed outputs (its output is all written,
+    # so it has no padded form) and partial_interp on the plain, reversed
+    # and padded layouts of _partial_arena, against the polynomial the
+    # values came from; partial_interp's (s, k) cycle with the size
+    ring = Zq(q)
+    for n in _sweep_sizes(q):
+        rng = random.Random(f"sweep-{q}-{n}")
+        poly = rand_poly(rng, q, n)
+        pairs = _interp_pairs(ring, rng, poly, n)
+        for layout in ("plain", "reversed"):
+            arena, (out, guard) = build_arena(ring, RO_RW, (rand_poly(rng, q, n), INOUT), ([5], INPUT_ONLY))
+            cs_rorw.interp_cs(pairs, out.rev() if layout == "reversed" else out)
+            assert (out.rev() if layout == "reversed" else out).tolist() == poly, (q, n, layout)
+            assert arena.metrics.extra_algebraic_highwater == 0 and guard.tolist() == [5 % q]
+        s = (0, 1, 5)[n % 3]
+        k = (1, 2, max(1, n // 3), min(n, BASE + 1), n)[n % 5]
+        for layout in ("plain", "reversed", "padded"):
+            _partial_case(q, n, s, min(k, n), layout)
 
 
 def test_inputs_never_modified():
@@ -585,15 +703,16 @@ def test_chunk_loops_are_pinned(case):
 
 
 def test_partial_interp_ignores_what_its_registers_held():
-    # out and the scratch start with random values: every block builds its
-    # moduli from zero, so nothing a register held on entry is read
+    # out and the exact 2k scratch start with random values: the moduli are
+    # built from zero and the sums start from a vzero, so nothing a
+    # register held on entry is read; sizes up to 80 pass one chunk
     spec = SPECS["partial_interp"]
     for q in (97, 469762049, 2**61 - 1):
         ring = Zq(q)
         rng = random.Random(f"garbage-{q}")
         for _ in range(300):
-            x = spec.gen(ring, rng, rng.randrange(2, 40))
-            x = {**x, "out": rand_poly(rng, q, x["k"]), "w": rand_poly(rng, q, 8 * x["k"] + 4)}
+            x = spec.gen(ring, rng, rng.randrange(2, 80))
+            x = {**x, "out": rand_poly(rng, q, x["k"]), "w": rand_poly(rng, q, 2 * x["k"])}
             arena, views = build(spec, ring, x)
             spec.call(views, x)
             assert spec.check(ring, x, {"out": views.out.tolist()}), x
@@ -620,23 +739,23 @@ def _interp_case(entry, q, n, s=0, k=None):
     return fingerprint, m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
-# goldens taken while partial_interp still reduced the other blocks'
-# moduli modulo its own block's: the output and pointer depth stay, and
-# the scratch it writes may only shrink; products re-taken once Horner,
-# the moduli, the synthetic division and the small tail's basis counted
-# theirs (the zone rule)
+# fingerprints and pointer depths taken while partial_interp still ran
+# block Lagrange rounds (8k + 4 scratch, k = (rem - 4) // 9 in interp_cs):
+# they stay.  The scratch it writes may only shrink; scratch and products
+# were re-taken when each round became one power series (2k scratch,
+# k = rem // 3), with the count rule of reg_arena.SpaceMetrics
 INTERP_PINNED = {
-    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 1012),
-    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 9784),
-    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 45409),
-    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 415685),
-    ("interp_cs", 97, 40): (45653, 0, 2, 17416),
-    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 49, 1, 312),
-    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 37, 1, 576),
-    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 23, 1, 1340),
-    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 51, 1, 4900),
-    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 267, 1, 6489),
-    ("partial_interp", 97, 30, 4, 6): (1154, 44, 1, 1034),
+    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 478),
+    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 2100),
+    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 9573),
+    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 100018),
+    ("interp_cs", 97, 40): (45653, 0, 2, 3772),
+    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 24, 1, 324),
+    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 10, 1, 278),
+    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 6, 1, 490),
+    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 14, 1, 935),
+    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 80, 1, 6847),
+    ("partial_interp", 97, 30, 4, 6): (1154, 12, 1, 438),
 }
 
 
@@ -657,19 +776,21 @@ KERNEL_PRIMES = (97, 469762049, 2**127 - 1)
 
 @pytest.mark.parametrize("q", KERNEL_PRIMES)
 @pytest.mark.parametrize("kind", ["plain", "reversed"])
-def test_build_modulus_is_the_truncated_product(q, kind):
+@pytest.mark.parametrize("r", (6, 75))
+def test_build_modulus_is_the_truncated_product(q, kind, r):
     # dst = prod (x - a) mod x^t on a scratch view that starts at register 0
     # (the reversed slice then runs to the front of the file) and held
-    # garbage; the input-only register behind it stays untouched
+    # garbage; the input-only register behind it stays untouched.  Roots
+    # beyond t - 1 go in groups of BASE (two full groups and a short one
+    # at r = 75, t = 7)
     ring = Zq(q)
-    rng = random.Random(f"modulus-{q}-{kind}")
-    r = 6
+    rng = random.Random(f"modulus-{q}-{kind}-{r}")
     roots = [0, q - 1] + [rng.randrange(q) for _ in range(r - 2)]
     rng.shuffle(roots)
     full = [1]
     for a in roots:
         full = schoolbook_mul(ring, full, [-a % q, 1])
-    for t in (1, 2, r, r + 1, r + 4):
+    for t in (1, 2, 7, r, r + 1, r + 4):
         arena, (dst, guard) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH), ([5], INPUT_ONLY))
         if kind == "reversed":
             dst = dst.rev()
@@ -694,10 +815,23 @@ def test_horner_view_matches_horner_eval(q):
             assert cs_rorw._horner_view(f.window(-2, n + 3), a, q) == horner_eval(ring, padded, a)
 
 
+def _modulus_products(t, r):
+    """A modulus build's count over r roots: one per live coefficient per
+    root while its row fills, then per group of at most BASE roots the
+    group's own build by the same rule and its product with the full row."""
+    fill = min(r, t - 1)
+    count = sum(range(2, fill + 2))
+    for j in range(fill, r, BASE):
+        size = min(BASE, r - j)
+        count += sum(min(i + 1, t) for i in range(1, size + 1)) + _pairs(t, min(size + 1, t), 0, t)
+    return count
+
+
 @pytest.mark.parametrize("zero", (False, True), ids=("random", "zero"))
 def test_row_kernels_count_their_products(zero):
     # Horner counts len(f) per point, padding included; a modulus build one
-    # product per live coefficient per root; zero values count the same
+    # product per live coefficient per root while its row fills, then its
+    # groups of roots (_modulus_products); zero values count the same
     q = 469762049
     ring = Zq(q)
     rng = random.Random(f"row-counts-{zero}")
@@ -708,16 +842,18 @@ def test_row_kernels_count_their_products(zero):
             before = arena.metrics.base_products
             cs_rorw._horner_view(view, rng.randrange(q), q)
             assert arena.metrics.base_products - before == len(view)
-    for t in (1, 2, 7):
-        for k in (0, 1, 3, 10):
+    for t in (1, 2, 7, 40):
+        for k in (0, 1, 3, 10, 45, 80):
             roots = [0] * k if zero else rand_poly(rng, q, k)
             arena, (dst,) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH))
             cs_rorw._build_modulus(dst, roots)
-            assert arena.metrics.base_products == sum(min(i + 1, t) for i in range(1, k + 1))
+            assert arena.metrics.base_products == _modulus_products(t, k)
+            if k < t:  # the row never fills: one pass per root, as mp_eval_cs builds its moduli
+                assert arena.metrics.base_products == sum(range(2, k + 2))
 
 
 def test_interp_cs_makes_no_scalar_loop(monkeypatch):
-    # the moduli, the synthetic division and Horner run on list slices:
+    # the moduli, the series and Horner run on list slices:
     # a linear number of scalar view calls, where a scalar loop makes ~n^2
     counts = {"get": 0, "set": 0}
     for name in counts:

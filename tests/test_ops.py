@@ -120,7 +120,7 @@ CONTRACT_REFUSALS = {
         (SizeContract, lambda x: {"out": [0] * (x["k"] - 1)}),
         (DuplicatePoint, _duplicate_point),
         (ZeroPointWithShift, lambda x: {"g": [1], "pairs": [(0, 1)] + x["pairs"][1:]}),
-        (BadScratch, lambda x: {"w": [0] * (8 * x["k"] + 3)}),
+        (BadScratch, lambda x: {"w": [0] * (2 * x["k"] - 1)}),
     ),
     "interp_cs": (
         (SizeContract, lambda x: {"out": [0] * (len(x["pairs"]) + 1)}),

@@ -221,8 +221,7 @@ RAW_WRITERS = {
     "bilinear_inplace._madd": "writes MatView rows and checks them itself (_check_rows)",
     "bilinear_inplace._sw2": "writes MatView rows and checks its registers itself (check_span)",
     "dense_ref._butterflies": "strides through raw regs under ntt's or _otfft's span",
-    "cs_rorw._build_modulus": "one row per root under its vzero(dst)",
-    "cs_rorw.partial_interp": "one row per point under its vzero(ni)",
+    "cs_rorw._build_modulus": "one row per root or group of roots under its vzero(dst)",
 }
 
 
