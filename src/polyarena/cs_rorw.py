@@ -10,19 +10,21 @@ the quotient of a Euclidean division read through reversed views) is
 dense_ref._div_recurrence, the one naive division, which cs_rwrw._ipd's
 leaf runs too.
 
-Below the kit's base size dense_ref.BASE, where every product is
-schoolbook anyway, nothing is reduced block by block.  The product loops
-semi_cumulative_product, lower_product_cs and middle_product_cs make one
-dense_ref._slice_naive pass over what is left once their block k is at
-most BASE.  mp_eval_cs evaluates by Horner per point once a batch would
-hold fewer than BASE points, and MulKit.slice_acc, which
+Up to the kit's product cut dense_ref.BLOCK, where every product is one
+Kronecker product (dense_ref._kron) anyway, no product is reduced block by
+block.  The product loops semi_cumulative_product, lower_product_cs and
+middle_product_cs make one dense_ref._slice_naive pass over what is left
+once their block k is at most BLOCK, and MulKit.slice_acc, which
 semi_cumulative_lower and divrem_cs call with the workspace they have, is
-one _slice_naive pass when its chunks are at most BASE long: the same
+one _slice_naive pass when its chunks are at most BLOCK long: the same
 writes and base products as its chunks' naive mid_acc calls, with no views
-or workspace per chunk.  The naive Euclidean division in divrem_cs
-(divisors of at most c + 3 coefficients) takes its remainder by one
-_slice_naive pass.  Every base case counts its base products by the rule
-of reg_arena.SpaceMetrics.
+or workspace per chunk.
+The division and evaluation cut is dense_ref.BASE: mp_eval_cs evaluates
+by Horner per point once a batch would hold fewer than BASE points, and
+the interpolation groups hold at most BASE points.  The naive Euclidean
+division in divrem_cs (divisors of at most c + 3 coefficients) takes its
+remainder by one _slice_naive pass.  Every base case counts its base
+products by the rule of reg_arena.SpaceMetrics.
 
 Tail recursions are written as loops (no call-stack growth); an operation
 enters the call ledger once at its public boundary, so the tail-recursive
@@ -52,7 +54,7 @@ from math import prod
 from operator import add, sub
 
 from .coeff_ring import Zq
-from .dense_ref import BASE, KIT, _div_recurrence, _kron, _pairs, _slice_naive
+from .dense_ref import BASE, BLOCK, KIT, _div_recurrence, _kron, _pairs, _slice_naive
 from .errors import (
     BadScratch,
     DuplicatePoint,
@@ -90,7 +92,7 @@ def semi_cumulative_product(f: PolyView, g: PolyView, h: PolyView):
         while True:
             c = KIT.c
             k = (n + 1) // (c + 3)
-            if k <= BASE:
+            if k <= BLOCK:
                 _slice_naive(h, g, f, 0)
                 return
             ws = h.sub(n + k - 1, 2 * n - 1)
@@ -138,7 +140,7 @@ def lower_product_cs(f: PolyView, g: PolyView, h: PolyView, reversed_mode: bool 
         while True:
             c = KIT.c
             k = n // (c + 3)
-            if k <= BASE:
+            if k <= BLOCK:
                 vzero(h)
                 _slice_naive(h, f, g, 0)
                 return
@@ -157,7 +159,7 @@ def semi_cumulative_lower(f: PolyView, g: PolyView, h: PolyView, s: int, sign: i
 
     The zero prefix of h is the only workspace: the part above s is filled
     in chunks whose kit scratch fits below s (one naive pass when the chunks
-    are at most BASE long), and the prefix itself is one self-contained
+    are at most BLOCK long), and the prefix itself is one self-contained
     lower product at the end.
     """
     check_sign(sign)
@@ -190,7 +192,7 @@ def middle_product_cs(f: PolyView, g: PolyView, h: PolyView):
         while True:
             c = KIT.c
             k = m // (c + 2)
-            if k <= BASE:
+            if k <= BLOCK:
                 vzero(h)
                 _slice_naive(h, f, g, n - 1)
                 return
@@ -458,9 +460,9 @@ def mp_eval_cs(f: PolyView, points, out: PolyView):
     A batch of k points uses 3k + 1 free output slots (modulus, remainder,
     scratch), so k = (P - done - 1) // 3.  Once k < BASE (at most 3 * BASE
     points left) or f has at most k coefficients, the remaining points are
-    evaluated by Horner on f: below BASE the reduction's products are
-    schoolbook, n * k multiplications like k Horner passes, plus their
-    view and kit calls.
+    evaluated by Horner on f: below BASE the reduction's products cost
+    n * k multiplications, like k Horner passes, plus their view and kit
+    calls.
     """
     q = f.arena.q
     pts = [int(a) % q for a in points]

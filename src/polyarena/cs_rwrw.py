@@ -10,18 +10,20 @@ All mutating recursions operate on fully backed (never fake-padded) views;
 product slices are decomposed by a clipping quadtree into full products of
 real subwindows, so the restore reasoning stays local.
 
-At or below dense_ref.BASE, cumulative_lower and a ragged full product
-(_cum_full, by its shorter operand) are one dense_ref._slice_naive pass,
-which only reads f and g; a balanced product stays on _cum_kara, which
-counts Karatsuba's 3^k products.  Both end in dense_ref._kron, the one
-Kronecker-substitution product kernel: _cum_kara's leaf (n <= BASE) is
+Every product cut is dense_ref.BLOCK.  At or below it, cumulative_lower,
+a ragged full product (_cum_full, by its shorter operand) and a cumulative
+slice with a short operand are one dense_ref._slice_naive pass, which only
+reads f and g; a balanced product stays on _cum_kara, which counts
+Karatsuba's 3^k products.  Both end in dense_ref._kron, the one
+Kronecker-substitution product kernel: _cum_kara's leaf (n <= BLOCK) is
 one _kron of its two operands, counted as the Karatsuba split below it,
-and so is _ipl's leaf; _ipd's leaf is dense_ref._div_recurrence.
+and so is _ipl's leaf.  The division cut stays dense_ref.BASE: _ipd's leaf
+(n <= BASE) is dense_ref._div_recurrence.
 
 Declared scalar budgets: plain statements hold at most four locals; in
 addition fixed-size kernels run on Python locals: the product leaves of
-_cum_kara and _ipl (two packed operands of at most BASE coefficients,
-their product and at most 2 BASE - 1 coefficients), the in-place series
+_cum_kara and _ipl (two packed operands of at most BLOCK coefficients,
+their product and at most 2 BLOCK - 1 coefficients), the in-place series
 division's leaf (dense_ref._div_recurrence: one block of at most BASE
 values and g's row within it), and the blocks of at most BLOCK scalars
 (both dense_ref constants) used by butterflies, twiddle tables and fold
@@ -79,7 +81,7 @@ def _cum_full(f: PolyView, g: PolyView, h: PolyView, sign: int):
         if a == b:
             _cum_kara(f, g, h, sign)
             return
-        if b <= BASE:
+        if b <= BLOCK:
             _slice_naive(h, f, g, 0, sign)
             return
         full = a // b
@@ -100,7 +102,7 @@ def _cum_kara(f: PolyView, g: PolyView, h: PolyView, sign: int):
     if n == 0:
         return
     arena = h.arena
-    if n <= BASE:
+    if n <= BLOCK:
         # one Kronecker product of the two size-n operands, counted as the
         # Karatsuba split below would count it (3^k at n = 2^k)
         vacc(h, _kron(f.tolist(), g.tolist(), arena.q, 0, 2 * n - 1), sign)
@@ -190,7 +192,7 @@ def _cum_slice(f: PolyView, g: PolyView, h: PolyView, s: int, sign: int):
     if s == 0 and r == a + b - 1:
         _cum_full(f, g, h, sign)
         return
-    if min(a, b) <= BASE or r <= 2:
+    if min(a, b) <= BLOCK or r <= 2:
         _slice_naive(h, f, g, s, sign)
         return
     sigma = (min(a, b) + 1) // 2
@@ -216,7 +218,7 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
 
     One full product per round (on g0 - g1, then f0 * g1 distributed by a
     pre/post pair), then a tail call on the top halves, written as a loop
-    that ends in one naive pass once n <= BASE.
+    that ends in one naive pass once n <= BLOCK.
     """
     check_sign(sign)
     if not len(f) == len(g) == len(h):
@@ -225,7 +227,7 @@ def cumulative_lower(f: PolyView, g: PolyView, h: PolyView, sign: int = 1):
         f0, g0, h0 = f, g, h
         while True:
             n = len(f0)
-            if n <= BASE:
+            if n <= BLOCK:
                 _slice_naive(h0, f0, g0, 0, sign)
                 return
             m = (n + 1) // 2
@@ -663,7 +665,7 @@ def _ipl(f: PolyView, g: PolyView):
     n = len(f)
     if n == 0:
         return
-    if n <= BASE:
+    if n <= BLOCK:
         # f <- (f * g) mod x^n: one Kronecker product, one vset
         vset(f, _kron(f.tolist(), g.tolist(), f.arena.q, 0, n))
         f.arena.metrics.base_products += _pairs(n, n, 0, n)

@@ -14,13 +14,14 @@ slice_acc, the one chunk loop, cuts its slice into chunks whose scratch
 fits the view it is given.  KIT is the one instance, and the reductions
 derive their thresholds from MulKit.c.
 
-One exact product kernel, _kron, serves every product at or below BASE:
+One exact product kernel, _kron, serves every product at or below BLOCK:
 it packs both operands into Python ints and multiplies them once
-(Kronecker substitution).  _slice_naive (any slice of a product, the kit's
-blocks at or below BASE included) feeds it blocks of at most
-max(len(dst), BASE) coefficients of g (one output is a dot product per
-block), so its transient stays a few times that; the leaves of
-cs_rwrw._cum_kara and _ipl feed it two operands of at most BASE.
+(Kronecker substitution); up to BLOCK coefficients that one C product is
+faster than a Karatsuba split in Python.  _slice_naive (any slice of a
+product, the kit's blocks at or below BLOCK included) feeds it blocks of
+at most max(len(dst), BLOCK) coefficients of g (one output is a dot
+product per block), so its transient stays a few times that; the leaves
+of cs_rwrw._cum_kara and _ipl feed it two operands of at most BLOCK.
 _div_recurrence is the one naive power-series division, in output blocks
 of at most BASE on _slice_naive.
 """
@@ -216,8 +217,12 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-BLOCK = 128  # width of every butterfly block and twiddle table (scalar budget)
-BASE = 32  # products at or below this size run on the Kronecker kernel (_kron), in-place divisions on _div_recurrence
+# scalar budget: width of every butterfly block and twiddle table, and the
+# product cut (products of at most BLOCK coefficients are one _kron)
+BLOCK = 128
+# division and evaluation cut: _div_recurrence's output blocks, _ipd's leaf,
+# mp_eval_cs's Horner batches and the interpolation groups
+BASE = 32
 
 
 def _powers(w: int, k: int, q: int) -> list[int]:
@@ -399,8 +404,9 @@ def _kron(fa: list[int], gb: list[int], q: int, s: int, r: int) -> list[int]:
     polynomial product.  Slots of 4 or 8 bytes are packed and unpacked by
     array("I" / "Q"), wider ones by int.to_bytes.  The transient is the two
     packed operands, their product and the r returned ints, and the callers
-    bound the operands: _slice_naive passes fewer than 2 max(len(dst), BASE)
-    coefficients each, dst its output, and _cum_kara's leaf at most BASE.
+    bound the operands: _slice_naive passes fewer than 2 max(len(dst), BLOCK)
+    coefficients each, dst its output, and the leaves of _cum_kara and _ipl
+    at most BLOCK.
     """
     la, lb = len(fa), len(gb)
     n = la + lb - 1
@@ -445,7 +451,7 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     """dst[d] += sign * (f * g)[s + d] for d < len(dst); f and g are only read.
 
     The g[j] of g's real zone that meet dst are taken in blocks of at most
-    max(len(dst), BASE); each block is one _kron against the window of f's
+    max(len(dst), BLOCK); each block is one _kron against the window of f's
     real zone it meets, landed by one vacc.  The opening claim of all of
     dst refuses the call before it counts.  One output is a dot product
     per block (f read upward, then reversed), landed once.  base_products
@@ -464,7 +470,7 @@ def _slice_naive(dst: PolyView, f: PolyView, g: PolyView, s: int, sign: int = 1)
     fregs, foff, fd = f.arena.regs, f.off, f.dir
     gregs, goff, gd = g.arena.regs, g.off, g.dir
     arena.metrics.base_products += _pairs(fhi - flo, jhi - jlo, s - flo - jlo, s + r - flo - jlo)
-    width = max(r, BASE)
+    width = max(r, BLOCK)
     if r == 1:
         acc = 0
         for j0 in range(jlo, jhi, width):
@@ -490,9 +496,10 @@ def _div_recurrence(f: PolyView, g: PolyView, h: PolyView, lo: int, hi: int):
     In output blocks of at most BASE: the block of f lands in h's block
     (nothing to move when h is f itself; else h and f must not overlap),
     the part of the sum that reads h below the block is one _slice_naive
-    pass, and the in-block triangle runs on the block's values and at
-    most BASE - 1 coefficients of g, landed by one vset.  So no slice read
-    holds more than 2 BASE values, whatever len(g) and hi - lo.
+    pass (which takes h below the block BLOCK coefficients at a time), and
+    the in-block triangle runs on the block's values and at most BASE - 1
+    coefficients of g, landed by one vset.  So no slice read holds
+    BASE + BLOCK values, whatever len(g) and hi - lo.
     base_products counts _pairs(hi, len(g), lo, hi), per coefficient its
     dot-product terms and its division by g[0] (on g's full length, where
     _slice_naive would count g's real zone only).
@@ -543,7 +550,7 @@ class MulKit:
             raise BadLength("full_into needs equal logical sizes")
         if len(dst) < 2 * s - 1:
             raise BadLength("full_into destination too short")
-        if s <= BASE:
+        if s <= BLOCK:
             vzero(dst, 2 * s - 1)
             _slice_naive(dst.sub(0, 2 * s - 1), g, f, 0)
             return
@@ -582,7 +589,7 @@ class MulKit:
         g = g.sub(0, min(len(g), t))
         if f.rhi <= f.rlo or g.rhi <= g.rlo:
             return
-        if t <= BASE or min(f.rhi - f.rlo, g.rhi - g.rlo) <= 2:
+        if t <= BLOCK or min(f.rhi - f.rlo, g.rhi - g.rlo) <= 2:
             # operands swapped: f's coefficients are the ones taken in blocks
             _slice_naive(dst, g, f, 0, sign)
             return
@@ -615,7 +622,7 @@ class MulKit:
             raise BadLength("mid_acc expects sizes (2r-1, r, r)")
         if fwin.rhi <= fwin.rlo or g.rhi <= g.rlo:
             return
-        if r <= BASE:
+        if r <= BLOCK:
             _slice_naive(dst, fwin, g, r - 1, sign)
             return
         if r % 2:
@@ -655,7 +662,7 @@ class MulKit:
         min(len(dst), len(ws) // (c + 1)) outputs, whose scratch fits ws,
         each in blocks of r coefficients of g.
 
-        When r <= BASE every block would be the naive mid_acc
+        When r <= BLOCK every block would be the naive mid_acc
         _slice_naive(dst, win, gj, r - 1), so one _slice_naive over all of
         f and g does their writes and base products; it is skipped when f
         or g has an empty real zone, as every block would be.
@@ -664,7 +671,7 @@ class MulKit:
         if t == 0 or len(f) == 0 or len(g) == 0:
             return
         r = max(1, min(t, len(ws) // (self.c + 1)))
-        if r <= BASE:
+        if r <= BLOCK:
             if f.rlo < f.rhi and g.rlo < g.rhi:
                 _slice_naive(dst, f, g, s, sign)
             return

@@ -5,7 +5,7 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, PolyView, Zq, build_arena
 from polyarena import cs_rorw
 from polyarena.ops import SPECS, build, distinct_nonzero
-from polyarena.dense_ref import BASE, KIT, _pairs, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
+from polyarena.dense_ref import BASE, BLOCK, KIT, _pairs, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
 from polyarena.errors import (
     BadScratch,
     DuplicatePoint,
@@ -653,31 +653,35 @@ def test_base_paths_are_pinned(case):
     assert pinned == BASE_PINNED[case]
 
 
-# (entry, len(f), len(g), s): long chunk loops.  remainder_smallspace with
-# a 100-coefficient divisor and s = 8 (46 chunks of 2) or 64 (chunks of 21),
-# and a 200-coefficient divisor with s = 120 (chunks of 40, above BASE);
-# semi_cumulative_lower at n = 200 with s = 6, 96 (chunks of 32 = BASE) and
-# 99 (chunks of 33); divrem_cs with divisors of 40, 97 = 3 * BASE + 1
-# (chunks of 32) and 100 (chunks of 33)
+# (entry, len(f), len(g), s): long chunk loops, whose chunks of r outputs
+# are one naive pass while r <= BLOCK.  remainder_smallspace with a
+# 100-coefficient divisor and s = 8 (46 chunks of 2) or 64 (chunks of 21),
+# and a 520-coefficient divisor with s = 387 (chunks of 129, above BLOCK);
+# semi_cumulative_lower at n = 800 with s = 6, 384 (chunks of 128 = BLOCK)
+# and 387 (chunks of 129); divrem_cs with divisors of 40,
+# 385 = 3 * BLOCK + 1 (chunks of 128) and 388 (chunks of 129)
 CHUNK_CASES = (
-    [("remainder_smallspace", m, n, s) for m, n, s in ((300, 100, 8), (300, 100, 64), (600, 200, 120))]
-    + [("semi_cumulative_lower", 200, 200, s) for s in (6, 96, 99)]
-    + [("divrem_cs", 400, n, None) for n in (40, 97, 100)]
+    [("remainder_smallspace", m, n, s) for m, n, s in ((300, 100, 8), (300, 100, 64), (1200, 520, 387))]
+    + [("semi_cumulative_lower", 800, 800, s) for s in (6, 384, 387)]
+    + [("divrem_cs", lf, n, None) for lf, n in ((400, 40), (1600, 385), (1600, 388))]
 )
 
 # goldens taken while every chunk was its own kit call; base_products
 # re-taken under the zone rule (zero rows count, and so do the recurrence
-# and Horner)
+# and Horner).  The sizes around the BLOCK cut (the 520-coefficient
+# divisor, n = 800, the divisors of 385 and 388) taken when the product cut
+# moved to BLOCK: their registers, extra_algebraic and pointer_depth are
+# those of the cut at BASE, their base_products higher
 CHUNK_PINNED = {
     ("remainder_smallspace", 300, 100, 8): (29813430110987, 8, 3, 20100),
     ("remainder_smallspace", 300, 100, 64): (35810425912790, 64, 3, 20375),
-    ("remainder_smallspace", 600, 200, 120): (146311730228952, 120, 3, 75901),
-    ("semi_cumulative_lower", 200, 200, 6): (42580225684986, 0, 2, 20100),
-    ("semi_cumulative_lower", 200, 200, 96): (39921622634579, 0, 2, 20100),
-    ("semi_cumulative_lower", 200, 200, 99): (42894035659241, 0, 2, 20100),
+    ("remainder_smallspace", 1200, 520, 387): (827837825188560, 387, 3, 362477),
+    ("semi_cumulative_lower", 800, 800, 6): (694964477331796, 0, 2, 320400),
+    ("semi_cumulative_lower", 800, 800, 384): (675652715825270, 0, 2, 320400),
+    ("semi_cumulative_lower", 800, 800, 387): (675711626089978, 0, 2, 320400),
     ("divrem_cs", 400, 40, None): (82915639932270, 0, 3, 14683),
-    ("divrem_cs", 400, 97, None): (87109846430006, 0, 3, 30145),
-    ("divrem_cs", 400, 100, None): (93366890582019, 0, 3, 30667),
+    ("divrem_cs", 1600, 385, None): (1506922417803145, 0, 3, 478825),
+    ("divrem_cs", 1600, 388, None): (1498175697408271, 0, 3, 480874),
 }
 
 
@@ -875,12 +879,12 @@ def test_interp_cs_makes_no_scalar_loop(monkeypatch):
     assert counts["get"] + counts["set"] <= 5 * n, counts
 
 
-# Below BASE the product loops stop reducing: each makes its one naive pass
-# while its block k is at most BASE and reduces once k > BASE, that is from
-# n = 164 for semi_cumulative_product (k = (n + 1) // 5), from n = 165 for
-# lower_product_cs (k = n // 5) and from m = 132 output rows for
-# middle_product_cs (k = m // 4)
-CUTS = (("semi_cumulative_product", 163, 164), ("lower_product_cs", 164, 165), ("middle_product_cs", 131, 132))
+# Up to BLOCK the product loops stop reducing: each makes its one naive
+# pass while its block k is at most BLOCK and reduces once k > BLOCK, that
+# is from n = 644 for semi_cumulative_product (k = (n + 1) // 5), from
+# n = 645 for lower_product_cs (k = n // 5) and from m = 516 output rows
+# for middle_product_cs (k = m // 4)
+CUTS = (("semi_cumulative_product", 643, 644), ("lower_product_cs", 644, 645), ("middle_product_cs", 515, 516))
 
 CUT_PRIMES = (97, 469762049, 2**61 - 1, 2**127 - 1)
 CUT_CASES = [
@@ -913,82 +917,82 @@ def _cut_case(entry, n, q, layout):
     return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
-# taken when the cuts went in, base_products re-taken under the zone rule;
-# the sizes above each cut reduce as before
+# taken when the cuts moved to BLOCK (extra_algebraic and pointer_depth as
+# at the BASE cut, base_products by the zone rule); the sizes above each
+# cut reduce as before
 CUT_PINNED = {
-    ('semi_cumulative_product', 163, 97, 'plain'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 97, 'reversed'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 97, 'padded'): (0, 1, 24939),
-    ('semi_cumulative_product', 163, 469762049, 'plain'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 469762049, 'reversed'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 469762049, 'padded'): (0, 1, 23798),
-    ('semi_cumulative_product', 163, 2**61 - 1, 'plain'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 2**61 - 1, 'reversed'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 2**61 - 1, 'padded'): (0, 1, 24450),
-    ('semi_cumulative_product', 163, 2**127 - 1, 'plain'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 2**127 - 1, 'reversed'): (0, 1, 26569),
-    ('semi_cumulative_product', 163, 2**127 - 1, 'padded'): (0, 1, 26080),
-    ('semi_cumulative_product', 164, 97, 'plain'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 97, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 97, 'padded'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 469762049, 'plain'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 469762049, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 469762049, 'padded'): (0, 1, 5754),
-    ('semi_cumulative_product', 164, 2**61 - 1, 'plain'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**61 - 1, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**61 - 1, 'padded'): (0, 1, 15490),
-    ('semi_cumulative_product', 164, 2**127 - 1, 'plain'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**127 - 1, 'reversed'): (0, 1, 24635),
-    ('semi_cumulative_product', 164, 2**127 - 1, 'padded'): (0, 1, 3281),
-    ('lower_product_cs', 164, 97, 'plain'): (0, 1, 13530),
-    ('lower_product_cs', 164, 97, 'reversed'): (0, 1, 13530),
-    ('lower_product_cs', 164, 97, 'padded'): (0, 1, 10604),
-    ('lower_product_cs', 164, 469762049, 'plain'): (0, 1, 13530),
-    ('lower_product_cs', 164, 469762049, 'reversed'): (0, 1, 13530),
-    ('lower_product_cs', 164, 469762049, 'padded'): (0, 1, 9960),
-    ('lower_product_cs', 164, 2**61 - 1, 'plain'): (0, 1, 13530),
-    ('lower_product_cs', 164, 2**61 - 1, 'reversed'): (0, 1, 13530),
-    ('lower_product_cs', 164, 2**61 - 1, 'padded'): (0, 1, 12969),
-    ('lower_product_cs', 164, 2**127 - 1, 'plain'): (0, 1, 13530),
-    ('lower_product_cs', 164, 2**127 - 1, 'reversed'): (0, 1, 13530),
-    ('lower_product_cs', 164, 2**127 - 1, 'padded'): (0, 1, 8480),
-    ('lower_product_cs', 165, 97, 'plain'): (0, 1, 13695),
-    ('lower_product_cs', 165, 97, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 97, 'padded'): (0, 1, 2370),
-    ('lower_product_cs', 165, 469762049, 'plain'): (0, 1, 13695),
-    ('lower_product_cs', 165, 469762049, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 469762049, 'padded'): (0, 1, 2520),
-    ('lower_product_cs', 165, 2**61 - 1, 'plain'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**61 - 1, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**61 - 1, 'padded'): (0, 1, 6792),
-    ('lower_product_cs', 165, 2**127 - 1, 'plain'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**127 - 1, 'reversed'): (0, 1, 13695),
-    ('lower_product_cs', 165, 2**127 - 1, 'padded'): (0, 1, 9954),
-    ('middle_product_cs', 131, 97, 'plain'): (0, 1, 4847),
-    ('middle_product_cs', 131, 97, 'reversed'): (0, 1, 4847),
-    ('middle_product_cs', 131, 97, 'padded'): (0, 1, 1998),
-    ('middle_product_cs', 131, 469762049, 'plain'): (0, 1, 4847),
-    ('middle_product_cs', 131, 469762049, 'reversed'): (0, 1, 4847),
-    ('middle_product_cs', 131, 469762049, 'padded'): (0, 1, 435),
-    ('middle_product_cs', 131, 2**61 - 1, 'plain'): (0, 1, 4847),
-    ('middle_product_cs', 131, 2**61 - 1, 'reversed'): (0, 1, 4847),
-    ('middle_product_cs', 131, 2**61 - 1, 'padded'): (0, 1, 4727),
-    ('middle_product_cs', 131, 2**127 - 1, 'plain'): (0, 1, 4847),
-    ('middle_product_cs', 131, 2**127 - 1, 'reversed'): (0, 1, 4847),
-    ('middle_product_cs', 131, 2**127 - 1, 'padded'): (0, 1, 231),
-    ('middle_product_cs', 132, 97, 'plain'): (0, 1, 4884),
-    ('middle_product_cs', 132, 97, 'reversed'): (0, 1, 4884),
-    ('middle_product_cs', 132, 97, 'padded'): (0, 1, 4731),
-    ('middle_product_cs', 132, 469762049, 'plain'): (0, 1, 4884),
-    ('middle_product_cs', 132, 469762049, 'reversed'): (0, 1, 4884),
-    ('middle_product_cs', 132, 469762049, 'padded'): (0, 1, 595),
-    ('middle_product_cs', 132, 2**61 - 1, 'plain'): (0, 1, 4884),
-    ('middle_product_cs', 132, 2**61 - 1, 'reversed'): (0, 1, 4884),
-    ('middle_product_cs', 132, 2**61 - 1, 'padded'): (0, 1, 3478),
-    ('middle_product_cs', 132, 2**127 - 1, 'plain'): (0, 1, 4884),
-    ('middle_product_cs', 132, 2**127 - 1, 'reversed'): (0, 1, 4884),
-    ('middle_product_cs', 132, 2**127 - 1, 'padded'): (0, 1, 4289),
-
+    ('semi_cumulative_product', 643, 97, 'plain'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 97, 'reversed'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 97, 'padded'): (0, 1, 349792),
+    ('semi_cumulative_product', 643, 469762049, 'plain'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 469762049, 'reversed'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 469762049, 'padded'): (0, 1, 115097),
+    ('semi_cumulative_product', 643, 2**61 - 1, 'plain'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 2**61 - 1, 'reversed'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 2**61 - 1, 'padded'): (0, 1, 279062),
+    ('semi_cumulative_product', 643, 2**127 - 1, 'plain'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 2**127 - 1, 'reversed'): (0, 1, 413449),
+    ('semi_cumulative_product', 643, 2**127 - 1, 'padded'): (0, 1, 369082),
+    ('semi_cumulative_product', 644, 97, 'plain'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 97, 'reversed'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 97, 'padded'): (0, 1, 230818),
+    ('semi_cumulative_product', 644, 469762049, 'plain'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 469762049, 'reversed'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 469762049, 'padded'): (0, 1, 213445),
+    ('semi_cumulative_product', 644, 2**61 - 1, 'plain'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 2**61 - 1, 'reversed'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 2**61 - 1, 'padded'): (0, 1, 247638),
+    ('semi_cumulative_product', 644, 2**127 - 1, 'plain'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 2**127 - 1, 'reversed'): (0, 1, 378011),
+    ('semi_cumulative_product', 644, 2**127 - 1, 'padded'): (0, 1, 256338),
+    ('lower_product_cs', 644, 97, 'plain'): (0, 1, 207690),
+    ('lower_product_cs', 644, 97, 'reversed'): (0, 1, 207690),
+    ('lower_product_cs', 644, 97, 'padded'): (0, 1, 162840),
+    ('lower_product_cs', 644, 469762049, 'plain'): (0, 1, 207690),
+    ('lower_product_cs', 644, 469762049, 'reversed'): (0, 1, 207690),
+    ('lower_product_cs', 644, 469762049, 'padded'): (0, 1, 199305),
+    ('lower_product_cs', 644, 2**61 - 1, 'plain'): (0, 1, 207690),
+    ('lower_product_cs', 644, 2**61 - 1, 'reversed'): (0, 1, 207690),
+    ('lower_product_cs', 644, 2**61 - 1, 'padded'): (0, 1, 205979),
+    ('lower_product_cs', 644, 2**127 - 1, 'plain'): (0, 1, 207690),
+    ('lower_product_cs', 644, 2**127 - 1, 'reversed'): (0, 1, 207690),
+    ('lower_product_cs', 644, 2**127 - 1, 'padded'): (0, 1, 164912),
+    ('lower_product_cs', 645, 97, 'plain'): (0, 1, 208335),
+    ('lower_product_cs', 645, 97, 'reversed'): (0, 1, 208335),
+    ('lower_product_cs', 645, 97, 'padded'): (0, 1, 203775),
+    ('lower_product_cs', 645, 469762049, 'plain'): (0, 1, 208335),
+    ('lower_product_cs', 645, 469762049, 'reversed'): (0, 1, 208335),
+    ('lower_product_cs', 645, 469762049, 'padded'): (0, 1, 46170),
+    ('lower_product_cs', 645, 2**61 - 1, 'plain'): (0, 1, 208335),
+    ('lower_product_cs', 645, 2**61 - 1, 'reversed'): (0, 1, 208335),
+    ('lower_product_cs', 645, 2**61 - 1, 'padded'): (0, 1, 164970),
+    ('lower_product_cs', 645, 2**127 - 1, 'plain'): (0, 1, 208335),
+    ('lower_product_cs', 645, 2**127 - 1, 'reversed'): (0, 1, 208335),
+    ('lower_product_cs', 645, 2**127 - 1, 'padded'): (0, 1, 172557),
+    ('middle_product_cs', 515, 97, 'plain'): (0, 1, 19055),
+    ('middle_product_cs', 515, 97, 'reversed'): (0, 1, 19055),
+    ('middle_product_cs', 515, 97, 'padded'): (0, 1, 11433),
+    ('middle_product_cs', 515, 469762049, 'plain'): (0, 1, 19055),
+    ('middle_product_cs', 515, 469762049, 'reversed'): (0, 1, 19055),
+    ('middle_product_cs', 515, 469762049, 'padded'): (0, 1, 18204),
+    ('middle_product_cs', 515, 2**61 - 1, 'plain'): (0, 1, 19055),
+    ('middle_product_cs', 515, 2**61 - 1, 'reversed'): (0, 1, 19055),
+    ('middle_product_cs', 515, 2**61 - 1, 'padded'): (0, 1, 17427),
+    ('middle_product_cs', 515, 2**127 - 1, 'plain'): (0, 1, 19055),
+    ('middle_product_cs', 515, 2**127 - 1, 'reversed'): (0, 1, 19055),
+    ('middle_product_cs', 515, 2**127 - 1, 'padded'): (0, 1, 18278),
+    ('middle_product_cs', 516, 97, 'plain'): (0, 1, 19092),
+    ('middle_product_cs', 516, 97, 'reversed'): (0, 1, 19092),
+    ('middle_product_cs', 516, 97, 'padded'): (0, 1, 10693),
+    ('middle_product_cs', 516, 469762049, 'plain'): (0, 1, 19092),
+    ('middle_product_cs', 516, 469762049, 'reversed'): (0, 1, 19092),
+    ('middle_product_cs', 516, 469762049, 'padded'): (0, 1, 18315),
+    ('middle_product_cs', 516, 2**61 - 1, 'plain'): (0, 1, 19092),
+    ('middle_product_cs', 516, 2**61 - 1, 'reversed'): (0, 1, 19092),
+    ('middle_product_cs', 516, 2**61 - 1, 'padded'): (0, 1, 630),
+    ('middle_product_cs', 516, 2**127 - 1, 'plain'): (0, 1, 19092),
+    ('middle_product_cs', 516, 2**127 - 1, 'reversed'): (0, 1, 19092),
+    ('middle_product_cs', 516, 2**127 - 1, 'padded'): (0, 1, 3700),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from polyarena import INOUT, RW_RW, Zq, build_arena
 from polyarena import cs_rwrw
-from polyarena.dense_ref import BASE, divrem, horner_eval, schoolbook_mul, series_inv
+from polyarena.dense_ref import BASE, BLOCK, divrem, horner_eval, schoolbook_mul, series_inv
 from polyarena.ops import SPECS
 from polyarena.errors import (
     BadParams,
@@ -494,22 +494,22 @@ def test_size_contracts():
         cs_rwrw.cumulative_karatsuba(f, g, h)
 
 
-# Below BASE the in-place lower product and series division are one kernel
-# each, one _kron and one dense_ref._div_recurrence (one read of f and g,
-# one checked slice write of f, n (n + 1) / 2 counted products, no nested
-# call); from n = 33 on they split in halves as before.  cumulative_lower
-# of size n <= BASE, and cumulative_karatsuba with a ragged g of n <= BASE
-# coefficients under an f of 7n + 5, are one _slice_naive pass; at n = 33
-# they split as before.
+# Up to its cut the in-place lower product is one _kron (n <= BLOCK) and
+# the in-place series division one dense_ref._div_recurrence (n <= BASE):
+# one read of f and g, one checked slice write of f, n (n + 1) / 2 counted
+# products, no nested call; one past the cut they split in halves.
+# cumulative_lower of size n <= BLOCK, and cumulative_karatsuba with a
+# ragged g of n <= BLOCK coefficients under an f of 7n + 5, are one
+# _slice_naive pass; at n = BLOCK + 1 they split.
 # The padded layout pads only ro/rw inputs, so the rw/rw entries run on the
 # plain and the reversed layout.
 INPLACE_CASES = [
     (entry, n, q, layout)
     for entry, sizes, primes in (
-        ("inplace_lower", (1, 2, 32, 33), (97, 469762049, 2**61 - 1, 2**127 - 1)),
-        ("inplace_series_div", (1, 2, 32, 33), (97, 469762049, 2**61 - 1, 2**127 - 1)),
-        ("cumulative_lower", (32, 33), (97, 2**61 - 1)),
-        ("cumulative_karatsuba", (32, 33), (97, 2**61 - 1)),
+        ("inplace_lower", (1, 2, BLOCK, BLOCK + 1), (97, 469762049, 2**61 - 1, 2**127 - 1)),
+        ("inplace_series_div", (1, 2, BASE, BASE + 1), (97, 469762049, 2**61 - 1, 2**127 - 1)),
+        ("cumulative_lower", (BLOCK, BLOCK + 1), (97, 2**61 - 1)),
+        ("cumulative_karatsuba", (BLOCK, BLOCK + 1), (97, 2**61 - 1)),
     )
     for n in sizes
     for q in primes
@@ -532,25 +532,26 @@ def _inplace_case(entry, n, q, layout):
     return m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
-# below the cut the kernel's own count, one frame deep; at n = 33 taken
-# when the kernels went in (one split, then two kernels and a cumulative
-# slice).  The cumulative products taken when their naive passes went in:
-# at n = 32, n(n+1)/2 for the lower product and 7n^2 + 5n for the ragged
-# one (seven n x n blocks and a 5 x n tail in one pass); at n = 33, one
-# round of the lower product (a 17 x 17 Karatsuba product and a 17 x 16
-# pass) before a pass of size 16, and seven 33 x 33 Karatsuba blocks
-# before a 5 x 33 pass.  Three q = 97 cases at n = 33 re-taken under the
-# zone rule, which no longer skips zero rows
+# below the cut the kernel's own count, one frame deep; one past it one
+# split, then two kernels and a cumulative slice (inplace_series_div at
+# n = 33 taken when the kernels went in).  The rest taken when the product
+# cut moved to BLOCK: at n = 128, n(n+1)/2 for the lower product and
+# 7n^2 + 5n for the ragged one (seven n x n blocks and a 5 x n tail in one
+# pass); at n = 129, one round of the lower product (a 65 x 65 Kronecker
+# leaf, counted as its split, and a 65 x 64 pass) before a pass of size
+# 64, and seven 129 x 129 Karatsuba blocks (one split into three leaves
+# each) before a 5 x 129 pass
+CUT = {"inplace_lower": BLOCK, "inplace_series_div": BASE}
 INPLACE_PINNED = {
-    **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[0].startswith("inplace") and c[1] <= BASE},
-    ('inplace_lower', 33, 97, 'plain'): (0, 2, 561),
-    ('inplace_lower', 33, 97, 'reversed'): (0, 2, 561),
-    ('inplace_lower', 33, 469762049, 'plain'): (0, 2, 561),
-    ('inplace_lower', 33, 469762049, 'reversed'): (0, 2, 561),
-    ('inplace_lower', 33, 2**61 - 1, 'plain'): (0, 2, 561),
-    ('inplace_lower', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
-    ('inplace_lower', 33, 2**127 - 1, 'plain'): (0, 2, 561),
-    ('inplace_lower', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
+    **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[0].startswith("inplace") and c[1] <= CUT[c[0]]},
+    ('inplace_lower', 129, 97, 'plain'): (0, 2, 8385),
+    ('inplace_lower', 129, 97, 'reversed'): (0, 2, 8385),
+    ('inplace_lower', 129, 469762049, 'plain'): (0, 2, 8385),
+    ('inplace_lower', 129, 469762049, 'reversed'): (0, 2, 8385),
+    ('inplace_lower', 129, 2**61 - 1, 'plain'): (0, 2, 8385),
+    ('inplace_lower', 129, 2**61 - 1, 'reversed'): (0, 2, 8385),
+    ('inplace_lower', 129, 2**127 - 1, 'plain'): (0, 2, 8385),
+    ('inplace_lower', 129, 2**127 - 1, 'reversed'): (0, 2, 8385),
     ('inplace_series_div', 33, 97, 'plain'): (0, 2, 561),
     ('inplace_series_div', 33, 97, 'reversed'): (0, 2, 561),
     ('inplace_series_div', 33, 469762049, 'plain'): (0, 2, 561),
@@ -559,22 +560,22 @@ INPLACE_PINNED = {
     ('inplace_series_div', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
     ('inplace_series_div', 33, 2**127 - 1, 'plain'): (0, 2, 561),
     ('inplace_series_div', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
-    ('cumulative_lower', 32, 97, 'plain'): (0, 1, 528),
-    ('cumulative_lower', 32, 97, 'reversed'): (0, 1, 528),
-    ('cumulative_lower', 32, 2**61 - 1, 'plain'): (0, 1, 528),
-    ('cumulative_lower', 32, 2**61 - 1, 'reversed'): (0, 1, 528),
-    ('cumulative_lower', 33, 97, 'plain'): (0, 1, 521),
-    ('cumulative_lower', 33, 97, 'reversed'): (0, 1, 521),
-    ('cumulative_lower', 33, 2**61 - 1, 'plain'): (0, 1, 521),
-    ('cumulative_lower', 33, 2**61 - 1, 'reversed'): (0, 1, 521),
-    ('cumulative_karatsuba', 32, 97, 'plain'): (0, 1, 7328),
-    ('cumulative_karatsuba', 32, 97, 'reversed'): (0, 1, 7328),
-    ('cumulative_karatsuba', 32, 2**61 - 1, 'plain'): (0, 1, 7328),
-    ('cumulative_karatsuba', 32, 2**61 - 1, 'reversed'): (0, 1, 7328),
-    ('cumulative_karatsuba', 33, 97, 'plain'): (0, 2, 2314),
-    ('cumulative_karatsuba', 33, 97, 'reversed'): (0, 2, 2314),
-    ('cumulative_karatsuba', 33, 2**61 - 1, 'plain'): (0, 2, 2314),
-    ('cumulative_karatsuba', 33, 2**61 - 1, 'reversed'): (0, 2, 2314),
+    ('cumulative_lower', 128, 97, 'plain'): (0, 1, 8256),
+    ('cumulative_lower', 128, 97, 'reversed'): (0, 1, 8256),
+    ('cumulative_lower', 128, 2**61 - 1, 'plain'): (0, 1, 8256),
+    ('cumulative_lower', 128, 2**61 - 1, 'reversed'): (0, 1, 8256),
+    ('cumulative_lower', 129, 97, 'plain'): (0, 1, 7097),
+    ('cumulative_lower', 129, 97, 'reversed'): (0, 1, 7097),
+    ('cumulative_lower', 129, 2**61 - 1, 'plain'): (0, 1, 7097),
+    ('cumulative_lower', 129, 2**61 - 1, 'reversed'): (0, 1, 7097),
+    ('cumulative_karatsuba', 128, 97, 'plain'): (0, 1, 115328),
+    ('cumulative_karatsuba', 128, 97, 'reversed'): (0, 1, 115328),
+    ('cumulative_karatsuba', 128, 2**61 - 1, 'plain'): (0, 1, 115328),
+    ('cumulative_karatsuba', 128, 2**61 - 1, 'reversed'): (0, 1, 115328),
+    ('cumulative_karatsuba', 129, 97, 'plain'): (0, 2, 17746),
+    ('cumulative_karatsuba', 129, 97, 'reversed'): (0, 2, 17746),
+    ('cumulative_karatsuba', 129, 2**61 - 1, 'plain'): (0, 2, 17746),
+    ('cumulative_karatsuba', 129, 2**61 - 1, 'reversed'): (0, 2, 17746),
 }
 
 
@@ -610,8 +611,8 @@ def test_inplace_leaves_count_their_pairs(zero):
 
 def test_no_karatsuba_node_at_or_below_base(monkeypatch):
     """cumulative_lower of size n and a ragged cumulative_karatsuba with an
-    n-coefficient g under a 7n + 5 f make no _cum_kara call for n <= BASE,
-    and split into Karatsuba nodes above it."""
+    n-coefficient g under a 7n + 5 f make no _cum_kara call for n <= BLOCK,
+    the product cut, and split into Karatsuba nodes above it."""
     calls = []
     orig = cs_rwrw._cum_kara
 
@@ -621,7 +622,7 @@ def test_no_karatsuba_node_at_or_below_base(monkeypatch):
 
     monkeypatch.setattr(cs_rwrw, "_cum_kara", counted)
     rng = random.Random("kara-calls")
-    for n in (1, 2, 16, BASE, BASE + 1):
+    for n in (1, 2, 16, BASE, BLOCK, BLOCK + 1):
         for lf in (n, 7 * n + 5):
             arena, (f, g, h) = rw_arena(
                 (rand_poly(rng, Q, lf), INOUT), (rand_poly(rng, Q, n), INOUT), (rand_poly(rng, Q, lf + n - 1), INOUT)
@@ -631,4 +632,4 @@ def test_no_karatsuba_node_at_or_below_base(monkeypatch):
                 cs_rwrw.cumulative_lower(f, g, h.sub(0, n))
             else:
                 cs_rwrw.cumulative_karatsuba(f, g, h)
-            assert bool(calls) == (n > BASE), (n, lf, calls)
+            assert bool(calls) == (n > BLOCK), (n, lf, calls)

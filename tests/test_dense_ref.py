@@ -7,6 +7,7 @@ from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena,
 from polyarena import cs_rwrw, dense_ref
 from polyarena.dense_ref import (
     BASE,
+    BLOCK,
     MulKit,
     _kron,
     _slice_naive,
@@ -140,22 +141,24 @@ def _zone_pairs(frz, grz, s, r):
 def test_slice_naive_counts_the_zone_rule(q, layout):
     # zero-laden operands, runs of zeros included, with slices that start
     # below 0, end past the product, and destinations of one output,
-    # shorter and longer than BASE (one block and many); the zero rows
-    # count like any other
+    # shorter and longer than BLOCK; every third g is longer than BLOCK, so
+    # a short destination takes it in several blocks; the zero rows count
+    # like any other
     ring = Zq(q)
     rng = random.Random(f"rows-{q}-{layout}")
     rev = layout == "reversed"
     c = 2 if layout == "padded" else 0
-    for _ in range(60):
+    for i in range(60):
         # stored f and g; padded, each view adds c zero slots on either side
         f = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randrange(1, 90))]
-        g = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(rng.randrange(1, 90))]
+        lg = rng.randrange(BLOCK + 1, 3 * BLOCK) if i % 3 == 0 else rng.randrange(1, 90)
+        g = [rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(lg)]
         cut = rng.randrange(len(g))
         k = min(rng.randrange(40), len(g) - cut)
         g[cut : cut + k] = [0] * k
         n = len(f) + len(g) + 4 * c - 1
         s = rng.randrange(-40, n + 5)
-        r = rng.choice((1, rng.randrange(1, BASE + 1), rng.randrange(BASE + 1, n + 60)))
+        r = rng.choice((1, rng.randrange(1, BLOCK + 1), rng.randrange(BLOCK + 1, n + BLOCK + 60)))
         d0 = rand_poly(rng, q, r)
         arena, (fv, gv, dv) = build_arena(
             ring, RO_RW, (f[::-1] if rev else f, INPUT_ONLY), (g[::-1] if rev else g, INPUT_ONLY), (d0, INOUT)
@@ -229,7 +232,9 @@ def test_div_recurrence_reads_bounded_slices(lg, lo):
     # the constant-space reductions run it on a short divisor and a long
     # quotient (divrem_cs), or a long divisor and a short tail
     # (series_inv_cs, series_div_cs): no register slice it reads holds
-    # more than 2 BASE values, on its own numerator or on an aliased one
+    # BASE + BLOCK values (an output block of at most BASE meets the
+    # quotient below it BLOCK coefficients at a time, each against fewer
+    # than BASE + BLOCK of g), on its own numerator or on an aliased one
     q = 469762049
     ring = Zq(q)
     n = 4000
@@ -243,7 +248,7 @@ def test_div_recurrence_reads_bounded_slices(lg, lo):
             arena = fv.arena
         arena.regs = ReadLog(arena.regs)
         dense_ref._div_recurrence(fv, gv, hv, lo, n)
-        assert arena.regs.longest <= 2 * BASE, (lg, lo, alias)
+        assert arena.regs.longest < BASE + BLOCK, (lg, lo, alias)
         h = hv.tolist()
         assert h[:lo] == h0[:lo]
         assert [c % q for c in _kron(g, h, q, lo, n - lo)] == f[lo:], (lg, lo, alias)
@@ -286,10 +291,10 @@ def _spy(monkeypatch, module):
     return seen
 
 
-@pytest.mark.parametrize("t", (1, 20, BASE))
+@pytest.mark.parametrize("t", (1, 20, BLOCK))
 def test_kron_operands_within_the_slice_bound(monkeypatch, t):
-    # slice_acc with len(dst) <= BASE is one _slice_naive pass over all of
-    # f and g: its blocks stay below 2 max(len(dst), BASE) per operand, and
+    # slice_acc with len(dst) <= BLOCK is one _slice_naive pass over all of
+    # f and g: its blocks stay below 2 max(len(dst), BLOCK) per operand, and
     # one output is a dot product per block, which never reaches _kron
     q = 469762049
     rng = random.Random(f"bound-{t}")
@@ -306,20 +311,20 @@ def test_kron_operands_within_the_slice_bound(monkeypatch, t):
         assert not seen
         assert dv.tolist() == [(d0[0] + sum(f[s - j] * g[j] for j in range(s + 1))) % q]
     else:
-        assert seen and max(max(pair) for pair in seen) < 2 * max(t, BASE)
+        assert seen and max(max(pair) for pair in seen) < 2 * max(t, BLOCK)
 
 
 def test_kron_operands_within_the_leaf_bound(monkeypatch):
     # a 4096 cumulative Karatsuba reaches the kernel only through
-    # _cum_kara's leaves, at most BASE coefficients each, and still counts
-    # the 3^12 products of the split
+    # _cum_kara's 3^5 leaves, at most BLOCK coefficients each, and still
+    # counts the 3^12 products of the split
     rng = random.Random("bound-kara")
     n = 4096
     f, g = rand_poly(rng, 97, n), rand_poly(rng, 97, n)
     seen = _spy(monkeypatch, cs_rwrw)
     arena, _ = ops.run(ops.SPECS["cumulative_karatsuba"], RING97, {"f": f, "g": g})
-    assert len(seen) == 3**7
-    assert max(max(pair) for pair in seen) <= BASE
+    assert len(seen) == 3**5
+    assert max(max(pair) for pair in seen) <= BLOCK
     assert arena.metrics.base_products == 3**12
 
 
@@ -458,10 +463,10 @@ def test_mulkit_scratch_budget_is_enforced():
 
 # (entry, r, len(f), len(g), s): dst += -[f * g]_s^{s+r} on windows whose
 # two lowest and two highest slots are padding; r = 5 runs the naive kernel,
-# 37 and 70 the odd and even Karatsuba splits
+# 133 = BLOCK + 5 and 262 = 2 BLOCK + 6 the odd and even Karatsuba splits
 KIT_CASES = [
     (entry, r, flen, glen, s)
-    for r in (5, 37, 70)
+    for r in (5, BLOCK + 5, 2 * BLOCK + 6)
     for entry, flen, glen, s in (
         ("low_acc", r + 3, r + 1, 0),
         ("mid_acc", 2 * r - 1, r, r - 1),
@@ -472,20 +477,23 @@ KIT_CASES = [
 
 # (fingerprint of every register, extra_algebraic, base_products), taken
 # before the kit's naive loops were folded into one kernel; base_products
-# re-taken under the zone rule (zero rows and padded windows count)
+# re-taken under the zone rule (zero rows and padded windows count).  The
+# split sizes taken when the product cut moved to BLOCK: their scratch
+# registers keep what the larger leaves left, so the fingerprint differs
+# from the BASE cut's, with dst and the inputs the same
 KIT_PINNED = {
     ("low_acc", 5): (11839272391, 0, 1),
     ("mid_acc", 5): (13809681824, 0, 5),
     ("slice_acc", 5): (59773909812, 0, 30),
     ("mid_unbalanced_acc", 5): (73608337149, 0, 45),
-    ("low_acc", 37): (2388191483497, 37, 561),
-    ("mid_acc", 37): (3109440142286, 35, 951),
-    ("slice_acc", 37): (3447670958853, 35, 1311),
-    ("mid_unbalanced_acc", 37): (6183696876173, 35, 2242),
-    ("low_acc", 70): (10201912088836, 105, 1991),
-    ("mid_acc", 70): (14677002378185, 102, 2719),
-    ("slice_acc", 70): (15621940099309, 102, 3953),
-    ("mid_unbalanced_acc", 70): (29771200448445, 102, 6653),
+    ("low_acc", 133): (31447954156790, 133, 8385),
+    ("mid_acc", 133): (44290913888490, 131, 12999),
+    ("slice_acc", 133): (49211483191895, 131, 15879),
+    ("mid_unbalanced_acc", 133): (90468273511803, 131, 28810),
+    ("low_acc", 262): (156652717016887, 393, 29447),
+    ("mid_acc", 262): (229996020734340, 390, 38479),
+    ("slice_acc", 262): (226516430727350, 390, 54089),
+    ("mid_unbalanced_acc", 262): (409099107317340, 390, 92501),
 }
 
 
@@ -531,13 +539,13 @@ def test_poly_text_roundtrip():
     assert q == 97 and c == []
 
 
-# slice_acc with r = len(dst) <= BASE is one naive pass, above BASE one
+# slice_acc with r = len(dst) <= BLOCK is one naive pass, above BLOCK one
 # mid_acc per block of g; f and g are three blocks of g long, with zero
 # coefficients, stored plain, back to front behind reversed views, or
 # without their two outer slots on each side behind padded windows
 SLICE_CUT_CASES = [
     (r, q, layout)
-    for r in (32, 33)
+    for r in (BLOCK, BLOCK + 1)
     for q in (97, 469762049, 2**61 - 1, 2**127 - 1)
     for layout in ("plain", "reversed", "padded")
 ]
@@ -573,33 +581,33 @@ def _slice_cut_case(r, q, layout):
     return dv.tolist() == want, len(calls), (m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products)
 
 
-# taken when the one-pass rule went in, base_products re-taken under the
-# zone rule; the same as the per-block calls made
+# taken when the cut moved to BLOCK (extra_algebraic 190 -> 0 at both
+# sizes; base_products by the zone rule, the pairs of the naive passes)
 SLICE_CUT_PINNED = {
-    (32, 97, 'plain'): (0, 0, 2602),
-    (32, 97, 'reversed'): (0, 0, 2602),
-    (32, 97, 'padded'): (0, 0, 2474),
-    (32, 469762049, 'plain'): (0, 0, 2602),
-    (32, 469762049, 'reversed'): (0, 0, 2602),
-    (32, 469762049, 'padded'): (0, 0, 2474),
-    (32, 2**61 - 1, 'plain'): (0, 0, 2602),
-    (32, 2**61 - 1, 'reversed'): (0, 0, 2602),
-    (32, 2**61 - 1, 'padded'): (0, 0, 2474),
-    (32, 2**127 - 1, 'plain'): (0, 0, 2602),
-    (32, 2**127 - 1, 'reversed'): (0, 0, 2602),
-    (32, 2**127 - 1, 'padded'): (0, 0, 2474),
-    (33, 97, 'plain'): (0, 0, 2766),
-    (33, 97, 'reversed'): (0, 0, 2766),
-    (33, 97, 'padded'): (0, 0, 2634),
-    (33, 469762049, 'plain'): (0, 0, 2766),
-    (33, 469762049, 'reversed'): (0, 0, 2766),
-    (33, 469762049, 'padded'): (0, 0, 2634),
-    (33, 2**61 - 1, 'plain'): (0, 0, 2766),
-    (33, 2**61 - 1, 'reversed'): (0, 0, 2766),
-    (33, 2**61 - 1, 'padded'): (0, 0, 2634),
-    (33, 2**127 - 1, 'plain'): (0, 0, 2766),
-    (33, 2**127 - 1, 'reversed'): (0, 0, 2766),
-    (33, 2**127 - 1, 'padded'): (0, 0, 2634),
+    (128, 97, 'plain'): (0, 0, 41146),
+    (128, 97, 'reversed'): (0, 0, 41146),
+    (128, 97, 'padded'): (0, 0, 40634),
+    (128, 469762049, 'plain'): (0, 0, 41146),
+    (128, 469762049, 'reversed'): (0, 0, 41146),
+    (128, 469762049, 'padded'): (0, 0, 40634),
+    (128, 2**61 - 1, 'plain'): (0, 0, 41146),
+    (128, 2**61 - 1, 'reversed'): (0, 0, 41146),
+    (128, 2**61 - 1, 'padded'): (0, 0, 40634),
+    (128, 2**127 - 1, 'plain'): (0, 0, 41146),
+    (128, 2**127 - 1, 'reversed'): (0, 0, 41146),
+    (128, 2**127 - 1, 'padded'): (0, 0, 40634),
+    (129, 97, 'plain'): (0, 0, 41790),
+    (129, 97, 'reversed'): (0, 0, 41790),
+    (129, 97, 'padded'): (0, 0, 41274),
+    (129, 469762049, 'plain'): (0, 0, 41790),
+    (129, 469762049, 'reversed'): (0, 0, 41790),
+    (129, 469762049, 'padded'): (0, 0, 41274),
+    (129, 2**61 - 1, 'plain'): (0, 0, 41790),
+    (129, 2**61 - 1, 'reversed'): (0, 0, 41790),
+    (129, 2**61 - 1, 'padded'): (0, 0, 41274),
+    (129, 2**127 - 1, 'plain'): (0, 0, 41790),
+    (129, 2**127 - 1, 'reversed'): (0, 0, 41790),
+    (129, 2**127 - 1, 'padded'): (0, 0, 41274),
 }
 
 
@@ -607,5 +615,56 @@ SLICE_CUT_PINNED = {
 def test_slice_acc_cut_is_pinned(case):
     exact, mid_calls, pinned = _slice_cut_case(*case)
     assert exact
-    assert (mid_calls > 0) == (case[0] > BASE)
+    assert (mid_calls > 0) == (case[0] > BLOCK)
     assert pinned == SLICE_CUT_PINNED[case]
+
+
+# the kit's entry points at BLOCK - 1, BLOCK, BLOCK + 1 and 2 BLOCK + 1
+# outputs, over the smallest primes, the two benchmark primes and one
+# whose _kron slots are wider than 8 bytes, on plain, reversed and padded
+# views (the two outer slots on each side of f and g are padding)
+KIT_SWEEP_CASES = [
+    (entry, r, q, layout)
+    for entry in ("full_into", "low_acc", "mid_acc", "slice_acc")
+    for r in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+    for q in (2, 3, 97, 469762049, 2**61 - 1, 2**127 - 1)
+    for layout in ("plain", "reversed", "padded")
+]
+
+
+@pytest.mark.parametrize("case", KIT_SWEEP_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_kit_across_the_product_cut(case):
+    entry, r, q, layout = case
+    ring = Zq(q)
+    rng = random.Random(f"kit-sweep-{entry}-{r}-{q}-{layout}")
+    # (len(f), len(g), s, len(dst)) of dst += -[f * g]_s^{s+len(dst)}
+    flen, glen, s, t = {
+        "full_into": (r, r, 0, 2 * r - 1),
+        "low_acc": (r + 3, r + 1, 0, r),
+        "mid_acc": (2 * r - 1, r, r - 1, r),
+        "slice_acc": (2 * r + 5, r + 9, r + 2, r),
+    }[entry]
+    f, g = rand_poly(rng, q, flen), rand_poly(rng, q, glen)
+    d0 = rand_poly(rng, q, t)
+    cut = 2 if layout == "padded" else 0
+    fs, gs = f[cut : flen - cut], g[cut : glen - cut]
+    if layout == "reversed":
+        fs, gs = fs[::-1], gs[::-1]
+    arena, (fv, gv, dv, wv) = build_arena(
+        ring, RO_RW, (fs, INPUT_ONLY), (gs, INPUT_ONLY), (d0, INOUT), ([0] * (6 * flen), SCRATCH)
+    )
+    if layout == "reversed":
+        fv, gv = fv.rev(), gv.rev()
+    fv, gv = fv.window(-cut, flen - cut), gv.window(-cut, glen - cut)
+    f[:cut] = f[flen - cut :] = g[:cut] = g[glen - cut :] = [0] * cut
+    kit = MulKit()
+    if entry == "full_into":
+        kit.full_into(dv, fv, gv, wv)
+        assert dv.tolist() == schoolbook_mul(ring, f, g)
+    else:
+        if entry == "slice_acc":
+            kit.slice_acc(dv, fv, gv, s, wv, -1)
+        else:
+            getattr(kit, entry)(dv, fv, gv, wv, -1)
+        assert dv.tolist() == [(d - p) % q for d, p in zip(d0, slice_product(ring, f, g, s, t))]
+    assert [fv.get(i) for i in range(flen)] == f and [gv.get(i) for i in range(glen)] == g

@@ -15,6 +15,7 @@ from helpers import RING97, RING_FFT, WriteLog, build_reversed, check, rand_poly
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
+from polyarena.dense_ref import schoolbook_mul
 from polyarena.errors import (
     BadParams,
     BadScratch,
@@ -374,3 +375,37 @@ def test_oracle_sweep_over_primes_and_layouts(spec, q):
         x = spec.gen(ring, rng, n, cap=100)
         for kind in ("plain", "reversed", "padded"):
             check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)
+
+
+CUT_SWEEP_PRIMES = (2, 3, 97, 469762049, 2**61 - 1, 2**127 - 1)
+
+
+def _cut_sweep_inputs(name, ring, rng, n):
+    """Inputs of size n that reach the product cut dense_ref.BLOCK: a
+    balanced and a ragged (2n + 3 by n) cumulative product, a divisor of n
+    under a dividend of 3n - 1 coefficients, the table's draw otherwise."""
+    q = ring.q
+    if name == "cumulative_karatsuba":
+        return [{"f": rand_poly(rng, q, lf), "g": rand_poly(rng, q, n), "h": rand_poly(rng, q, lf + n - 1)} for lf in (n, 2 * n + 3)]
+    if name == "divrem_cs":
+        return [ops._gen_divrem(ring, rng, n, 2 * n)]
+    return [SPECS[name].gen(ring, rng, n)]
+
+
+@pytest.mark.parametrize("q", CUT_SWEEP_PRIMES)
+@pytest.mark.parametrize("name", ("cumulative_karatsuba", "cumulative_lower", "semi_cumulative_product", "divrem_cs"))
+def test_oracle_sweep_across_the_product_cut(monkeypatch, name, q):
+    # the entries whose products run up to BLOCK as one Kronecker product,
+    # at BLOCK - 1, BLOCK, BLOCK + 1 and 2 BLOCK + 1 (the three largest
+    # primes pack _kron slots wider than 8 bytes there), on every layout
+    # the entry takes: exact output, inputs untouched or restored.  The
+    # table's product oracle runs on the kit above 128 coefficients; here
+    # it is the schoolbook product, so no kernel under test checks itself
+    monkeypatch.setattr(ops, "karatsuba_mul", schoolbook_mul)
+    ring = Zq(q)
+    spec = SPECS[name]
+    for n in (127, 128, 129, 257):
+        rng = random.Random(f"cut-sweep-{name}-{q}-{n}")
+        for x in _cut_sweep_inputs(name, ring, rng, n):
+            for kind in ("plain", "reversed", "padded") if spec.model == RO_RW else ("plain", "reversed"):
+                check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)

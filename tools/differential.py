@@ -8,9 +8,10 @@ two packages never share a process.  Every `SPECS` entry that has a
 generator is called on CASES seeded inputs of size at most CAP per prime
 (97, 469762049, 2^61 - 1), and on one more case of each size in BIG_SIZES
 (from 97 points mp_eval_cs reduces its first batch and the chunk loops of
-the division run long; at 165 semi_cumulative_product and
-lower_product_cs both reduce above BASE), each input on the plain, reversed and
-padded layouts.  An input the prime cannot hold (more distinct nonzero
+the division run long; from 129 a balanced product splits above the
+product cut BLOCK; at 645 semi_cumulative_product and lower_product_cs
+both reduce above it), each input on the plain, reversed and padded
+layouts.  An input the prime cannot hold (more distinct nonzero
 interpolation points than 97 has) is skipped on both sides.  The reference
 entries (REFERENCES) have no generator: their inputs come from ops.draw at
 the same sizes, fft_ref's capped as cumulative_fft_mul's generator caps
@@ -40,7 +41,7 @@ PRIMES = (97, 469762049, 2**61 - 1)
 LAYOUTS = ("plain", "reversed", "padded")
 CASES = 60
 CAP = 64
-BIG_SIZES = (97, 160, 165)
+BIG_SIZES = (97, 160, 165, 260, 645)
 REFERENCES = ("schoolbook", "karatsuba_ref", "fft_ref")
 
 
