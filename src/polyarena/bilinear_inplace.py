@@ -15,6 +15,8 @@ square matrix views.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import index
 
 from .coeff_ring import Zq
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
     ZeroRow,
     check_sign,
 )
-from .reg_arena import PolyView, vadd, vscale
+from .reg_arena import PolyView, require_writable, vadd, vscale
 
 # instruction kinds
 ADD = "add"  # dst += coeff * src
@@ -303,46 +305,52 @@ def exec_program(
     each register is a size-B block; z provides s full blocks plus a tail
     of B-1 slots so a product pair (z_k, z_{k+1}) is the contiguous window
     of 2B-1 slots starting at block k.  pair_op(target, xblk, yblk) must
-    accumulate the size-(2B-1) product into the target window.
+    accumulate the size-(2B-1) product into the target window.  The whole
+    program is checked first, so a malformed one changes no register or metric.
     """
-    m, n, s = dims
-    B = block_len
-    ring = x.arena.ring
+    (m, n, s), B = dims, block_len
     if len(x) != m * B or len(y) != n * B:
         raise RegionMismatch("x or y region does not match the program dims")
     want_z = s * B if B == 1 else (s + 1) * B - 1
     if len(z) != want_z:
         raise RegionMismatch(f"z region must have {want_z} slots")
-
-    def block(region: PolyView, idx: int) -> PolyView:
-        lo = idx * B
-        return region.sub(lo, min(lo + B, len(region)))
-
     regions = {"x": x, "y": y, "z": z}
+
+    def block(reg, name=None, width: int = B, clip: bool = False) -> PolyView:
+        """reg's view in `name` (default: its own); clip keeps z's short tail and an empty end block."""
+        try:
+            region, lo = regions[name or reg[0]], index(reg[1]) * B
+        except (KeyError, TypeError, IndexError) as exc:
+            raise BadParams(f"bad register {reg!r}") from exc
+        return region.sub(lo, min(lo + width, len(region)) if clip else lo + width)
+
+    steps, written = [], set()
     for ins in instrs:
-        dst = block(regions[ins.dst[0]], ins.dst[1])
         if ins.kind == ADD:
-            vadd(dst, block(regions[ins.src[0]], ins.src[1]), ins.coeff)
-        elif ins.kind == SCALE:
-            vscale(dst, ins.coeff)
-        elif ins.kind == DIV:
-            vscale(dst, ring.inv(ins.coeff))
+            steps.append(partial(vadd, block(ins.dst, clip=True), block(ins.src, clip=True), ins.coeff))
+        elif ins.kind in (SCALE, DIV):
+            c = ins.coeff if ins.kind == SCALE else x.arena.ring.inv(ins.coeff)
+            steps.append(partial(vscale, block(ins.dst, clip=True), c))
         elif ins.kind == PROD:
             if B != 1:
                 raise BadParams("scalar product instruction in a block program")
-            xv = regions["x"].get(ins.src[1])
-            yv = regions["y"].get(ins.src2[1])
-            prod = xv * yv
-            dst.set(0, dst.get(0) + (prod if ins.sign > 0 else -prod))
-            x.arena.metrics.base_products += 1
+            steps.append(partial(_prod, block(ins.dst), block(ins.src), block(ins.src2), ins.sign))
         elif ins.kind == PAIR:
             if pair_op is None:
                 raise BadParams("pair instruction needs a pair_op callback")
-            k = ins.dst[1]
-            target = z.sub(k * B, k * B + 2 * B - 1)
-            pair_op(target, block(regions["x"], ins.src[1]), block(regions["y"], ins.src2[1]))
+            steps.append(partial(pair_op, block(ins.dst, "z", 2 * B - 1), block(ins.src), block(ins.src2)))
         else:
             raise BadParams(f"unknown instruction kind {ins.kind!r}")
+        written.add("z" if ins.kind == PAIR else ins.dst[0])
+    require_writable(*(regions[name] for name in written))
+    for step in steps:
+        step()
+
+
+def _prod(dst: PolyView, xs: PolyView, ys: PolyView, sign: int):
+    """dst[0] += sign * xs[0] * ys[0], one base product."""
+    dst.set(0, dst.get(0) + xs.get(0) * ys.get(0) * (1 if sign > 0 else -1))
+    dst.arena.metrics.base_products += 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,24 @@ Inputs are read-only; the output region doubles as workspace, shrinking as
 results are produced.  Every product runs on the one MulKit instance of
 dense_ref, and each reduction derives its block threshold from the kit's
 declared scratch factor MulKit.c, so nothing here hard-codes c = 2.
-
 Below those thresholds every power-series division (inversion, quotient,
 the quotient of a Euclidean division read through reversed views) is
 dense_ref._div_recurrence, the one naive division, which cs_rwrw._ipd's
 leaf runs too.
 
-Up to the kit's product cut dense_ref.BLOCK, where every product is one
-Kronecker product (dense_ref._kron) anyway, no product is reduced block by
-block.  The product loops semi_cumulative_product, lower_product_cs and
-middle_product_cs make one dense_ref._slice_naive pass over what is left
-once their block k is at most BLOCK, and MulKit.slice_acc, which
-semi_cumulative_lower and divrem_cs call with the workspace they have, is
-one _slice_naive pass when its chunks are at most BLOCK long: the same
-writes and base products as its chunks' naive mid_acc calls, with no views
-or workspace per chunk.
-The division and evaluation cut is dense_ref.BASE: mp_eval_cs evaluates
-by Horner per point once a batch would hold fewer than BASE points, and
-the interpolation groups hold at most BASE points.  The naive Euclidean
-division in divrem_cs (divisors of at most c + 3 coefficients) takes its
-remainder by one _slice_naive pass.  Every base case counts its base
+Every cut is dense_ref.BLOCK, up to which every product is one Kronecker
+product (dense_ref._kron).  The product loops semi_cumulative_product,
+lower_product_cs and middle_product_cs make one dense_ref._slice_naive
+pass over what is left once their block k is at most BLOCK, and
+MulKit.slice_acc, which semi_cumulative_lower and divrem_cs call with the
+workspace they have, is one _slice_naive pass when its chunks are at most
+BLOCK long (its chunks' writes and base products, with no views or
+workspace per chunk).  mp_eval_cs evaluates by Horner per point once a
+batch would hold fewer than BLOCK points, the interpolation chunks and
+modulus groups hold at most BLOCK points, and interp_cs's last round, at
+most BLOCK points, is partial_interp's series on Python locals.  divrem_cs
+takes the remainder of its naive division (divisors of at most c + 3
+coefficients) by one _slice_naive pass.  Every base case counts its base
 products by the rule of reg_arena.SpaceMetrics.
 
 Tail recursions are written as loops (no call-stack growth); an operation
@@ -34,24 +32,26 @@ its permissions leaves the registers and the metrics as it found them.
 
 Declared scalar budgets (Python locals per arithmetic statement): at most
 four per loop below (one running product per interpolation weight, over
-at most BASE differences at a time), except the small-size interpolation
-tail: one block of at most twelve values.  The row kernels of evaluation
-and interpolation hold one row as a transient of one statement, as the
-region ops and dense_ref._slice_naive do: _build_modulus its prefix of
-at most len(dst) values and a group product of at most BASE + 1,
-partial_interp one point's row and its chunk's sum, at most BASE values
-each, _horner_view the polynomial it reads; dense_ref._div_recurrence
-holds one block of at most BASE values.  _build_modulus writes its rows
-itself under one claim, the vzero of its whole register block, never
-once per row or coefficient; partial_interp lands its sums through vacc,
-vset and vadd.
+at most BASE differences at a time), except interp_cs's last round: two
+rows of at most BLOCK values (its points' summed geometric rows and their
+modulus) and the transient of their one _kron, as cs_rwrw._ipl's leaf.
+The row kernels of evaluation and interpolation hold one row as a
+transient of one statement, as the region ops and dense_ref._slice_naive
+do: _build_modulus its prefix of at most len(dst) values and a group
+product of at most BLOCK + 1, _horner_view the polynomial it reads.
+partial_interp holds its chunk's current terms, their points' inverses
+and its sum, at most BLOCK values each; dense_ref._div_recurrence one
+block of at most BASE values.  _build_modulus writes its rows itself
+under one claim, the vzero of its whole register block, never once per
+row or coefficient; partial_interp lands its sums through vacc, vset and
+vadd.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import chain, islice, pairwise, repeat
 from math import prod
-from operator import add, sub
+from operator import sub
 
 from .coeff_ring import Zq
 from .dense_ref import BASE, BLOCK, KIT, _div_recurrence, _kron, _pairs, _slice_naive
@@ -458,25 +458,23 @@ def mp_eval_cs(f: PolyView, points, out: PolyView):
     the free output space, then evaluate the small remainder per point.
 
     A batch of k points uses 3k + 1 free output slots (modulus, remainder,
-    scratch), so k = (P - done - 1) // 3.  Once k < BASE (at most 3 * BASE
-    points left) or f has at most k coefficients, the remaining points are
-    evaluated by Horner on f: below BASE the reduction's products cost
-    n * k multiplications, like k Horner passes, plus their view and kit
-    calls.
+    scratch), so k = (P - done - 1) // 3.  Once k < BLOCK (at most
+    3 * BLOCK points left) or f has at most k coefficients, the remaining
+    points are evaluated by Horner on f: below BLOCK the reduction's
+    products cost n * k multiplications, like k Horner passes, plus their
+    view and kit calls.
     """
     q = f.arena.q
     pts = [int(a) % q for a in points]
     if len(out) != len(pts):
         raise SizeContract("one output slot per point")
-    n = len(f)
-    P = len(pts)
+    n, P = len(f), len(pts)
     require_writable(out)
     with out.arena.call():
         done = 0
         while done < P:
-            rem_slots = P - done
-            k = (rem_slots - 1) // 3
-            if k < BASE or n <= k:
+            k = (P - done - 1) // 3
+            if k < BLOCK or n <= k:
                 for i in range(done, P):
                     out.set(i, _horner_view(f, pts[i], q))
                 return
@@ -499,19 +497,18 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
     M * sum_a w_a / (x - a) with M the product of (x - a) over the points
     and w_a = (b - g(a)) / (a^s * prod_{b != a} (a - b)), so h mod x^k is
     M mod x^k times the sum's power series mod x^k.  Point a's term is
-    the geometric row -w_a * a^-1 * (a^-1)^d.  The points go in chunks of
-    at most BASE: the chunk's rows, cut to t = min(k, len(chunk))
-    coefficients, are summed in Python locals; past t the chunk's sum is
-    n_C / m_C with m_C its points' modulus and deg n_C < t, so it extends
-    by dense_ref._div_recurrence on m_C alone, in scratch, and lands on
+    the geometric row -w_a * a^-1 * (a^-1)^d.  In chunks of at most BLOCK
+    points, the rows cut to t = min(k, len(chunk)) coefficients are summed
+    in Python locals (_row_sum); past t the chunk's sum is n_C / m_C with
+    m_C its points' modulus and deg n_C < t, so it extends by
+    dense_ref._div_recurrence on m_C alone, in scratch, and lands on
     out[0:k] by one vadd.  Then out[0:k] is copied into scratch, and one
     low product by M mod x^k (one _build_modulus into scratch) lands in
-    out[0:k].  A zero point (s = 0 only) has no series: with M0 the
-    product over the other points, h = M0 * (w_0 + x * sum_{a != 0}
-    w_a / (x - a)), so M0 is built, the other series land one place up
-    and w_0 is the constant term.
-    Scratch: 2k registers, for M mod x^k (first a chunk's m_C) and the
-    series (then the copy).
+    out[0:k].  A zero point (s = 0 only) has no series: with M0 the product
+    over the other points, h = M0 * (w_0 + x * sum_{a != 0} w_a / (x - a)),
+    so M0 is built, the other series land one place up and w_0 is the
+    constant term.  Scratch: 2k registers, for M mod x^k (first a chunk's
+    m_C) and the series (then the copy).
     """
     ring = out.arena.ring
     q = ring.q
@@ -530,28 +527,18 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
         raise BadScratch(f"need scratch >= {2 * k}, got {len(scratch)}")
     require_writable(out.sub(0, k), scratch.sub(0, 2 * k))
     with out.arena.call():
-        mk = scratch.sub(0, k)
-        row = scratch.sub(k, 2 * k)
-        out_k = out.sub(0, k)
-        metrics = out.arena.metrics
+        mk, row, out_k = scratch.sub(0, k), scratch.sub(k, 2 * k), out.sub(0, k)
         shift = 0 in xs
         n = k - shift  # the length of the nonzero points' series
-        sums = out_k.sub(shift, k)
-        series = row.sub(0, n)
+        sums, series = out_k.sub(shift, k), row.sub(0, n)
         vzero(out_k)
         if shift:
             i = xs.index(0)
             vacc(out_k, [_weight(ring, g, xs, i, pts[i][1])])
-        for lo in range(0, npts if n else 0, BASE):
-            chunk = [i for i in range(lo, min(lo + BASE, npts)) if xs[i]]
+        for lo in range(0, npts if n else 0, BLOCK):
+            chunk = [i for i in range(lo, min(lo + BLOCK, npts)) if xs[i]]
             t = min(n, len(chunk))
-            head = [0] * t
-            for i in chunk:
-                a, b = pts[i]
-                r = ring.inv(a)
-                c = -_weight(ring, g, xs, i, b) * r % q
-                head = list(map(add, head, accumulate(repeat(r, t - 1), lambda x, y: x * y % q, initial=c)))
-            metrics.base_products += t * len(chunk)
+            head = _row_sum(ring, g, pts, xs, chunk, t)
             if t == n:
                 vacc(sums, head)
             elif chunk:
@@ -566,17 +553,39 @@ def partial_interp(g: PolyView, pairs, k: int, out: PolyView, scratch: PolyView)
         _slice_naive(out_k, row, mk, 0)
 
 
+def _row_sum(ring: Zq, g: PolyView, pts, xs, chunk, t: int) -> list[int]:
+    """Sum mod q of the geometric rows -w_a * a^-1 * (a^-1)^d, d < t, of the
+    points pts[i], i in chunk, one coefficient at a time; t products each."""
+    q = ring.q
+    rs = [ring.inv(pts[i][0]) for i in chunk]
+    cur = [-_weight(ring, g, xs, i, pts[i][1]) * r % q for i, r in zip(chunk, rs)]
+    head = []
+    for _ in range(t):
+        head.append(sum(cur) % q)
+        cur = [c * r % q for c, r in zip(cur, rs)]
+    g.arena.metrics.base_products += t * len(chunk)
+    return head
+
+
 def _weight(ring: Zq, g: PolyView, xs, i: int, b: int) -> int:
     """Lagrange weight (b - g(a)) / (a^len(g) * prod_{j != i} (a - xs[j]))
     of a = xs[i]; the product runs over chunks of at most BASE differences,
     one math.prod each, reduced after each."""
-    q = ring.q
-    a = xs[i]
+    q, a = ring.q, xs[i]
     diffs = map(sub, repeat(a), chain(islice(xs, i), islice(xs, i + 1, None)))
     denom = pow(a, len(g), q)
     for _ in range(0, len(xs) - 1, BASE):
         denom = prod(islice(diffs, BASE), start=denom) % q
     return (b - _horner_view(g, a, q)) * ring.inv(denom) % q
+
+
+def _local_modulus(roots, t: int, q: int, metrics) -> list[int]:
+    """prod (x - a) over the roots mod x^t, on locals; one product per live coefficient per root."""
+    poly = [1]
+    for a in roots:
+        poly = [(p - a * c) % q for p, c in pairwise(chain((0,), poly, (0,)))][:t]
+        metrics.base_products += len(poly)
+    return poly
 
 
 def _build_modulus(dst: PolyView, roots):
@@ -588,30 +597,24 @@ def _build_modulus(dst: PolyView, roots):
     each over the live part, which grows by one per root up to t:
     new[d] = old[d - 1] - a * old[d] with old[-1] = 0 (the register just
     above the old prefix still holds its zero).  Any further roots go in
-    groups of at most BASE: the group's product mod x^t is built by the
-    same passes on Python locals, then multiplies the full row in one
+    groups of at most BLOCK: the group's product mod x^t is built on
+    Python locals (_local_modulus), then multiplies the full row in one
     _kron pass.
     """
     t = len(dst)
     if not t:
         return
     vzero(dst)
-    arena = dst.arena
-    regs, q, metrics = arena.regs, arena.q, arena.metrics
+    regs, q, metrics = dst.arena.regs, dst.arena.q, dst.arena.metrics
     regs[dst.off] = 1
     roots = iter(roots)
-    live = 1
-    for a in islice(roots, t - 1):
-        live += 1
+    for live, a in enumerate(islice(roots, t - 1), 2):
         ds = _slc(dst.off, dst.dir, 0, live)
         regs[ds] = [(p - a * c) % q for p, c in pairwise(chain((0,), regs[ds]))]
         metrics.base_products += live
     ds = _slc(dst.off, dst.dir, 0, t)
-    while group := list(islice(roots, BASE)):
-        poly = [1]
-        for a in group:
-            poly = [(p - a * c) % q for p, c in pairwise(chain((0,), poly, (0,)))][:t]
-            metrics.base_products += len(poly)
+    while group := list(islice(roots, BLOCK)):
+        poly = _local_modulus(group, t, q, metrics)
         regs[ds] = [v % q for v in _kron(regs[ds], poly, q, 0, t)]
         metrics.base_products += _pairs(t, len(poly), 0, t)
 
@@ -622,10 +625,10 @@ def interp_cs(pairs, out: PolyView):
     Points must be pairwise distinct and nonzero (later stages divide by
     a_i ** s).  Each round is one partial_interp over the rem points left,
     for k = rem // 3 coefficients, with the 2k output slots above them as
-    its scratch, so rem shrinks by a third per round.  The last twelve
-    points or fewer go to the direct Lagrange tail, held in Python locals
-    (declared budget): below thirteen points a round costs more than the
-    tail.
+    its scratch, so rem shrinks by a third per round.  The last BLOCK
+    points or fewer are partial_interp's series with one chunk and k = rem,
+    on Python locals (declared budget): their summed rows (_row_sum) times
+    their modulus (_local_modulus) mod x^rem, one _kron landed by one vset.
     """
     ring = out.arena.ring
     q = ring.q
@@ -642,40 +645,12 @@ def interp_cs(pairs, out: PolyView):
     require_writable(out)
     with out.arena.call():
         done = 0
-        while done < P:
-            rem = P - done
-            if rem <= 12:
-                _interp_small_tail(ring, pts, out, done)
-                return
+        while (rem := P - done) > BLOCK:
             k = rem // 3
-            partial_interp(
-                out.sub(0, done),
-                pts[done:],
-                k,
-                out.sub(done, done + k),
-                out.sub(done + k, P),
-            )
+            partial_interp(out.sub(0, done), pts[done:], k, out.sub(done, done + k), out.sub(done + k, P))
             done += k
-
-
-def _interp_small_tail(ring: Zq, pts, out: PolyView, done: int):
-    """Direct Lagrange for the last <= 12 coefficients (local block)."""
-    q = ring.q
-    rem = len(pts) - done
-    tail = pts[done:]
-    xs = [a for a, _ in tail]
-    coeffs = [0] * rem
-    for i, (a, b) in enumerate(tail):
-        w = _weight(ring, out.sub(0, done), xs, i, b)
-        basis = [1]
-        for a2, _ in tail:
-            if a2 == a:
-                continue
-            out.arena.metrics.base_products += len(basis)
-            basis = [(-a2 * basis[0]) % q] + [
-                (basis[d - 1] - a2 * basis[d]) % q for d in range(1, len(basis))
-            ] + [basis[-1]]
-        for d in range(rem):
-            coeffs[d] = (coeffs[d] + w * basis[d]) % q
-    for d in range(rem):
-        out.set(done + d, coeffs[d])
+        xs = [a for a, _ in pts[done:]]
+        head = _row_sum(ring, out.sub(0, done), pts[done:], xs, range(rem), rem)
+        modulus = _local_modulus(xs, rem, q, out.arena.metrics)
+        vset(out.sub(done, P), _kron(head, modulus, q, 0, rem))
+        out.arena.metrics.base_products += _pairs(rem, rem, 0, rem)

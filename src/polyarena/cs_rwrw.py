@@ -10,15 +10,15 @@ All mutating recursions operate on fully backed (never fake-padded) views;
 product slices are decomposed by a clipping quadtree into full products of
 real subwindows, so the restore reasoning stays local.
 
-Every product cut is dense_ref.BLOCK.  At or below it, cumulative_lower,
+Every cut is dense_ref.BLOCK.  At or below it, cumulative_lower,
 a ragged full product (_cum_full, by its shorter operand) and a cumulative
 slice with a short operand are one dense_ref._slice_naive pass, which only
 reads f and g; a balanced product stays on _cum_kara, which counts
 Karatsuba's 3^k products.  Both end in dense_ref._kron, the one
 Kronecker-substitution product kernel: _cum_kara's leaf (n <= BLOCK) is
 one _kron of its two operands, counted as the Karatsuba split below it,
-and so is _ipl's leaf.  The division cut stays dense_ref.BASE: _ipd's leaf
-(n <= BASE) is dense_ref._div_recurrence.
+and so is _ipl's leaf.  _ipd's leaf (n <= BLOCK) is
+dense_ref._div_recurrence.
 
 Declared scalar budgets: plain statements hold at most four locals; in
 addition fixed-size kernels run on Python locals: the product leaves of
@@ -41,7 +41,7 @@ from functools import cache
 from operator import mul
 
 from .coeff_ring import RootOfUnity
-from .dense_ref import BASE, BLOCK, _butterflies, _div_recurrence, _kron, _pairs, _powers, _slice_naive, bit_reverse, ntt
+from .dense_ref import BLOCK, _butterflies, _div_recurrence, _kron, _pairs, _powers, _slice_naive, bit_reverse, ntt
 from .errors import (
     BadParams,
     BadSlice,
@@ -693,7 +693,7 @@ def _ipd(f: PolyView, g: PolyView):
     n = len(f)
     if n == 0:
         return
-    if n <= BASE:
+    if n <= BLOCK:
         _div_recurrence(f, g, f, 0, n)
         return
     k = (n + 1) // 2

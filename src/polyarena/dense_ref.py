@@ -22,8 +22,9 @@ product, the kit's blocks at or below BLOCK included) feeds it blocks of
 at most max(len(dst), BLOCK) coefficients of g (one output is a dot
 product per block), so its transient stays a few times that; the leaves
 of cs_rwrw._cum_kara and _ipl feed it two operands of at most BLOCK.
-_div_recurrence is the one naive power-series division, in output blocks
-of at most BASE on _slice_naive.
+BLOCK is the one cut of every recursion and loop, here and in cs_rorw and
+cs_rwrw.  _div_recurrence, the one naive power-series division, works in
+output blocks of at most BASE on _slice_naive: BASE is no cut.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 
 
 # scalar budget: width of every butterfly block and twiddle table, and the
-# product cut (products of at most BLOCK coefficients are one _kron)
+# one cut of every recursion and loop (a product of at most BLOCK is one _kron)
 BLOCK = 128
-# division and evaluation cut: _div_recurrence's output blocks, _ipd's leaf,
-# mp_eval_cs's Horner batches and the interpolation groups
+# no cut: the width of the two inner loops whose work grows with its square,
+# _div_recurrence's in-block triangle and cs_rorw._weight's runs of differences
 BASE = 32
 
 

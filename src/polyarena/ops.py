@@ -188,6 +188,13 @@ def _gen_interp(ring, rng, n, cap=512):
     return {"pairs": [(a, horner_eval(ring, poly, a)) for a in pts], "poly": poly}
 
 
+def _gen_exec_program(ring, rng, n, cap=512):
+    """A stock 1D program and random x, y, z of its dimensions (n unused)."""
+    prog = rng.choice((bilinear.karatsuba2_program, bilinear.strassen_program))(ring)
+    xyz = {name: _rand(rng, ring.q, size) for name, size in zip("xyz", (prog.m, prog.n, prog.s))}
+    return {**xyz, "program": bilinear.emit_inplace(prog), "abc": (prog.A, prog.B, prog.C)}
+
+
 def _gen_partial_ft(ring, rng, n, cap=512):
     p = min(_two_adicity(ring.q), max(1, n - 1).bit_length() + rng.randrange(0, 2))
     root = ring.find_principal_root(1 << p)
@@ -281,6 +288,13 @@ def _check_convolution(ring, x, out):
         else:
             expect[i - n] = (expect[i - n] + c * lam) % q
     return out["h"] == expect
+
+
+def _check_bilinear(ring, x, out):
+    """z + C((Ax) o (By)) on plain lists."""
+    A, B, C = x["abc"]
+    prods = [sum(map(mul, a, x["x"])) * sum(map(mul, b, x["y"])) for a, b in zip(A, B)]
+    return out["z"] == [(z + sum(map(mul, c, prods))) % ring.q for z, c in zip(x["z"], C)]
 
 
 def _check_inplace_divrem(ring, x, out):
@@ -419,6 +433,8 @@ EXEC_PROGRAM = OpSpec(
     RW_RW,
     _XYZ,
     lambda v, x: bilinear.exec_program(x["program"], v.x, v.y, v.z, (len(v.x), len(v.y), len(v.z))),
+    gen=_gen_exec_program,
+    check=_check_bilinear,
     route=("exec", None),
     show=_labelled("z"),
 )

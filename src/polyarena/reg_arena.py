@@ -77,14 +77,14 @@ class SpaceMetrics:
     - Strassen-Winograd, an executed PROD, an FFT pointwise product: one;
     - cs_rorw: Horner len(f) per point; a modulus build one per live
       coefficient per root while its row fills, then per group of at most
-      BASE further roots the group's product by that rule and its product
-      with the full row, _pairs(t, len(group product), 0, t);
+      BLOCK further roots the group's product by that rule and its
+      product with the full row, _pairs(t, len(group product), 0, t);
       partial_interp's geometric rows one per coefficient, min(n,
       len(chunk)) per nonzero point with n = k (k - 1 beside a zero
       point, whose own term is its weight), the rest of a chunk's series
       by _div_recurrence's rule and the final low product by
-      _slice_naive's; the small interpolation tail one per basis
-      coefficient per factor.
+      _slice_naive's, and interp_cs's last round by the same rule with
+      one chunk and k = rem, its modulus one group.
     Scalings never count: vscale, vadd's and vacc's coefficient,
     twiddles, twist and fold, and the Lagrange weights.
     """

@@ -7,7 +7,17 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Arena, Zq, build_arena
 from polyarena import bilinear_inplace as bi
 from polyarena.dense_ref import schoolbook_mul
-from polyarena.errors import DimMismatch, NotPowerOfTwo, PermissionDenied, PolyArenaError, RegionMismatch, ZeroRow
+from polyarena.errors import (
+    BadParams,
+    BadRange,
+    DimMismatch,
+    NotPowerOfTwo,
+    PermissionDenied,
+    PolyArenaError,
+    RegionMismatch,
+    ZeroInverse,
+    ZeroRow,
+)
 from helpers import RING97, rand_poly
 
 RNG = random.Random(77)
@@ -71,6 +81,48 @@ def test_exec_empty_program_and_region_checks():
         bi.exec_program([], x, y, z, (3, 2, 3))
     with pytest.raises(RegionMismatch):
         bi.exec_program([], x, y, z, (2, 2, 4))
+
+
+def _noop_pair(target, xb, yb):
+    pass
+
+
+# (program text, block_len, pair_op, z tag, error): the last instruction of
+# each program is malformed and every one before it would write
+MALFORMED = (
+    ("x0 += x1\n(z0, z1) += x0 (*) y0", 1, None, INOUT, BadParams),  # a PAIR without pair_op
+    ("z0 += x0 * y0\nz9 += x1 * y1", 1, None, INOUT, BadRange),  # a target past z
+    ("x0 += x1\nx0 += 3 * y5", 1, None, INOUT, BadRange),  # a source past y
+    ("x0 += x1\nz0 /= 0", 1, None, INOUT, ZeroInverse),
+    ("x0 += x1\nz0 += x0 * y0", 2, _noop_pair, INOUT, BadParams),  # PROD in a block program
+    ("x0 += x1\n(z3, z4) += x0 (*) y0", 2, _noop_pair, INOUT, BadRange),  # a pair window past z
+    ("x0 += x1\nz0 += x0 * y0", 1, None, INPUT_ONLY, PermissionDenied),  # an input-only target
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    MALFORMED,
+    ids=("pair-without-op", "target-past-z", "source-past-y", "zero-divisor", "prod-in-block", "pair-past-z", "input-only-z"),
+)
+def test_malformed_program_is_refused_before_it_writes(case):
+    # exec_program checks the whole program before its first write, so the
+    # valid instructions ahead of the bad one leave no trace
+    text, B, pair_op, ztag, error = case
+    zlen = 3 if B == 1 else 4 * B - 1
+    arena, (x, y, z) = build_arena(RING97, RO_RW, ([1, 2] * B, INOUT), ([3, 4] * B, INOUT), ([5] * zlen, ztag))
+    before = list(arena.regs)
+    with pytest.raises(error):
+        bi.exec_program(bi.program_from_text(text), x, y, z, (2, 2, 3), block_len=B, pair_op=pair_op)
+    assert arena.regs == before
+    assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
+
+
+def test_product_operands_are_read_as_named():
+    # a hand-written product names its operands in either order
+    arena, (x, y, z) = build_arena(RING97, RW_RW, ([1, 2], INOUT), ([3, 4], INOUT), ([0, 0, 0], INOUT))
+    bi.exec_program(bi.program_from_text("z0 += y1 * x0\nz2 -= x1 * y0"), x, y, z, (2, 2, 3))
+    assert z.tolist() == [4, 0, 97 - 6]
 
 
 def test_identity_program_degenerate():

@@ -299,8 +299,8 @@ def test_mp_eval_examples():
     cs_rorw.mp_eval_cs(f, [0, 1], out)
     assert out.tolist() == [1, 2]
 
-    # up to 3 * BASE points no batch is reduced: Horner per point, one frame
-    for n in (7, 64, 96):
+    # up to 3 * BLOCK points no batch is reduced: Horner per point, one frame
+    for n in (7, 96, 384):
         fd = rand_poly(RNG, Q, n)
         pts = [RNG.randrange(Q) for _ in range(n)]
         arena, (f, out) = ro_arena((fd, INPUT_ONLY), ([0] * n, INOUT))
@@ -309,55 +309,57 @@ def test_mp_eval_examples():
         assert arena.metrics.pointer_depth_highwater == 1
 
 
-# (q, number of points P = len(f), layout of f): from P = 97 on, the first
-# batch has BASE points and runs the remainder route
+# (q, number of points P = len(f), layout of f): from P = 3 BLOCK + 1 = 385
+# on, the first batch has BLOCK points and runs the remainder route (one
+# batch at 385 and 512, two at 640)
 EVAL_CASES = [
-    (q, n, layout) for q in (97, 469762049, 2**61 - 1, 2**127 - 1) for n in (97, 128, 300) for layout in LAYOUTS
+    (q, n, layout) for q in (97, 469762049, 2**61 - 1, 2**127 - 1) for n in (385, 512, 640) for layout in LAYOUTS
 ]
 
 # (fingerprint of every register, extra_algebraic, pointer_depth,
-# base_products), taken once batches below BASE points went to Horner;
-# base_products re-taken once the product loops stopped reducing below
-# BASE, and again once every base case counted by the zone rule of
-# reg_arena.SpaceMetrics (Horner counts len(f) per point, so the padded
-# layout now counts what the plain one does)
+# base_products), by the zone rule of reg_arena.SpaceMetrics (Horner
+# counts len(f) per point, so the padded layout counts what the plain one
+# does); taken when the Horner cut moved to BLOCK.  The registers,
+# extra_algebraic and pointer_depth are those of the cut at 32, which
+# reduced these sizes too, base_products lower (165 959 -> 157 514 at 385
+# points, 294 206 -> 278 379 at 512, 458 844 -> 447 248 at 640)
 EVAL_PINNED = {
-    (97, 97, "plain"): (892269, 0, 4, 10074),
-    (97, 97, "reversed"): (956481, 0, 4, 10074),
-    (97, 97, "padded"): (606932, 0, 4, 10074),
-    (97, 128, "plain"): (1802522, 0, 4, 17485),
-    (97, 128, "reversed"): (1458841, 0, 4, 17485),
-    (97, 128, "padded"): (596879, 0, 4, 17485),
-    (97, 300, "plain"): (8789434, 0, 4, 99999),
-    (97, 300, "reversed"): (8657864, 0, 4, 99999),
-    (97, 300, "padded"): (8506804, 0, 4, 99999),
-    (469762049, 97, "plain"): (4336234211715, 0, 4, 10074),
-    (469762049, 97, "reversed"): (4559727237603, 0, 4, 10074),
-    (469762049, 97, "padded"): (2453819881367, 0, 4, 10074),
-    (469762049, 128, "plain"): (7212756786721, 0, 4, 17485),
-    (469762049, 128, "reversed"): (8198295220620, 0, 4, 17485),
-    (469762049, 128, "padded"): (7302681368839, 0, 4, 17485),
-    (469762049, 300, "plain"): (39748916835590, 0, 4, 99999),
-    (469762049, 300, "reversed"): (42436593473320, 0, 4, 99999),
-    (469762049, 300, "padded"): (20722736600825, 0, 4, 99999),
-    (2**61 - 1, 97, "plain"): (260940898453825883, 0, 4, 10074),
-    (2**61 - 1, 97, "reversed"): (5558894185568542, 0, 4, 10074),
-    (2**61 - 1, 97, "padded"): (796382205224913, 0, 4, 10074),
-    (2**61 - 1, 128, "plain"): (1416550681800146247, 0, 4, 17485),
-    (2**61 - 1, 128, "reversed"): (2042612054513736835, 0, 4, 17485),
-    (2**61 - 1, 128, "padded"): (1857756047745982794, 0, 4, 17485),
-    (2**61 - 1, 300, "plain"): (2228108598266594375, 0, 4, 99999),
-    (2**61 - 1, 300, "reversed"): (355988671046548696, 0, 4, 99999),
-    (2**61 - 1, 300, "padded"): (377330541218339963, 0, 4, 99999),
-    (2**127 - 1, 97, "plain"): (771219688529678405, 0, 4, 10074),
-    (2**127 - 1, 97, "reversed"): (427575253100115503, 0, 4, 10074),
-    (2**127 - 1, 97, "padded"): (1694437409249386865, 0, 4, 10074),
-    (2**127 - 1, 128, "plain"): (289559462239451092, 0, 4, 17485),
-    (2**127 - 1, 128, "reversed"): (1791009378761539696, 0, 4, 17485),
-    (2**127 - 1, 128, "padded"): (1519708431836143383, 0, 4, 17485),
-    (2**127 - 1, 300, "plain"): (1029261899133715617, 0, 4, 99999),
-    (2**127 - 1, 300, "reversed"): (1218870322512719048, 0, 4, 99999),
-    (2**127 - 1, 300, "padded"): (1580291520755752594, 0, 4, 99999),
+    (97, 385, "plain"): (14969785, 0, 4, 157514),
+    (97, 385, "reversed"): (13784565, 0, 4, 157514),
+    (97, 385, "padded"): (12742659, 0, 4, 157514),
+    (97, 512, "plain"): (24330295, 0, 4, 278379),
+    (97, 512, "reversed"): (25750902, 0, 4, 278379),
+    (97, 512, "padded"): (15551162, 0, 4, 278379),
+    (97, 640, "plain"): (41702755, 0, 4, 447248),
+    (97, 640, "reversed"): (41136476, 0, 4, 447248),
+    (97, 640, "padded"): (27906325, 0, 4, 447248),
+    (469762049, 385, "plain"): (68141755949388, 0, 4, 157514),
+    (469762049, 385, "reversed"): (68574166280480, 0, 4, 157514),
+    (469762049, 385, "padded"): (33023709292956, 0, 4, 157514),
+    (469762049, 512, "plain"): (127105961932423, 0, 4, 278379),
+    (469762049, 512, "reversed"): (124643591579297, 0, 4, 278379),
+    (469762049, 512, "padded"): (41186317631446, 0, 4, 278379),
+    (469762049, 640, "plain"): (190661927209789, 0, 4, 447248),
+    (469762049, 640, "reversed"): (186761987665944, 0, 4, 447248),
+    (469762049, 640, "padded"): (70550260296566, 0, 4, 447248),
+    (2**61 - 1, 385, "plain"): (2069726591077421936, 0, 4, 157514),
+    (2**61 - 1, 385, "reversed"): (852002675351241960, 0, 4, 157514),
+    (2**61 - 1, 385, "padded"): (290267965768753646, 0, 4, 157514),
+    (2**61 - 1, 512, "plain"): (2163683000488200469, 0, 4, 278379),
+    (2**61 - 1, 512, "reversed"): (171313172046894751, 0, 4, 278379),
+    (2**61 - 1, 512, "padded"): (572597306560938587, 0, 4, 278379),
+    (2**61 - 1, 640, "plain"): (586818884319697328, 0, 4, 447248),
+    (2**61 - 1, 640, "reversed"): (1199927013020204225, 0, 4, 447248),
+    (2**61 - 1, 640, "padded"): (1276961795338104014, 0, 4, 447248),
+    (2**127 - 1, 385, "plain"): (1306522612014841144, 0, 4, 157514),
+    (2**127 - 1, 385, "reversed"): (533256123328572253, 0, 4, 157514),
+    (2**127 - 1, 385, "padded"): (2289992406374384382, 0, 4, 157514),
+    (2**127 - 1, 512, "plain"): (975875443928931802, 0, 4, 278379),
+    (2**127 - 1, 512, "reversed"): (358888917604068610, 0, 4, 278379),
+    (2**127 - 1, 512, "padded"): (2205430188718109896, 0, 4, 278379),
+    (2**127 - 1, 640, "plain"): (863201408622352233, 0, 4, 447248),
+    (2**127 - 1, 640, "reversed"): (1029334177474178518, 0, 4, 447248),
+    (2**127 - 1, 640, "padded"): (1836162422133616253, 0, 4, 447248),
 }
 
 
@@ -407,7 +409,7 @@ def test_partial_interp_examples():
 
 
 def test_partial_interp_ragged_blocks():
-    # k divides neither the number of pairs nor the chunk size BASE
+    # k divides neither the number of pairs nor the chunk size BLOCK
     n, s, k = 23, 3, 5
     fd = rand_poly(RNG, Q, n)
     pts = RNG.sample(range(1, Q), n - s)
@@ -504,27 +506,28 @@ def test_partial_interp_scratch_is_2k():
 def test_partial_interp_zero_point(q):
     # a zero point (s = 0 only) has no series: M0 and the weight w_0 carry
     # it; k = 1 (w_0 alone), 2 and npts, the zero at a seeded position
-    # among up to 70 points (past one chunk of BASE)
-    for npts in [n for n in (1, 2, 3, 5, 33, 70) if n <= q]:
+    # among up to 130 points (past one chunk of BLOCK)
+    for npts in [n for n in (1, 2, 3, 5, 33, 70, 130) if n <= q]:
         for k in sorted({1, min(2, npts), npts}):
             for layout in ("plain", "reversed", "padded"):
                 _partial_case(q, npts, 0, k, layout, zero=True)
 
 
 def _interp_rounds(n):
-    """Rounds of interp_cs on n points: k = rem // 3 while rem > 12."""
+    """Rounds of interp_cs on n points: k = rem // 3 while rem > BLOCK."""
     rounds = 0
-    while n > 12:
+    while n > BLOCK:
         n -= n // 3
         rounds += 1
     return rounds
 
 
 # the sizes around every change in interp_cs's number of rounds, around the
-# first round whose k passes BASE (99 points) and around whole chunks
+# first round whose k passes BLOCK (387 points), and around 12 and 32,
+# the tail and chunk cuts before both became BLOCK
 ROUND_SIZES = sorted(
-    {m for n in range(2, 260) if _interp_rounds(n) != _interp_rounds(n - 1) for m in (n - 1, n)}
-    | {32, 33, 64, 65, 98, 99, 100}
+    {m for n in range(2, 400) if _interp_rounds(n) != _interp_rounds(n - 1) for m in (n - 1, n)}
+    | {12, 13, 32, 33, 386, 387}
 )
 
 
@@ -553,7 +556,7 @@ def test_interpolation_oracle_sweep(q):
             assert (out.rev() if layout == "reversed" else out).tolist() == poly, (q, n, layout)
             assert arena.metrics.extra_algebraic_highwater == 0 and guard.tolist() == [5 % q]
         s = (0, 1, 5)[n % 3]
-        k = (1, 2, max(1, n // 3), min(n, BASE + 1), n)[n % 5]
+        k = (1, 2, max(1, n // 3), min(n, BLOCK + 1), n)[n % 5]
         for layout in ("plain", "reversed", "padded"):
             _partial_case(q, n, s, min(k, n), layout)
 
@@ -743,22 +746,24 @@ def _interp_case(entry, q, n, s=0, k=None):
     return fingerprint, m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products
 
 
-# fingerprints and pointer depths taken while partial_interp still ran
-# block Lagrange rounds (8k + 4 scratch, k = (rem - 4) // 9 in interp_cs):
-# they stay.  The scratch it writes may only shrink; scratch and products
-# were re-taken when each round became one power series (2k scratch,
-# k = rem // 3), with the count rule of reg_arena.SpaceMetrics
+# fingerprints taken while partial_interp still ran block Lagrange rounds
+# (8k + 4 scratch, k = (rem - 4) // 9 in interp_cs): they stay.  The
+# scratch it writes may only shrink; scratch and products were re-taken
+# when each round became one power series (2k scratch, k = rem // 3), with
+# the count rule of reg_arena.SpaceMetrics, and products and depths again
+# when the last round became that series on BLOCK points or fewer (interp_cs
+# on up to 128 points runs no partial_interp, so its depth is 1)
 INTERP_PINNED = {
-    ("interp_cs", 469762049, 13): (21537879548, 0, 2, 478),
-    ("interp_cs", 469762049, 30): (102041529444, 0, 2, 2100),
-    ("interp_cs", 469762049, 64): (536019546244, 0, 2, 9573),
-    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 100018),
-    ("interp_cs", 97, 40): (45653, 0, 2, 3772),
+    ("interp_cs", 469762049, 13): (21537879548, 0, 1, 363),
+    ("interp_cs", 469762049, 30): (102041529444, 0, 1, 1859),
+    ("interp_cs", 469762049, 64): (536019546244, 0, 1, 8319),
+    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 73889),
+    ("interp_cs", 97, 40): (45653, 0, 1, 3279),
     ("partial_interp", 469762049, 12, 0, 12): (24293317820, 24, 1, 324),
     ("partial_interp", 469762049, 23, 3, 5): (3289358823, 10, 1, 278),
     ("partial_interp", 469762049, 40, 10, 3): (1638074597, 6, 1, 490),
-    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 14, 1, 935),
-    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 80, 1, 6847),
+    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 14, 1, 922),
+    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 80, 1, 5670),
     ("partial_interp", 97, 30, 4, 6): (1154, 12, 1, 438),
 }
 
@@ -780,13 +785,13 @@ KERNEL_PRIMES = (97, 469762049, 2**127 - 1)
 
 @pytest.mark.parametrize("q", KERNEL_PRIMES)
 @pytest.mark.parametrize("kind", ["plain", "reversed"])
-@pytest.mark.parametrize("r", (6, 75))
+@pytest.mark.parametrize("r", (6, 75, 300))
 def test_build_modulus_is_the_truncated_product(q, kind, r):
     # dst = prod (x - a) mod x^t on a scratch view that starts at register 0
     # (the reversed slice then runs to the front of the file) and held
     # garbage; the input-only register behind it stays untouched.  Roots
-    # beyond t - 1 go in groups of BASE (two full groups and a short one
-    # at r = 75, t = 7)
+    # beyond t - 1 go in groups of BLOCK (two full groups and a short one
+    # at r = 300, t = 7)
     ring = Zq(q)
     rng = random.Random(f"modulus-{q}-{kind}-{r}")
     roots = [0, q - 1] + [rng.randrange(q) for _ in range(r - 2)]
@@ -821,12 +826,12 @@ def test_horner_view_matches_horner_eval(q):
 
 def _modulus_products(t, r):
     """A modulus build's count over r roots: one per live coefficient per
-    root while its row fills, then per group of at most BASE roots the
+    root while its row fills, then per group of at most BLOCK roots the
     group's own build by the same rule and its product with the full row."""
     fill = min(r, t - 1)
     count = sum(range(2, fill + 2))
-    for j in range(fill, r, BASE):
-        size = min(BASE, r - j)
+    for j in range(fill, r, BLOCK):
+        size = min(BLOCK, r - j)
         count += sum(min(i + 1, t) for i in range(1, size + 1)) + _pairs(t, min(size + 1, t), 0, t)
     return count
 
@@ -847,7 +852,7 @@ def test_row_kernels_count_their_products(zero):
             cs_rorw._horner_view(view, rng.randrange(q), q)
             assert arena.metrics.base_products - before == len(view)
     for t in (1, 2, 7, 40):
-        for k in (0, 1, 3, 10, 45, 80):
+        for k in (0, 1, 3, 10, 45, 80, 300):
             roots = [0] * k if zero else rand_poly(rng, q, k)
             arena, (dst,) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH))
             cs_rorw._build_modulus(dst, roots)

@@ -494,8 +494,9 @@ def test_size_contracts():
         cs_rwrw.cumulative_karatsuba(f, g, h)
 
 
-# Up to its cut the in-place lower product is one _kron (n <= BLOCK) and
-# the in-place series division one dense_ref._div_recurrence (n <= BASE):
+# Up to the cut BLOCK the in-place lower product is one _kron and the
+# in-place series division one dense_ref._div_recurrence (two blocks of its
+# inner width BASE at n = BASE + 1):
 # one read of f and g, one checked slice write of f, n (n + 1) / 2 counted
 # products, no nested call; one past the cut they split in halves.
 # cumulative_lower of size n <= BLOCK, and cumulative_karatsuba with a
@@ -507,7 +508,7 @@ INPLACE_CASES = [
     (entry, n, q, layout)
     for entry, sizes, primes in (
         ("inplace_lower", (1, 2, BLOCK, BLOCK + 1), (97, 469762049, 2**61 - 1, 2**127 - 1)),
-        ("inplace_series_div", (1, 2, BASE, BASE + 1), (97, 469762049, 2**61 - 1, 2**127 - 1)),
+        ("inplace_series_div", (1, 2, BASE, BASE + 1, BLOCK, BLOCK + 1), (97, 469762049, 2**61 - 1, 2**127 - 1)),
         ("cumulative_lower", (BLOCK, BLOCK + 1), (97, 2**61 - 1)),
         ("cumulative_karatsuba", (BLOCK, BLOCK + 1), (97, 2**61 - 1)),
     )
@@ -534,14 +535,16 @@ def _inplace_case(entry, n, q, layout):
 
 # below the cut the kernel's own count, one frame deep; one past it one
 # split, then two kernels and a cumulative slice (inplace_series_div at
-# n = 33 taken when the kernels went in).  The rest taken when the product
+# n = 129 taken when its cut moved from 32 to BLOCK: base_products as at
+# the cut at 32, which split it three levels deep, pointer_depth 4 -> 2, and
+# 2 -> 1 at n = 33, 3 -> 1 at 128).  The rest taken when the product
 # cut moved to BLOCK: at n = 128, n(n+1)/2 for the lower product and
 # 7n^2 + 5n for the ragged one (seven n x n blocks and a 5 x n tail in one
 # pass); at n = 129, one round of the lower product (a 65 x 65 Kronecker
 # leaf, counted as its split, and a 65 x 64 pass) before a pass of size
 # 64, and seven 129 x 129 Karatsuba blocks (one split into three leaves
 # each) before a 5 x 129 pass
-CUT = {"inplace_lower": BLOCK, "inplace_series_div": BASE}
+CUT = {"inplace_lower": BLOCK, "inplace_series_div": BLOCK}
 INPLACE_PINNED = {
     **{c: (0, 1, c[1] * (c[1] + 1) // 2) for c in INPLACE_CASES if c[0].startswith("inplace") and c[1] <= CUT[c[0]]},
     ('inplace_lower', 129, 97, 'plain'): (0, 2, 8385),
@@ -552,14 +555,14 @@ INPLACE_PINNED = {
     ('inplace_lower', 129, 2**61 - 1, 'reversed'): (0, 2, 8385),
     ('inplace_lower', 129, 2**127 - 1, 'plain'): (0, 2, 8385),
     ('inplace_lower', 129, 2**127 - 1, 'reversed'): (0, 2, 8385),
-    ('inplace_series_div', 33, 97, 'plain'): (0, 2, 561),
-    ('inplace_series_div', 33, 97, 'reversed'): (0, 2, 561),
-    ('inplace_series_div', 33, 469762049, 'plain'): (0, 2, 561),
-    ('inplace_series_div', 33, 469762049, 'reversed'): (0, 2, 561),
-    ('inplace_series_div', 33, 2**61 - 1, 'plain'): (0, 2, 561),
-    ('inplace_series_div', 33, 2**61 - 1, 'reversed'): (0, 2, 561),
-    ('inplace_series_div', 33, 2**127 - 1, 'plain'): (0, 2, 561),
-    ('inplace_series_div', 33, 2**127 - 1, 'reversed'): (0, 2, 561),
+    ('inplace_series_div', 129, 97, 'plain'): (0, 2, 8385),
+    ('inplace_series_div', 129, 97, 'reversed'): (0, 2, 8385),
+    ('inplace_series_div', 129, 469762049, 'plain'): (0, 2, 8385),
+    ('inplace_series_div', 129, 469762049, 'reversed'): (0, 2, 8385),
+    ('inplace_series_div', 129, 2**61 - 1, 'plain'): (0, 2, 8385),
+    ('inplace_series_div', 129, 2**61 - 1, 'reversed'): (0, 2, 8385),
+    ('inplace_series_div', 129, 2**127 - 1, 'plain'): (0, 2, 8385),
+    ('inplace_series_div', 129, 2**127 - 1, 'reversed'): (0, 2, 8385),
     ('cumulative_lower', 128, 97, 'plain'): (0, 1, 8256),
     ('cumulative_lower', 128, 97, 'reversed'): (0, 1, 8256),
     ('cumulative_lower', 128, 2**61 - 1, 'plain'): (0, 1, 8256),
@@ -591,12 +594,12 @@ def _leaf_pairs(n):
 
 @pytest.mark.parametrize("zero", (False, True), ids=("random", "zero"))
 def test_inplace_leaves_count_their_pairs(zero):
-    # one leaf each at every n = 1..BASE: f * g mod x^n (one Kronecker
+    # one leaf each at every n = 1..BLOCK: f * g mod x^n (one Kronecker
     # product) and f / g mod x^n (the quotient recurrence) count the pairs
     # i + j < n of their operands, for random values and for all-zero ones
     # (g[0] = 1, the unit the division needs)
     rng = random.Random(f"leaf-counts-{zero}")
-    for n in range(1, BASE + 1):
+    for n in range(1, BLOCK + 1):
         fd = [0] * n if zero else rand_poly(rng, Q, n)
         gd = [1] + ([0] * (n - 1) if zero else rand_poly(rng, Q, n - 1))
         ginv = series_inv(RING97, gd, n)

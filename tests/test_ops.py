@@ -15,9 +15,10 @@ from helpers import RING97, RING_FFT, WriteLog, build_reversed, check, rand_poly
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, Zq, build_arena, ops
 from polyarena import bilinear_inplace as bi
 from polyarena import cs_rorw, cs_rwrw
-from polyarena.dense_ref import schoolbook_mul
+from polyarena.dense_ref import BLOCK, horner_eval, schoolbook_mul
 from polyarena.errors import (
     BadParams,
+    BadRange,
     BadScratch,
     BadSlice,
     DimMismatch,
@@ -34,6 +35,7 @@ from polyarena.errors import (
     RegionMismatch,
     ScratchTooSmall,
     SizeContract,
+    ZeroInverse,
     ZeroPointWithShift,
 )
 from polyarena.ops import OPS, SPECS
@@ -81,6 +83,22 @@ def _long_remainder(x):
 
 def _duplicate_point(x):
     return {"pairs": x["pairs"][:1] + x["pairs"][:-1]}
+
+
+def _program(*instrs):
+    """A program whose first instruction is valid and would write x0."""
+    return lambda x: {"program": [bi.Instr(bi.ADD, ("x", 0), ("x", 1)), *instrs]}
+
+
+# malformed programs that exec_program must refuse before their first write
+BAD_PROGRAMS = (
+    (BadParams, _program(bi.Instr(bi.PAIR, ("z", 0), ("x", 0), src2=("y", 0)))),  # PAIR without pair_op
+    (BadRange, _program(bi.Instr(bi.PROD, ("z", 0), ("x", 0), src2=("y", 0)), bi.Instr(bi.PROD, ("z", 9), ("x", 1), src2=("y", 1)))),
+    (BadRange, _program(bi.Instr(bi.ADD, ("z", 0), ("x", 7)))),
+    (BadParams, _program(bi.Instr(bi.ADD, ("w", 0), ("x", 0)))),
+    (BadParams, _program(bi.Instr("mul", ("z", 0), ("x", 0)))),
+    (ZeroInverse, _program(bi.Instr(bi.DIV, ("z", 0), coeff=0))),
+)
 
 
 # entry -> every contract error its table call raises, each with the edit of
@@ -149,6 +167,7 @@ CONTRACT_REFUSALS = {
         (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]}),
     ),
     "modular_mul_any": ((SizeContract, _long("r")), (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]})),
+    "exec_program": BAD_PROGRAMS,
     "strassen_cs": (
         (NotPowerOfTwo, lambda x: {name: x[name][:9] for name in "xyz"}),
         (NotPowerOfTwo, lambda x: {name: [] for name in "xyz"}),
@@ -182,8 +201,7 @@ def test_refused_call_leaves_arena_as_found(spec):
 
 
 # the reference entries have no generator: their inputs come from ops.draw
-# as tools/differential.py draws them (exec_program's cannot: it needs a
-# program, and draw needs a size rule it lacks)
+# as tools/differential.py draws them
 REFERENCES = [SPECS[name] for name in ("schoolbook", "karatsuba_ref", "fft_ref")]
 AUDITED = [spec for spec in SPECS.values() if spec.gen] + REFERENCES
 
@@ -339,7 +357,7 @@ def test_strassen_refuses_mixed_directions():
 
 @settings(max_examples=2000, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    spec=st.sampled_from(OPS),
+    spec=st.sampled_from(OPS + (SPECS["exec_program"],)),
     q=st.sampled_from(PRIMES),
     kind=st.sampled_from(("plain", "reversed", "padded")),
     n=st.integers(1, 32),
@@ -409,3 +427,44 @@ def test_oracle_sweep_across_the_product_cut(monkeypatch, name, q):
         for x in _cut_sweep_inputs(name, ring, rng, n):
             for kind in ("plain", "reversed", "padded") if spec.model == RO_RW else ("plain", "reversed"):
                 check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)
+
+
+# entry -> sizes on both sides of a cut that moved from 32 to BLOCK: the
+# Horner cut of mp_eval_cs (a batch from 3 BLOCK + 1 points), interp_cs's
+# last round, partial_interp's chunks (npts points, k = BLOCK + 1, so a
+# whole chunk of BLOCK is extended past its rows) and the leaf of
+# inplace_series_div
+MOVED_CUTS = {
+    "mp_eval_cs": (3 * BLOCK, 3 * BLOCK + 1),
+    "interp_cs": (BLOCK, BLOCK + 1),
+    "partial_interp": (BLOCK + 1, 2 * BLOCK + 1),
+    "inplace_series_div": (BLOCK - 1, BLOCK, BLOCK + 1),
+}
+
+
+def _moved_cut_input(name, ring, rng, n):
+    """The table's draw of size n; partial_interp's with a known prefix of
+    three coefficients and k = BLOCK + 1."""
+    if name != "partial_interp":
+        return SPECS[name].gen(ring, rng, n)
+    poly = rand_poly(rng, ring.q, n + 3)
+    pairs = [(a, horner_eval(ring, poly, a)) for a in ops.distinct_nonzero(rng, ring.q, n)]
+    return {"g": poly[:3], "pairs": pairs, "k": BLOCK + 1, "poly": poly}
+
+
+@pytest.mark.parametrize("q", CUT_SWEEP_PRIMES)
+@pytest.mark.parametrize("name", sorted(MOVED_CUTS))
+def test_oracle_sweep_across_the_moved_cuts(monkeypatch, name, q):
+    # every layout the entry takes, over the primes that hold its points,
+    # through helpers.check with the schoolbook product as the table's
+    # product oracle, as in the sweep across the product cut above
+    monkeypatch.setattr(ops, "karatsuba_mul", schoolbook_mul)
+    ring = Zq(q)
+    spec = SPECS[name]
+    for n in MOVED_CUTS[name]:
+        if name in ("interp_cs", "partial_interp") and q <= n + 1:
+            continue
+        rng = random.Random(f"moved-cut-{name}-{q}-{n}")
+        x = _moved_cut_input(name, ring, rng, n)
+        for kind in ("plain", "reversed", "padded") if spec.model == RO_RW else ("plain", "reversed"):
+            check(spec, ring, zero_tail(spec, x, rng) if kind == "padded" else x, kind)
