@@ -400,13 +400,16 @@ def strassen_program(ring: Zq) -> BilinearProgram:
 
 # ---------------------------------------------------------------------------
 # dense square matrices and constant-space Strassen-Winograd: one hand
-# schedule (_sw) of block additions and recursive products, whose 2 x 2
-# node runs the same schedule as one scalar kernel (_sw2)
+# schedule (_node) of block additions and recursive products.  Below
+# strassen_cs the recursion runs on integer offsets and strides into one
+# register list per operand; MatView only names the operands at the entry.
+# A 4 x 4 node hands its seven 2 x 2 products to one scalar kernel (_sw2)
+# that runs the same schedule on registers.
 # ---------------------------------------------------------------------------
 
 
 class MatView:
-    """Row-major n x n window into an arena; quadrants alias the parent."""
+    """Row-major n x n window into an arena: row i starts at off + i * stride."""
 
     __slots__ = ("arena", "off", "stride", "n")
 
@@ -419,13 +422,6 @@ class MatView:
     def get(self, i: int, j: int) -> int:
         return self.arena.regs[self.off + i * self.stride + j]
 
-    def set(self, i: int, j: int, v: int):
-        self.arena.write(self.off + i * self.stride + j, v)
-
-    def quad(self, bi: int, bj: int) -> "MatView":
-        h = self.n // 2
-        return MatView(self.arena, self.off + (bi * h) * self.stride + bj * h, self.stride, h)
-
     def tolists(self) -> list[list[int]]:
         return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
 
@@ -434,22 +430,47 @@ def mat_on_arena(arena, off: int, n: int) -> MatView:
     return MatView(arena, off, n, n)
 
 
-def _check_rows(M: MatView, touch: bool = True):
-    for i in range(M.n):
-        row = M.off + i * M.stride
-        M.arena.check_span(row, row + M.n, touch)
+def _claim_rows(arena, off: int, stride: int, n: int, touch: bool = True):
+    """The n rows of n registers at off, off + stride, ...: one check_span each."""
+    for row in range(off, off + n * stride, stride):
+        arena.check_span(row, row + n, touch)
 
 
-def _madd(dst: MatView, src: MatView, sign: int = 1):
-    arena = dst.arena
+def _share_registers(A: MatView, B: MatView) -> bool:
+    """A and B hold a register in common: on one arena, their extents meet
+    and so do their exact register sets (built only when the extents meet,
+    which saves about 1 ms a call at n = 64)."""
+    if A.arena is not B.arena:
+        return False
+    ends = [M.off + (M.n - 1) * M.stride + M.n for M in (A, B)]
+    if A.off >= ends[1] or B.off >= ends[0]:
+        return False
+    cells = [{row + j for row in range(M.off, M.off + M.n * M.stride, M.stride) for j in range(M.n)} for M in (A, B)]
+    return not cells[0].isdisjoint(cells[1])
+
+
+def _madd(arena, d: int, s: int, stride: int, n: int, sign: int):
+    """Block d += sign * block s, two disjoint n x n blocks of one matrix
+    (row stride `stride`) in `arena`; claims d's rows on a checked arena."""
     if arena.checked:
-        _check_rows(dst)
-    q = arena.q
+        _claim_rows(arena, d, stride, n)
     regs = arena.regs
-    n = dst.n
-    for i in range(n):
-        d0 = dst.off + i * dst.stride
-        s0 = src.off + i * src.stride
+    q = arena.q
+    if n == 2:  # the 4 x 4 nodes' blocks: most _madd calls at every n from 8 on
+        d1, s1 = d + stride, s + stride
+        if sign > 0:
+            regs[d] = (regs[d] + regs[s]) % q
+            regs[d + 1] = (regs[d + 1] + regs[s + 1]) % q
+            regs[d1] = (regs[d1] + regs[s1]) % q
+            regs[d1 + 1] = (regs[d1 + 1] + regs[s1 + 1]) % q
+        else:
+            regs[d] = (regs[d] - regs[s]) % q
+            regs[d + 1] = (regs[d + 1] - regs[s + 1]) % q
+            regs[d1] = (regs[d1] - regs[s1]) % q
+            regs[d1 + 1] = (regs[d1 + 1] - regs[s1 + 1]) % q
+        return
+    for i in range(0, n * stride, stride):
+        d0, s0 = d + i, s + i
         if sign > 0:
             for j in range(n):
                 regs[d0 + j] = (regs[d0 + j] + regs[s0 + j]) % q
@@ -459,88 +480,107 @@ def _madd(dst: MatView, src: MatView, sign: int = 1):
 
 
 def strassen_cs(X: MatView, Y: MatView, Z: MatView, sign: int = 1):
-    """Z += X * Y with seven recursive products and no matrix temporaries;
+    """Z += X * Y with seven recursive products and no matrix temporaries.
+
     X and Y are nudged and restored by pre/post block additions, so all
     three must be writable: under ro/rw an input-only register in any of
-    them raises before the first write.  The recursion stops at 2 x 2
-    blocks, which run the same schedule on scalar registers; base_products
-    is 7^k and pointer_depth k + 1 at n = 2^k."""
+    them raises before the first write.  The operands may lie on one arena
+    or on three; no register may belong to two of them (disjoint quadrants
+    of one matrix are fine) or to two rows of one, else OverlapUnsupported
+    before the first write.  base_products is 7^k and pointer_depth k + 1 at n = 2^k,
+    both counted on Z's arena."""
     check_sign(sign)
     n = X.n
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"matrix dimension {n}")
     if Y.n != n or Z.n != n:
         raise DimMismatch("need three n x n operands")
+    if n > 1 and min(X.stride, Y.stride, Z.stride) < n:
+        raise OverlapUnsupported("a Strassen operand's rows overlap: its row stride is below n")
+    if _share_registers(X, Y) or _share_registers(X, Z) or _share_registers(Y, Z):
+        raise OverlapUnsupported("two Strassen operands share a register")
     for M in (X, Y, Z):
-        _check_rows(M, touch=False)
+        if M.arena.checked:
+            _claim_rows(M.arena, M.off, M.stride, n, touch=False)
     with Z.arena.call():
-        _sw(X, Y, Z, sign)
+        _sw(X.arena, X.off, X.stride, Y.arena, Y.off, Y.stride, Z.arena, Z.off, Z.stride, sign, n)
 
 
-def _sw(X: MatView, Y: MatView, Z: MatView, sign: int):
-    """One node of the schedule: 18 block additions and 7 recursive
-    products, in one call scope.  A 2 x 2 node hands the whole schedule to
-    _sw2; a 1 x 1 product is only reached by a top-level 1 x 1 call."""
-    n = X.n
+def _sw(xa, x, sx, ya, y, sy, za, z, sz, sign, n):
+    """Z += sign * X * Y for the n x n blocks at offsets x, y, z (row
+    strides sx, sy, sz) of the arenas xa, ya, za, in one call scope.  A
+    4 x 4 node runs its seven 2 x 2 products through _sw2 inside one more
+    scope, the depth their own nodes would have had; a 2 x 2 or 1 x 1
+    block is only reached by a top-level call of that size."""
     if n == 1:
-        v = X.get(0, 0) * Y.get(0, 0)
-        Z.set(0, 0, Z.get(0, 0) + (v if sign > 0 else -v))
-        Z.arena.metrics.base_products += 1
+        v = xa.regs[x] * ya.regs[y]
+        za.write(z, za.regs[z] + (v if sign > 0 else -v))
+        za.metrics.base_products += 1
         return
-    with Z.arena.call():
+    with za.call():
         if n == 2:
-            _sw2(X, Y, Z, sign)
-            return
-        x00, x01, x10, x11 = X.quad(0, 0), X.quad(0, 1), X.quad(1, 0), X.quad(1, 1)
-        y00, y01, y10, y11 = Y.quad(0, 0), Y.quad(0, 1), Y.quad(1, 0), Y.quad(1, 1)
-        z00, z01, z10, z11 = Z.quad(0, 0), Z.quad(0, 1), Z.quad(1, 0), Z.quad(1, 1)
-        _madd(x10, x00, -1)
-        _madd(y01, y11, -1)
-        _madd(z10, z11, -1)
-        _sw(x10, y01, z11, sign)
-        _madd(x10, x11, 1)
-        _madd(y01, y00, -1)
-        _madd(z01, z11, -1)
-        _sw(x10, y01, z11, -sign)
-        _madd(z00, z11, -1)
-        _sw(x00, y00, z11, sign)
-        _madd(z00, z11, 1)
-        _madd(y01, y10, 1)
-        _madd(z10, z11, 1)
-        _sw(x11, y01, z10, sign)
-        _madd(y01, y11, 1)
-        _madd(y01, y10, -1)
-        _madd(x10, x01, -1)
-        _sw(x10, y11, z01, -sign)
-        _madd(x10, x01, 1)
-        _madd(x10, x00, 1)
-        _sw(x10, y01, z11, sign)
-        _madd(z01, z11, 1)
-        _madd(y01, y00, 1)
-        _madd(x10, x11, -1)
-        _sw(x01, y10, z00, sign)
+            _sw2(xa, x, sx, ya, y, sy, za, z, sz, sign)
+        elif n == 4:
+            with za.call():
+                _node(xa, x, sx, ya, y, sy, za, z, sz, sign, 2, _sw2)
+        else:
+            _node(xa, x, sx, ya, y, sy, za, z, sz, sign, n >> 1, partial(_sw, n=n >> 1))
 
 
-def _sw2(X: MatView, Y: MatView, Z: MatView, sign: int):
-    """The 2 x 2 node of _sw on scalar registers: its 18 additions and 7
-    products in its order.  Every step reads its registers again, so
-    aliased operands see what the recursion shows them.  Only x10, y01 and
-    Z are written; each gets the permission check and scratch count that a
-    _madd or Arena.write of it makes."""
-    xa, ya, za = X.arena, Y.arena, Z.arena
-    x00 = X.off
-    x01, x10 = x00 + 1, x00 + X.stride
+def _node(xa, x00, sx, ya, y00, sy, za, z00, sz, sign, h, prod):
+    """One node of the schedule on h x h quadrants: 18 block additions and
+    7 products prod(xa, x, sx, ya, y, sy, za, z, sz, sign)."""
+    x01, x10 = x00 + h, x00 + h * sx
+    x11 = x10 + h
+    y01, y10 = y00 + h, y00 + h * sy
+    y11 = y10 + h
+    z01, z10 = z00 + h, z00 + h * sz
+    z11 = z10 + h
+    _madd(xa, x10, x00, sx, h, -1)
+    _madd(ya, y01, y11, sy, h, -1)
+    _madd(za, z10, z11, sz, h, -1)
+    prod(xa, x10, sx, ya, y01, sy, za, z11, sz, sign)
+    _madd(xa, x10, x11, sx, h, 1)
+    _madd(ya, y01, y00, sy, h, -1)
+    _madd(za, z01, z11, sz, h, -1)
+    prod(xa, x10, sx, ya, y01, sy, za, z11, sz, -sign)
+    _madd(za, z00, z11, sz, h, -1)
+    prod(xa, x00, sx, ya, y00, sy, za, z11, sz, sign)
+    _madd(za, z00, z11, sz, h, 1)
+    _madd(ya, y01, y10, sy, h, 1)
+    _madd(za, z10, z11, sz, h, 1)
+    prod(xa, x11, sx, ya, y01, sy, za, z10, sz, sign)
+    _madd(ya, y01, y11, sy, h, 1)
+    _madd(ya, y01, y10, sy, h, -1)
+    _madd(xa, x10, x01, sx, h, -1)
+    prod(xa, x10, sx, ya, y11, sy, za, z01, sz, -sign)
+    _madd(xa, x10, x01, sx, h, 1)
+    _madd(xa, x10, x00, sx, h, 1)
+    prod(xa, x10, sx, ya, y01, sy, za, z11, sz, sign)
+    _madd(za, z01, z11, sz, h, 1)
+    _madd(ya, y01, y00, sy, h, 1)
+    _madd(xa, x10, x11, sx, h, -1)
+    prod(xa, x01, sx, ya, y10, sy, za, z00, sz, sign)
+
+
+def _sw2(xa, x00, sx, ya, y00, sy, za, z00, sz, sign):
+    """The schedule of _node on the 2 x 2 blocks at offsets x00, y00, z00
+    (row strides sx, sy, sz), on scalar registers: its 18 additions and 7
+    products in its order.  Only x10, y01 and Z are written; each gets the
+    permission check and scratch count that a _madd of it makes."""
+    x01, x10 = x00 + 1, x00 + sx
     x11 = x10 + 1
-    y00 = Y.off
-    y01, y10 = y00 + 1, y00 + Y.stride
+    y01, y10 = y00 + 1, y00 + sy
     y11 = y10 + 1
-    z00 = Z.off
-    z01, z10 = z00 + 1, z00 + Z.stride
+    z01, z10 = z00 + 1, z00 + sz
     z11 = z10 + 1
-    for arena, written in ((xa, (x10,)), (ya, (y01,)), (za, (z00, z01, z10, z11))):
-        if arena.checked:
-            for i in written:
-                arena.check_span(i, i + 1)
+    if xa.checked:
+        xa.check_span(x10, x10 + 1)
+    if ya.checked:
+        ya.check_span(y01, y01 + 1)
+    if za.checked:
+        for i in (z00, z01, z10, z11):
+            za.check_span(i, i + 1)
     xr, yr, zr = xa.regs, ya.regs, za.regs
     qx, qy, qz = xa.q, ya.q, za.q
     s, t = sign, -sign

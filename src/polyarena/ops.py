@@ -365,6 +365,22 @@ def _mats(*views):
     return [bilinear.mat_on_arena(v.arena, v.off if v.dir > 0 else v.off - len(v) + 1, isqrt(len(v))) for v in views]
 
 
+def _exec_program(v, x):
+    """exec_program on operands as long as the program's own dimensions:
+    per operand, one past its largest register index.  Registers that
+    exec_program refuses (an unknown operand, an index that is no integer)
+    are left to it."""
+    dims = {"x": 0, "y": 0, "z": 0}
+    for ins in x["program"]:
+        for reg in (ins.dst, ins.src, ins.src2):
+            if reg and reg[0] in dims and isinstance(reg[1], int):
+                dims[reg[0]] = max(dims[reg[0]], reg[1] + 1)
+    have = (len(v.x), len(v.y), len(v.z))
+    if tuple(dims.values()) != have:
+        raise RegionMismatch(f"the program reaches x, y, z of {tuple(dims.values())} registers, the operands have {have}")
+    bilinear.exec_program(x["program"], v.x, v.y, v.z, have)
+
+
 def _product_size(x):
     return {"h": len(x["f"]) + len(x["g"]) - 1}
 
@@ -432,7 +448,7 @@ EXEC_PROGRAM = OpSpec(
     "exec_program",
     RW_RW,
     _XYZ,
-    lambda v, x: bilinear.exec_program(x["program"], v.x, v.y, v.z, (len(v.x), len(v.y), len(v.z))),
+    _exec_program,
     gen=_gen_exec_program,
     check=_check_bilinear,
     route=("exec", None),

@@ -12,6 +12,7 @@ from polyarena.errors import (
     BadRange,
     DimMismatch,
     NotPowerOfTwo,
+    OverlapUnsupported,
     PermissionDenied,
     PolyArenaError,
     RegionMismatch,
@@ -346,6 +347,58 @@ def test_strassen_cs_counts_scratch_writes():
         # only the top-right quadrant of Y is written at each level, so Y[i][j]
         # is written unless no bit position of (i, j) reads (0, 1)
         assert arena.metrics.extra_algebraic_highwater == n * n - 3**levels
+
+
+@pytest.mark.parametrize("k", (0, 1, 2, 3))
+def test_strassen_cs_with_each_operand_on_its_own_arena(k):
+    # ro/rw with X inout, Y scratch and Z inout, one arena each: the calls
+    # and products count on Z's arena, Y's writes on Y's
+    n = 1 << k
+    X, Y, Z = ([[RNG.randrange(Q) for _ in range(n)] for _ in range(n)] for _ in range(3))
+    arenas = [
+        Arena(RING97, [v for row in M for v in row], [tag] * (n * n), RO_RW)
+        for M, tag in zip((X, Y, Z), (INOUT, SCRATCH, INOUT))
+    ]
+    mx, my, mz = (bi.mat_on_arena(arena, 0, n) for arena in arenas)
+    bi.strassen_cs(mx, my, mz)
+    assert mz.tolists() == naive_matmul_acc(X, Y, Z, Q)
+    assert mx.tolists() == X and my.tolists() == Y
+    triples = [(m.extra_algebraic_highwater, m.pointer_depth_highwater, m.base_products) for m in (a.metrics for a in arenas)]
+    assert triples == [(0, 0, 0), (n * n - 3**k, 0, 0), (0, k + 1, 7**k)]
+
+
+def _overlapping(n):
+    """(X, Y, Z) as (offset, row stride) in 3 n^2 registers: X is Y, Z lies
+    over X, Y's last row is Z's first, and X's rows overlap each other."""
+    return {
+        "x-is-y": ((0, n), (0, n), (2 * n * n, n)),
+        "z-over-x": ((0, n), (n * n, n), (0, n)),
+        "y-partly-over-z": ((0, n), (2 * n * n - n, n), (2 * n * n, n)),
+        "x-rows-overlap": ((0, n - 1), (n * n, n), (2 * n * n, n)),
+    }
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_strassen_cs_refuses_operands_that_share_a_register(n):
+    for case, layout in _overlapping(n).items():
+        arena = Arena(RING97, [RNG.randrange(Q) for _ in range(3 * n * n)], [INOUT] * (3 * n * n), RW_RW)
+        before = list(arena.regs)
+        with pytest.raises(OverlapUnsupported):
+            bi.strassen_cs(*(bi.MatView(arena, off, stride, n) for off, stride in layout))
+        assert arena.regs == before, case
+        assert arena.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0", case
+
+
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_strassen_cs_on_disjoint_quadrants_of_one_matrix(n):
+    # X, Y and Z are the top-left, top-right and bottom-right quadrants of
+    # one 2n x 2n matrix: their extents meet, their registers do not
+    arena = Arena(RING97, [RNG.randrange(Q) for _ in range(4 * n * n)], [INOUT] * (4 * n * n), RW_RW)
+    mx, my, mz, corner = (bi.MatView(arena, off, 2 * n, n) for off in (0, n, 2 * n * n + n, 2 * n * n))
+    X, Y, Z, C = (M.tolists() for M in (mx, my, mz, corner))
+    bi.strassen_cs(mx, my, mz)
+    assert mz.tolists() == naive_matmul_acc(X, Y, Z, Q)
+    assert (mx.tolists(), my.tolists(), corner.tolists()) == (X, Y, C)
 
 
 # (model, q, n, sign): rw/rw with three INOUT matrices, and ro/rw with a

@@ -54,6 +54,11 @@ def test_exec_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "exec", "--program", f"@{path}", "--x", "1,2", "--y", "3,4", "--z", "0,0,0")
     assert code == 0
     assert out.splitlines()[0] == "z: 97;3,10,8"
+    # operands longer than the program reaches are refused, not ignored
+    for x, z in (("1,2,5", "0,0,0"), ("1,2", "0,0,0,0,0")):
+        code, _, err = run_cli(capsys, "exec", "--program", f"@{path}", "--x", x, "--y", "3,4", "--z", z)
+        assert code == 1
+        assert "RegionMismatch" in err
 
 
 def test_math_error_exit_code(capsys):

@@ -18,7 +18,6 @@ from polyarena import cs_rorw, cs_rwrw
 from polyarena.dense_ref import BLOCK, horner_eval, schoolbook_mul
 from polyarena.errors import (
     BadParams,
-    BadRange,
     BadScratch,
     BadSlice,
     DimMismatch,
@@ -86,15 +85,17 @@ def _duplicate_point(x):
 
 
 def _program(*instrs):
-    """A program whose first instruction is valid and would write x0."""
-    return lambda x: {"program": [bi.Instr(bi.ADD, ("x", 0), ("x", 1)), *instrs]}
+    """The entry's own valid program, which writes, followed by instrs."""
+    return lambda x: {"program": [*x["program"], *instrs]}
 
 
-# malformed programs that exec_program must refuse before their first write
+# malformed programs that the exec_program entry must refuse before their
+# first write; a register past an operand makes the program's dimensions
+# differ from the operands'
 BAD_PROGRAMS = (
     (BadParams, _program(bi.Instr(bi.PAIR, ("z", 0), ("x", 0), src2=("y", 0)))),  # PAIR without pair_op
-    (BadRange, _program(bi.Instr(bi.PROD, ("z", 0), ("x", 0), src2=("y", 0)), bi.Instr(bi.PROD, ("z", 9), ("x", 1), src2=("y", 1)))),
-    (BadRange, _program(bi.Instr(bi.ADD, ("z", 0), ("x", 7)))),
+    (RegionMismatch, _program(bi.Instr(bi.PROD, ("z", 0), ("x", 0), src2=("y", 0)), bi.Instr(bi.PROD, ("z", 9), ("x", 1), src2=("y", 1)))),
+    (RegionMismatch, _program(bi.Instr(bi.ADD, ("z", 0), ("x", 7)))),
     (BadParams, _program(bi.Instr(bi.ADD, ("w", 0), ("x", 0)))),
     (BadParams, _program(bi.Instr("mul", ("z", 0), ("x", 0)))),
     (ZeroInverse, _program(bi.Instr(bi.DIV, ("z", 0), coeff=0))),
@@ -167,7 +168,7 @@ CONTRACT_REFUSALS = {
         (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]}),
     ),
     "modular_mul_any": ((SizeContract, _long("r")), (NonMonicModulus, lambda x: {"p": x["p"][:-1] + [2]})),
-    "exec_program": BAD_PROGRAMS,
+    "exec_program": BAD_PROGRAMS + ((RegionMismatch, _long("x")), (RegionMismatch, _long("z"))),
     "strassen_cs": (
         (NotPowerOfTwo, lambda x: {name: x[name][:9] for name in "xyz"}),
         (NotPowerOfTwo, lambda x: {name: [] for name in "xyz"}),
@@ -260,7 +261,8 @@ def test_audit_sees_every_claim(spec):
 def test_audited_strassen_writes_under_ro_rw(tags):
     # the table's Strassen entry is rw/rw without scratch; here every write
     # meets an ro/rw arena with scratch matrices and an input-only register
-    # before and after each matrix
+    # before and after each matrix; from n = 16 the 4 x 4 nodes run under
+    # two levels of block additions
     spec = SPECS["strassen_cs"]
     tx, ty, tz = tags
     guards = ("g0", "g1", "g2", "g3")
@@ -268,7 +270,7 @@ def test_audited_strassen_writes_under_ro_rw(tags):
     tagged = replace(spec, model=RO_RW, operands=operands)
     for ring in (RING97, RING_FFT):
         rng = random.Random(f"audit-strassen-{tags}-{ring.q}")
-        for n in (1, 2, 4, 8):
+        for n in (1, 2, 4, 8, 16):
             x = {**spec.gen(ring, rng, n), **{g: [rng.randrange(ring.q)] for g in guards}}
             for layout in (ops.build, build_reversed):
                 arena, views = layout(tagged, ring, x)

@@ -218,8 +218,8 @@ def test_tolist_matches_get_on_composed_views():
 # through vacc or vset.  A new raw writer fails the census until it is
 # listed here with its claim.
 RAW_WRITERS = {
-    "bilinear_inplace._madd": "writes MatView rows and checks them itself (_check_rows)",
-    "bilinear_inplace._sw2": "writes MatView rows and checks its registers itself (check_span)",
+    "bilinear_inplace._madd": "writes block rows at an offset and stride and claims them itself (_claim_rows)",
+    "bilinear_inplace._sw2": "writes 2 x 2 blocks at offsets and strides and claims its registers itself (check_span)",
     "dense_ref._butterflies": "strides through raw regs under ntt's or _otfft's span",
     "cs_rorw._build_modulus": "one row per root or group of roots under its vzero(dst)",
 }
