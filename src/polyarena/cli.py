@@ -131,27 +131,28 @@ def _emit(ring, args):
 # bench
 # ---------------------------------------------------------------------------
 
-# bench op -> table entry; its inputs have n coefficients (n x n for strassen-cs)
-_BENCH = {
-    "cumulative-karatsuba": "cumulative_karatsuba",
-    "karatsuba-ref": "karatsuba_ref",
-    "cumulative-fft": "cumulative_fft_mul",
-    "fft-ref": "fft_ref",
-    "lower-cs": "lower_product_cs",
-    "strassen-cs": "strassen_cs",
-}
+# bench aliases; every other bench op is a table entry's name with its
+# underscores as hyphens (interp-cs, strassen-cs, ...)
+_BENCH = {"cumulative-fft": "cumulative_fft_mul", "lower-cs": "lower_product_cs"}
 
 
 def _bench_case(ring, op: str, n: int, rng: random.Random):
-    """Wall seconds of one call at size n (arena set-up excluded) and its metrics."""
-    if op not in _BENCH:
+    """Wall and CPU seconds of one call at size n (arena set-up excluded)
+    and its metrics.  The inputs are the entry's generator's at size n
+    (n x n matrices for strassen-cs), or ops.sample's uniform draw of n
+    coefficients when it has none."""
+    name = _BENCH.get(op) or ("_" not in op and op.replace("-", "_"))
+    if name not in ops.SPECS:
         raise UsageError(f"unknown bench op {op!r}")
-    spec = ops.SPECS[_BENCH[op]]
-    x = ops.draw(spec, ring, n * n if op == "strassen-cs" else n, rng)
+    spec = ops.SPECS[name]
+    try:
+        x = ops.sample(spec, ring, n, rng)
+    except ValueError as exc:
+        raise UsageError(f"no {op} inputs of size {n} over {ring.q}: {exc}") from exc
     arena, views = ops.build(spec, ring, x)
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     spec.call(views, x)
-    return time.perf_counter() - t0, arena.metrics
+    return time.perf_counter() - t0, time.process_time() - c0, arena.metrics
 
 
 def _bench(ring, args):
@@ -159,12 +160,15 @@ def _bench(ring, args):
     sizes = _parse_ints(args.sizes)
     rng = random.Random(args.seed)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["op", "n", "wall_time", "extra_algebraic", "pointer_depth", "base_products"])
+    writer.writerow(["op", "n", "wall_time", "cpu_time", "extra_algebraic", "pointer_depth", "base_products"])
     for op in bench_ops:
         for n in sizes:
-            wall, metrics = _bench_case(ring, op, n, rng)
+            wall, cpu, metrics = _bench_case(ring, op, n, rng)
             writer.writerow(
-                [op, n, f"{wall:.6f}", metrics.extra_algebraic_highwater, metrics.pointer_depth_highwater, metrics.base_products]
+                [
+                    op, n, f"{wall:.6f}", f"{cpu:.6f}",
+                    metrics.extra_algebraic_highwater, metrics.pointer_depth_highwater, metrics.base_products,
+                ]
             )
 
 

@@ -80,7 +80,7 @@ class Zq:
         a %= self.q
         if a == 0:
             raise ZeroInverse("0 has no inverse")
-        return pow(a, self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     def _qm1_factors(self) -> list[int]:
         cached = self._factors_qm1

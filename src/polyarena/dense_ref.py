@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from operator import mul
+from operator import add, mul
 
 from .coeff_ring import RootOfUnity, Zq
 from .errors import (
@@ -221,8 +221,8 @@ def poly_from_text(text: str) -> tuple[int, list[int]]:
 # scalar budget: width of every butterfly block and twiddle table, and the
 # one cut of every recursion and loop (a product of at most BLOCK is one _kron)
 BLOCK = 128
-# no cut: the width of the two inner loops whose work grows with its square,
-# _div_recurrence's in-block triangle and cs_rorw._weight's runs of differences
+# no cut: the width of _div_recurrence's output blocks, whose in-block
+# triangle of scalar steps grows with its square
 BASE = 32
 
 
@@ -388,11 +388,20 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
 
 def _slot_bytes(q: int, m: int) -> int:
     """Bytes per coefficient slot of _kron over Z/q when the shorter operand
-    has m coefficients: room for m (q - 1)^2, that is 2 bitlen(q - 1) +
-    bitlen(m) bits, rounded up to 4 or 8 bytes (array "I" / "Q") when it
-    fits in 8."""
-    bits = 2 * (q - 1).bit_length() + m.bit_length()
+    has m coefficients: room for m (q - 1)^2, the largest coefficient of the
+    product, rounded up to 4 or 8 bytes (array "I" / "Q") when it fits in 8."""
+    bits = (m * (q - 1) ** 2).bit_length()
     return 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+
+
+def _packed(fa: list[int], gb: list[int], w: int, lo: int, hi: int) -> list[int]:
+    """(fa * gb)[lo : hi], 0 <= lo < hi <= len(fa) + len(gb) - 1, through
+    one big-int product on slots of w = 4 or 8 bytes (array "I" / "Q")."""
+    code = "I" if w == 4 else "Q"
+    order = sys.byteorder
+    x = int.from_bytes(array(code, fa).tobytes(), order)
+    y = int.from_bytes(array(code, gb).tobytes(), order)
+    return array(code, (x * y).to_bytes((len(fa) + len(gb) - 1) * w, order)[lo * w : hi * w]).tolist()
 
 
 def _kron(fa: list[int], gb: list[int], q: int, s: int, r: int) -> list[int]:
@@ -403,27 +412,34 @@ def _kron(fa: list[int], gb: list[int], q: int, s: int, r: int) -> list[int]:
     coefficient.  A slot holds min(len) (q - 1)^2, so none carries into the
     next and the slots of the integer product are the coefficients of the
     polynomial product.  Slots of 4 or 8 bytes are packed and unpacked by
-    array("I" / "Q"), wider ones by int.to_bytes.  The transient is the two
-    packed operands, their product and the r returned ints, and the callers
-    bound the operands: _slice_naive passes fewer than 2 max(len(dst), BLOCK)
+    array("I" / "Q") (_packed), wider ones by int.to_bytes.  When the
+    shorter operand needs wider slots but each of its two halves fits 8
+    bytes (84 to 166 coefficients over 469762049), the halves are two
+    products on 8-byte slots, added.  The transient is the two packed
+    operands, their product and the r returned ints, and the callers bound
+    the operands: _slice_naive passes fewer than 2 max(len(dst), BLOCK)
     coefficients each, dst its output, and the leaves of _cum_kara and _ipl
-    at most BLOCK.
+    and the local kernels of cs_rorw at most BLOCK + 1.
     """
     la, lb = len(fa), len(gb)
     n = la + lb - 1
     lo, hi = max(s, 0), min(s + r, n)
     if not la or not lb or lo >= hi:
         return [0] * r
+    short, other = (fa, gb) if la <= lb else (gb, fa)
     if la == 1 or lb == 1:
         # one coefficient times a row: nothing to pack
-        c, row = (fa[0], gb) if la == 1 else (gb[0], fa)
-        out = [c * y for y in row[lo:hi]]
-    elif (w := _slot_bytes(q, min(la, lb))) <= 8:
-        code = "I" if w == 4 else "Q"
-        order = sys.byteorder
-        x = int.from_bytes(array(code, fa).tobytes(), order)
-        y = int.from_bytes(array(code, gb).tobytes(), order)
-        out = array(code, (x * y).to_bytes(n * w, order)[lo * w : hi * w]).tolist()
+        out = [short[0] * y for y in other[lo:hi]]
+    elif (w := _slot_bytes(q, len(short))) <= 8:
+        out = _packed(fa, gb, w, lo, hi)
+    elif _slot_bytes(q, h := (len(short) + 1) // 2) <= 8:
+        out = [0] * (hi - lo)
+        for i in (0, h):
+            # other[j] meets the output with the piece only for i + j < hi
+            piece, rest = short[i : i + h], other[: hi - i]
+            a, b = max(lo, i), min(hi, i + len(piece) + len(rest) - 1)
+            if a < b:
+                out[a - lo : b - lo] = map(add, out[a - lo : b - lo], _packed(piece, rest, 8, a - i, b - i))
     else:
         x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in fa]), "little")
         y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in gb]), "little")

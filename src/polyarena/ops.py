@@ -86,6 +86,12 @@ def draw(spec: OpSpec, ring, size: int, rng: random.Random) -> dict:
     return x
 
 
+def sample(spec: OpSpec, ring, size: int, rng: random.Random) -> dict:
+    """Inputs of one call at `size`: the entry's generator's when it has
+    one, else draw's."""
+    return spec.gen(ring, rng, size) if spec.gen else draw(spec, ring, size, rng)
+
+
 def _calls(fn, *params):
     """Call of fn on the views in arena order, then the named parameters."""
     return lambda v, x: fn(*vars(v).values(), *[x[p] for p in params])

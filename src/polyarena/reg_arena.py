@@ -75,18 +75,24 @@ class SpaceMetrics:
     - the in-place leaves cs_rwrw._ipl and _ipd: n (n + 1) / 2;
     - cs_rwrw._cum_kara's leaf: its Karatsuba split's, 3^k at n = 2^k;
     - Strassen-Winograd, an executed PROD, an FFT pointwise product: one;
-    - cs_rorw: Horner len(f) per point; a modulus build one per live
-      coefficient per root while its row fills, then per group of at most
-      BLOCK further roots the group's product by that rule and its
-      product with the full row, _pairs(t, len(group product), 0, t);
-      partial_interp's geometric rows one per coefficient, min(n,
-      len(chunk)) per nonzero point with n = k (k - 1 beside a zero
-      point, whose own term is its weight), the rest of a chunk's series
-      by _div_recurrence's rule and the final low product by
-      _slice_naive's, and interp_cs's last round by the same rule with
-      one chunk and k = rem, its modulus one group.
+    - cs_rorw: Horner len(r) per point; a local modulus (its product
+      tree) one per live coefficient per root in its leaves and
+      _pairs(len(a), len(b), 0, len(product)) per merge; a modulus build
+      in registers each group of at most BLOCK roots by that rule and,
+      after the first, its product with the live row, _pairs(live,
+      len(group product), 0, new live); the chunk kernel every _kron
+      product by _pairs of its operands and output (its Barrett
+      inverse's Newton steps, each fold step's quotient and low product,
+      a mulmod's product); partial_interp's geometric rows one per
+      coefficient, min(n, len(chunk)) per nonzero point with n = k (k - 1
+      beside a zero point, whose own term is its weight), the rest of a
+      chunk's series (_series_tail: its inverse's Newton steps and two
+      products per block) and the final low product by _slice_naive's
+      rule, and interp_cs's last round by the same rule with one chunk
+      and k = rem.
     Scalings never count: vscale, vadd's and vacc's coefficient,
-    twiddles, twist and fold, and the Lagrange weights.
+    twiddles, twist and fold, and the last step of the Lagrange weights
+    (the powers a^s, the batch inversion and the scaling of b - g(a)).
     """
 
     __slots__ = ("scratch_touched", "pointer_depth_highwater", "base_products", "depth")

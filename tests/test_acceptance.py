@@ -221,7 +221,7 @@ def test_criterion_7_precision_ladder():
 
 def _cpu_seconds(ring, name, n, rng):
     """CPU seconds of one call of a table entry on inputs of n coefficients
-    (drawn as the CLI's bench draws them), arena set-up excluded."""
+    (uniform, by ops.draw), arena set-up excluded."""
     spec = SPECS[name]
     x = ops.draw(spec, ring, n, rng)
     _, views = ops.build(spec, ring, x)

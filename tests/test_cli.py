@@ -150,21 +150,42 @@ def test_bench_row_counts(capsys):
     assert len(rows) == 1  # header only
 
 
+def test_bench_resolves_every_entry(capsys):
+    # every table entry by its hyphenated name, plus the two aliases; the
+    # inputs are the entry's generator's (distinct points for interp-cs),
+    # and the CPU time follows the wall time
+    names = ["cumulative-fft", "lower-cs"] + [name.replace("_", "-") for name in ops.SPECS]
+    code, out, err = run_cli(capsys, "bench", "--q", "469762049", "--ops", ",".join(names), "--sizes", "4")
+    assert code == 0, err
+    rows = [row.split(",") for row in out.strip().splitlines()]
+    assert rows[0] == ["op", "n", "wall_time", "cpu_time", "extra_algebraic", "pointer_depth", "base_products"]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(float(row[2]) >= 0 and float(row[3]) >= 0 for row in rows[1:])
+    code, out, _ = run_cli(capsys, "bench", "--q", "469762049", "--ops", "interp-cs,mp-eval-cs", "--sizes", "200")
+    assert code == 0 and len(out.strip().splitlines()) == 3
+    for bad in ("interp_cs", "no-such-op"):
+        code, _, err = run_cli(capsys, "bench", "--ops", bad, "--sizes", "4")
+        assert code == 2 and "unknown bench op" in err
+    # 97 holds no 200 distinct nonzero points: a usage error, not a traceback
+    code, _, err = run_cli(capsys, "bench", "--q", "97", "--ops", "interp-cs", "--sizes", "200")
+    assert code == 2 and "interp-cs" in err
+
+
 def test_seed_belongs_to_bench(monkeypatch, capsys):
     # only bench draws inputs, so only bench takes --seed
     code, _, _ = run_cli(capsys, "mul", "--seed", "3", "--algo", "cumulative-karatsuba", "--f", "1,2", "--g", "3,4")
     assert code == 2
 
     drawn = []
-    draw = ops.draw
-    monkeypatch.setattr(ops, "draw", lambda *a: drawn.append(draw(*a)) or drawn[-1])
+    sample = ops.sample
+    monkeypatch.setattr(ops, "sample", lambda *a: drawn.append(sample(*a)) or drawn[-1])
 
     def bench(seed):
         drawn.clear()
         code, out, _ = run_cli(capsys, "bench", "--ops", "cumulative-karatsuba,lower-cs", "--sizes", "5,40", "--seed", seed)
         assert code == 0
         rows = [row.split(",") for row in out.strip().splitlines()[1:]]
-        return [row[:2] + row[3:] for row in rows], list(drawn)
+        return [row[:2] + row[4:] for row in rows], list(drawn)
 
     rows, inputs = bench("3")
     assert len(rows) == 4

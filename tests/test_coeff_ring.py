@@ -30,6 +30,20 @@ def test_mod_inv_zero_rejected():
         Zq(97).inv(0)
 
 
+@pytest.mark.parametrize("q", (2, 3, 97, 469762049, 2**61 - 1, 2**127 - 1))
+def test_mod_inv_matches_fermat(q):
+    # pow(a, -1, q) against a^(q - 2), reduced or not; 0 and every multiple
+    # of q still have no inverse
+    ring = Zq(q)
+    rng = random.Random(f"fermat-{q}")
+    for a in {1, q - 1, *(rng.randrange(1, q) for _ in range(50))} - {0}:
+        for rep in (a, a + q, a - 3 * q):
+            assert ring.inv(rep) == pow(a, q - 2, q)
+    for zero in (0, q, -q, 5 * q):
+        with pytest.raises(ZeroInverse):
+            ring.inv(zero)
+
+
 def test_mod_inv_multiplicative():
     ring = Zq(97)
     rng = random.Random(0)

@@ -5,7 +5,7 @@ import pytest
 from polyarena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, PolyView, Zq, build_arena
 from polyarena import cs_rorw
 from polyarena.ops import SPECS, build, distinct_nonzero
-from polyarena.dense_ref import BASE, BLOCK, KIT, _pairs, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul
+from polyarena.dense_ref import BLOCK, KIT, _pairs, divrem, horner_eval, interp_tree, mp_eval_tree, schoolbook_mul, series_inv
 from polyarena.errors import (
     BadScratch,
     DuplicatePoint,
@@ -322,44 +322,48 @@ EVAL_CASES = [
 # does); taken when the Horner cut moved to BLOCK.  The registers,
 # extra_algebraic and pointer_depth are those of the cut at 32, which
 # reduced these sizes too, base_products lower (165 959 -> 157 514 at 385
-# points, 294 206 -> 278 379 at 512, 458 844 -> 447 248 at 640)
+# points, 294 206 -> 278 379 at 512, 458 844 -> 447 248 at 640).
+# base_products re-taken when the batch remainders and the tail went
+# through the chunk kernel (its folds count their _kron products by the
+# zone rule, so fewer multiplications count more): 157 514 -> 192 887,
+# 278 379 -> 338 534 and 447 248 -> 523 758; the registers did not move
 EVAL_PINNED = {
-    (97, 385, "plain"): (14969785, 0, 4, 157514),
-    (97, 385, "reversed"): (13784565, 0, 4, 157514),
-    (97, 385, "padded"): (12742659, 0, 4, 157514),
-    (97, 512, "plain"): (24330295, 0, 4, 278379),
-    (97, 512, "reversed"): (25750902, 0, 4, 278379),
-    (97, 512, "padded"): (15551162, 0, 4, 278379),
-    (97, 640, "plain"): (41702755, 0, 4, 447248),
-    (97, 640, "reversed"): (41136476, 0, 4, 447248),
-    (97, 640, "padded"): (27906325, 0, 4, 447248),
-    (469762049, 385, "plain"): (68141755949388, 0, 4, 157514),
-    (469762049, 385, "reversed"): (68574166280480, 0, 4, 157514),
-    (469762049, 385, "padded"): (33023709292956, 0, 4, 157514),
-    (469762049, 512, "plain"): (127105961932423, 0, 4, 278379),
-    (469762049, 512, "reversed"): (124643591579297, 0, 4, 278379),
-    (469762049, 512, "padded"): (41186317631446, 0, 4, 278379),
-    (469762049, 640, "plain"): (190661927209789, 0, 4, 447248),
-    (469762049, 640, "reversed"): (186761987665944, 0, 4, 447248),
-    (469762049, 640, "padded"): (70550260296566, 0, 4, 447248),
-    (2**61 - 1, 385, "plain"): (2069726591077421936, 0, 4, 157514),
-    (2**61 - 1, 385, "reversed"): (852002675351241960, 0, 4, 157514),
-    (2**61 - 1, 385, "padded"): (290267965768753646, 0, 4, 157514),
-    (2**61 - 1, 512, "plain"): (2163683000488200469, 0, 4, 278379),
-    (2**61 - 1, 512, "reversed"): (171313172046894751, 0, 4, 278379),
-    (2**61 - 1, 512, "padded"): (572597306560938587, 0, 4, 278379),
-    (2**61 - 1, 640, "plain"): (586818884319697328, 0, 4, 447248),
-    (2**61 - 1, 640, "reversed"): (1199927013020204225, 0, 4, 447248),
-    (2**61 - 1, 640, "padded"): (1276961795338104014, 0, 4, 447248),
-    (2**127 - 1, 385, "plain"): (1306522612014841144, 0, 4, 157514),
-    (2**127 - 1, 385, "reversed"): (533256123328572253, 0, 4, 157514),
-    (2**127 - 1, 385, "padded"): (2289992406374384382, 0, 4, 157514),
-    (2**127 - 1, 512, "plain"): (975875443928931802, 0, 4, 278379),
-    (2**127 - 1, 512, "reversed"): (358888917604068610, 0, 4, 278379),
-    (2**127 - 1, 512, "padded"): (2205430188718109896, 0, 4, 278379),
-    (2**127 - 1, 640, "plain"): (863201408622352233, 0, 4, 447248),
-    (2**127 - 1, 640, "reversed"): (1029334177474178518, 0, 4, 447248),
-    (2**127 - 1, 640, "padded"): (1836162422133616253, 0, 4, 447248),
+    (97, 385, "plain"): (14969785, 0, 4, 192887),
+    (97, 385, "reversed"): (13784565, 0, 4, 192887),
+    (97, 385, "padded"): (12742659, 0, 4, 192887),
+    (97, 512, "plain"): (24330295, 0, 4, 338534),
+    (97, 512, "reversed"): (25750902, 0, 4, 338534),
+    (97, 512, "padded"): (15551162, 0, 4, 338534),
+    (97, 640, "plain"): (41702755, 0, 4, 523758),
+    (97, 640, "reversed"): (41136476, 0, 4, 523758),
+    (97, 640, "padded"): (27906325, 0, 4, 523758),
+    (469762049, 385, "plain"): (68141755949388, 0, 4, 192887),
+    (469762049, 385, "reversed"): (68574166280480, 0, 4, 192887),
+    (469762049, 385, "padded"): (33023709292956, 0, 4, 192887),
+    (469762049, 512, "plain"): (127105961932423, 0, 4, 338534),
+    (469762049, 512, "reversed"): (124643591579297, 0, 4, 338534),
+    (469762049, 512, "padded"): (41186317631446, 0, 4, 338534),
+    (469762049, 640, "plain"): (190661927209789, 0, 4, 523758),
+    (469762049, 640, "reversed"): (186761987665944, 0, 4, 523758),
+    (469762049, 640, "padded"): (70550260296566, 0, 4, 523758),
+    (2**61 - 1, 385, "plain"): (2069726591077421936, 0, 4, 192887),
+    (2**61 - 1, 385, "reversed"): (852002675351241960, 0, 4, 192887),
+    (2**61 - 1, 385, "padded"): (290267965768753646, 0, 4, 192887),
+    (2**61 - 1, 512, "plain"): (2163683000488200469, 0, 4, 338534),
+    (2**61 - 1, 512, "reversed"): (171313172046894751, 0, 4, 338534),
+    (2**61 - 1, 512, "padded"): (572597306560938587, 0, 4, 338534),
+    (2**61 - 1, 640, "plain"): (586818884319697328, 0, 4, 523758),
+    (2**61 - 1, 640, "reversed"): (1199927013020204225, 0, 4, 523758),
+    (2**61 - 1, 640, "padded"): (1276961795338104014, 0, 4, 523758),
+    (2**127 - 1, 385, "plain"): (1306522612014841144, 0, 4, 192887),
+    (2**127 - 1, 385, "reversed"): (533256123328572253, 0, 4, 192887),
+    (2**127 - 1, 385, "padded"): (2289992406374384382, 0, 4, 192887),
+    (2**127 - 1, 512, "plain"): (975875443928931802, 0, 4, 338534),
+    (2**127 - 1, 512, "reversed"): (358888917604068610, 0, 4, 338534),
+    (2**127 - 1, 512, "padded"): (2205430188718109896, 0, 4, 338534),
+    (2**127 - 1, 640, "plain"): (863201408622352233, 0, 4, 523758),
+    (2**127 - 1, 640, "reversed"): (1029334177474178518, 0, 4, 523758),
+    (2**127 - 1, 640, "padded"): (1836162422133616253, 0, 4, 523758),
 }
 
 
@@ -561,6 +565,58 @@ def test_interpolation_oracle_sweep(q):
             _partial_case(q, n, s, min(k, n), layout)
 
 
+# the chunk cuts of the interpolation weights: one chunk up to BLOCK
+# points, one group of GROUP chunks up to GROUP * BLOCK (= 512), then
+# chunks whose moduli are rebuilt for each group (513); a chunk's series
+# past its points from 385 on (97 holds fewer points: the sweep above
+# takes it at every size)
+CHUNK_POINTS = (127, 128, 129, 256, 257, 385, 386, 513)
+
+
+@pytest.mark.parametrize("q", (469762049, 2**61 - 1, 2**127 - 1))
+def test_interpolation_across_the_chunk_cuts(q):
+    # interp_cs on plain and reversed outputs against interp_tree, and
+    # partial_interp on the plain, reversed and padded layouts, without a
+    # known prefix and k a round's third (even sizes), or with one and k
+    # one past BLOCK (odd sizes); above 2^32, one layout per size
+    ring = Zq(q)
+    for n in CHUNK_POINTS:
+        rng = random.Random(f"chunk-cuts-{q}-{n}")
+        poly = rand_poly(rng, q, n)
+        pairs = _interp_pairs(ring, rng, poly, n)
+        want = interp_tree(ring, [a for a, _ in pairs], [b for _, b in pairs])
+        for layout in ("plain", "reversed"):
+            arena, (out, guard) = build_arena(ring, RO_RW, (rand_poly(rng, q, n), INOUT), ([5], INPUT_ONLY))
+            cs_rorw.interp_cs(pairs, out.rev() if layout == "reversed" else out)
+            assert (out.rev() if layout == "reversed" else out).tolist() == want, (q, n, layout)
+            assert arena.metrics.extra_algebraic_highwater == 0 and guard.tolist() == [5]
+        s, k = ((0, n // 3), (5, min(n, BLOCK + 1)))[n % 2]
+        layouts = ("plain", "reversed", "padded")
+        for layout in layouts if q < 2**32 else layouts[n % 3 : n % 3 + 1]:
+            _partial_case(q, n, s, k, layout)
+
+
+@pytest.mark.parametrize("q", (97, 469762049, 2**61 - 1, 2**127 - 1))
+def test_mp_eval_across_the_chunk_cuts(q):
+    # P points around the chunk cuts and the first batch (385), f of P and
+    # of 3P coefficients, on the plain, reversed and padded layouts, against
+    # mp_eval_tree; the inputs come back bit-exact
+    ring = Zq(q)
+    spec = SPECS["mp_eval_cs"]
+    for P in (128, 256, 384, 385, 513):
+        for n in (P, 3 * P):
+            rng = random.Random(f"eval-cuts-{q}-{P}-{n}")
+            x = {"f": rand_poly(rng, q, n), "points": rand_poly(rng, q, P)}
+            padded = zero_tail(spec, x, rng)
+            for layout, xl in (("plain", x), ("reversed", x), ("padded", padded)):
+                if layout != "reversed":
+                    want = mp_eval_tree(ring, xl["f"], xl["points"])
+                arena, views = LAYOUTS[layout](spec, ring, xl)
+                spec.call(views, xl)
+                assert views.out.tolist() == want, (q, P, n, layout)
+                assert views.f.tolist() == xl["f"]
+
+
 def test_inputs_never_modified():
     # byte-identical inputs after every ro/rw operation on random data
     for _ in range(25):
@@ -752,19 +808,24 @@ def _interp_case(entry, q, n, s=0, k=None):
 # when each round became one power series (2k scratch, k = rem // 3), with
 # the count rule of reg_arena.SpaceMetrics, and products and depths again
 # when the last round became that series on BLOCK points or fewer (interp_cs
-# on up to 128 points runs no partial_interp, so its depth is 1)
+# on up to 128 points runs no partial_interp, so its depth is 1), and
+# products again when the weights came from chunk residues (the chunk
+# kernel counts its modulus, mulmods, folds and Horner, where the products
+# of differences counted nothing), and at 200 points once a chunk's series
+# past its points came in blocks of BLOCK (_series_tail: the low product
+# by 1 / m counts more than the recurrence on m did)
 INTERP_PINNED = {
-    ("interp_cs", 469762049, 13): (21537879548, 0, 1, 363),
-    ("interp_cs", 469762049, 30): (102041529444, 0, 1, 1859),
-    ("interp_cs", 469762049, 64): (536019546244, 0, 1, 8319),
-    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 73889),
-    ("interp_cs", 97, 40): (45653, 0, 1, 3279),
-    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 24, 1, 324),
-    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 10, 1, 278),
-    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 6, 1, 490),
-    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 14, 1, 922),
-    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 80, 1, 5670),
-    ("partial_interp", 97, 30, 4, 6): (1154, 12, 1, 438),
+    ("interp_cs", 469762049, 13): (21537879548, 0, 1, 547),
+    ("interp_cs", 469762049, 30): (102041529444, 0, 1, 2823),
+    ("interp_cs", 469762049, 64): (536019546244, 0, 1, 12615),
+    ("interp_cs", 469762049, 200): (4968637747648, 0, 2, 211012),
+    ("interp_cs", 97, 40): (45653, 0, 1, 4988),
+    ("partial_interp", 469762049, 12, 0, 12): (24293317820, 24, 1, 571),
+    ("partial_interp", 469762049, 23, 3, 5): (3289358823, 10, 1, 955),
+    ("partial_interp", 469762049, 40, 10, 3): (1638074597, 6, 1, 1958),
+    ("partial_interp", 469762049, 64, 0, 7): (7622411724, 14, 1, 7439),
+    ("partial_interp", 469762049, 70, 5, 40): (236777632447, 80, 1, 12544),
+    ("partial_interp", 97, 30, 4, 6): (1154, 12, 1, 1565),
 }
 
 
@@ -790,8 +851,7 @@ def test_build_modulus_is_the_truncated_product(q, kind, r):
     # dst = prod (x - a) mod x^t on a scratch view that starts at register 0
     # (the reversed slice then runs to the front of the file) and held
     # garbage; the input-only register behind it stays untouched.  Roots
-    # beyond t - 1 go in groups of BLOCK (two full groups and a short one
-    # at r = 300, t = 7)
+    # go in groups of BLOCK (two full groups and a short one at r = 300)
     ring = Zq(q)
     rng = random.Random(f"modulus-{q}-{kind}-{r}")
     roots = [0, q - 1] + [rng.randrange(q) for _ in range(r - 2)]
@@ -809,56 +869,178 @@ def test_build_modulus_is_the_truncated_product(q, kind, r):
         assert arena.metrics.extra_algebraic_highwater == t
 
 
-@pytest.mark.parametrize("q", KERNEL_PRIMES)
-def test_horner_view_matches_horner_eval(q):
+def _metrics():
+    return build_arena(RING97, RO_RW, ([0], SCRATCH))[0].metrics
+
+
+def _kernel(ring, rng, c):
+    """A _Chunk on c < q distinct points (0 and q - 1 among them when c
+    allows) and its modulus by schoolbook products."""
+    xs = list(dict.fromkeys([0, ring.q - 1] + distinct_nonzero(rng, ring.q, c)))[:c]
+    rng.shuffle(xs)
+    m = [1]
+    for a in xs:
+        m = schoolbook_mul(ring, m, [-a % ring.q, 1])
+    return cs_rorw._Chunk(xs, ring.q, _metrics()), m
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES + (2**61 - 1,))
+def test_chunk_kernel_fold_is_the_remainder(q):
+    # the kernel's modulus is the product of its (x - a); fold is divrem's
+    # remainder by it, from below one window to several BLOCK windows (the
+    # Barrett inverse grown between folds), and the polynomial itself when
+    # it is no longer than deg m; mulmod is the remainder of the product;
+    # the values at the points, folded first or not, are horner_eval's
     ring = Zq(q)
-    rng = random.Random(f"horner-{q}")
-    for n in (0, 1, 2, 17):
+    rng = random.Random(f"fold-{q}")
+    for c in (1, 2, 17, BLOCK - 1, BLOCK):
+        if c >= q:
+            continue
+        chunk, m = _kernel(ring, rng, c)
+        assert chunk.m == m
+        for n in (0, 1, c, c + 1, 2 * c, BLOCK + c, 3 * BLOCK + 5):
+            f = rand_poly(rng, q, n)
+            r = chunk.fold(lambda i, j: f[i:j], n)
+            assert (r + [0] * c)[:c] == divrem(ring, f, m)[1], (c, n)
+            assert len(r) == min(n, c)
+        inv = chunk.inv
+        assert schoolbook_mul(ring, m[::-1], inv)[: len(inv)] == [1] + [0] * (len(inv) - 1)
+        for la, lb in ((c, c), (1, c + 1), (c, c + 1)):
+            a, b = rand_poly(rng, q, la), rand_poly(rng, q, lb)
+            assert chunk.mulmod(a, b) == divrem(ring, schoolbook_mul(ring, a, b), m)[1], (c, la, lb)
+        for n in (c, 2 * c, 3 * BLOCK + 5):
+            f = rand_poly(rng, q, n)
+            assert chunk.at(lambda i, j: f[i:j], n) == [horner_eval(ring, f, a) for a in chunk.xs], (c, n)
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+def test_series_tail_is_the_series_quotient(q):
+    # the blocks of _series_tail, in order, are the coefficients t .. n - 1
+    # of N / m (series_inv times N), for moduli of t nonzero points up to
+    # BLOCK, lengths up to one block past t and across several blocks
+    ring = Zq(q)
+    rng = random.Random(f"series-tail-{q}")
+    for t in (1, 2, 17, BLOCK - 1, BLOCK):
+        if t >= q:
+            continue
+        m = [1]
+        for a in distinct_nonzero(rng, q, t):
+            m = schoolbook_mul(ring, m, [-a % q, 1])
+        num = rand_poly(rng, q, t)
+        for n in (t + 1, t + BLOCK, t + BLOCK + 1, 3 * BLOCK + 7):
+            series = (schoolbook_mul(ring, num, series_inv(ring, m, n)) + [0] * n)[:n]
+            got = list(cs_rorw._series_tail(m, series[:t], n, q, _metrics()))
+            assert [i for i, _ in got] == list(range(t, n, BLOCK))
+            assert [v for _, blk in got for v in blk] == series[t:], (t, n)
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+def test_weights_are_the_products_of_differences(q):
+    # _weights on every group of chunks of pts (zero among the points when
+    # nothing is known): each chunk's weights are (b - g(a)) / (a^s prod
+    # (a - b)) over all the other points, and its inverses those of its
+    # nonzero points; the sizes cross one chunk, one group and a rebuilt
+    # chunk past the group, and g is folded (at least twice its chunk) or not
+    ring = Zq(q)
+    rng = random.Random(f"weights-{q}")
+    for npts, s in ((1, 0), (5, 3), (40, 100), (BLOCK, 0), (BLOCK + 1, 10), (cs_rorw.GROUP * BLOCK + 3, 0), (200, 300)):
+        if npts >= q:
+            continue
+        xs = distinct_nonzero(rng, q, npts - (s == 0)) + [0] * (s == 0)
+        rng.shuffle(xs)
+        pts = [(a, rng.randrange(q)) for a in xs]
+        gd = rand_poly(rng, q, s)
+        arena, (g,) = build_arena(ring, RO_RW, (gd, INPUT_ONLY))
+        got = []
+        for lo in range(0, npts, cs_rorw.GROUP * BLOCK):
+            got += cs_rorw._weights(g, pts, lo, min(lo + cs_rorw.GROUP * BLOCK, npts))
+        assert len(got) == -(-npts // BLOCK)
+        for j, (chunk, ws, rs) in enumerate(got):
+            for (a, b), w in zip(pts[j * BLOCK : (j + 1) * BLOCK], ws):
+                den = pow(a, s, q)
+                for x in xs:
+                    if x != a:
+                        den = den * (a - x) % q
+                assert w * den % q == (b - horner_eval(ring, gd, a)) % q, (npts, s, a)
+            assert rs == [ring.inv(a) for a in chunk.xs if a]
+
+
+def test_batch_inverses_match_pow():
+    for q in (2, 3, 97, 469762049, 2**127 - 1):
+        rng = random.Random(f"inverses-{q}")
+        for n in (1, 2, 9):
+            vals = [rng.randrange(1, q) for _ in range(n)]
+            assert cs_rorw._inverses(vals, q) == [pow(v, -1, q) for v in vals]
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+def test_eval_chunks_match_horner_eval(q):
+    # _eval_chunks on plain, reversed and padded views of f, short (Horner
+    # on f) and long (folded) against the chunks, with fewer and more than
+    # EVAL_MIN points, and an empty f
+    ring = Zq(q)
+    rng = random.Random(f"eval-chunks-{q}")
+    for n, P in ((0, 3), (1, 1), (17, 9), (40, 9), (40, 20), (300, 130), (3 * BLOCK, BLOCK)):
         fd = rand_poly(rng, q, n)
-        arena, (f,) = build_arena(ring, RO_RW, (fd, INPUT_ONLY))
-        for a in (0, 1, q - 1, rng.randrange(q)):
-            assert cs_rorw._horner_view(f, a, q) == horner_eval(ring, fd, a)
-            assert cs_rorw._horner_view(f.rev(), a, q) == horner_eval(ring, fd[::-1], a)
-            # padding below and above the real zone reads as zeros
-            padded = [0, 0] + fd + [0, 0, 0]
-            assert cs_rorw._horner_view(f.window(-2, n + 3), a, q) == horner_eval(ring, padded, a)
+        pts = [rng.randrange(q) for _ in range(P)]
+        arena, (f, out) = build_arena(ring, RO_RW, (fd, INPUT_ONLY), ([0] * P, INOUT))
+        for view, coeffs in ((f, fd), (f.rev(), fd[::-1]), (f.window(-2, n + 3), [0, 0] + fd + [0, 0, 0])):
+            cs_rorw._eval_chunks(view, pts, 0, P, out)
+            assert out.tolist() == [horner_eval(ring, coeffs, a) for a in pts], (n, P)
+
+
+def _tree_products(r, t):
+    """_local_modulus's count on r roots mod x^t: one per live coefficient
+    per root in its leaves of LEAF, then _pairs of each merge; and the
+    length of the product."""
+    count, level = 0, []
+    for i in range(0, r, cs_rorw.LEAF):
+        size = min(cs_rorw.LEAF, r - i)
+        count += sum(min(j + 1, t) for j in range(1, size + 1))
+        level.append(min(size + 1, t))
+    while len(level) > 1:
+        merged = []
+        for a, b in zip(level[::2], level[1::2]):
+            merged.append(min(t, a + b - 1))
+            count += _pairs(a, b, 0, merged[-1])
+        level = merged + level[len(merged) * 2 :]
+    return count, level[0] if level else 1
 
 
 def _modulus_products(t, r):
-    """A modulus build's count over r roots: one per live coefficient per
-    root while its row fills, then per group of at most BLOCK roots the
-    group's own build by the same rule and its product with the full row."""
-    fill = min(r, t - 1)
-    count = sum(range(2, fill + 2))
-    for j in range(fill, r, BLOCK):
-        size = min(BLOCK, r - j)
-        count += sum(min(i + 1, t) for i in range(1, size + 1)) + _pairs(t, min(size + 1, t), 0, t)
+    """A modulus build's count over r roots: each group of at most BLOCK
+    roots by _local_modulus's rule, and every group after the first its
+    product with the live row."""
+    count, live = _tree_products(min(r, BLOCK), t)
+    for j in range(BLOCK, r, BLOCK):
+        c, size = _tree_products(min(BLOCK, r - j), t)
+        new = min(t, live + size - 1)
+        count += c + _pairs(live, size, 0, new)
+        live = new
     return count
 
 
 @pytest.mark.parametrize("zero", (False, True), ids=("random", "zero"))
 def test_row_kernels_count_their_products(zero):
-    # Horner counts len(f) per point, padding included; a modulus build one
-    # product per live coefficient per root while its row fills, then its
-    # groups of roots (_modulus_products); zero values count the same
+    # Horner counts len(r) per point, padding included; a modulus build its
+    # groups' trees and their products with the live row
+    # (_modulus_products); zero values count the same
     q = 469762049
     ring = Zq(q)
     rng = random.Random(f"row-counts-{zero}")
     for n in (0, 1, 5, 40):
         fd = [0] * n if zero else rand_poly(rng, q, n)
-        arena, (f,) = build_arena(ring, RO_RW, (fd, INPUT_ONLY))
+        arena, (f, out) = build_arena(ring, RO_RW, (fd, INPUT_ONLY), ([0] * 3, INOUT))
         for view in (f, f.rev(), f.window(-2, n + 3)):
             before = arena.metrics.base_products
-            cs_rorw._horner_view(view, rng.randrange(q), q)
-            assert arena.metrics.base_products - before == len(view)
+            cs_rorw._eval_chunks(view, [rng.randrange(q) for _ in range(3)], 0, 3, out)
+            assert arena.metrics.base_products - before == 3 * len(view)
     for t in (1, 2, 7, 40):
         for k in (0, 1, 3, 10, 45, 80, 300):
             roots = [0] * k if zero else rand_poly(rng, q, k)
             arena, (dst,) = build_arena(ring, RO_RW, (rand_poly(rng, q, t), SCRATCH))
             cs_rorw._build_modulus(dst, roots)
             assert arena.metrics.base_products == _modulus_products(t, k)
-            if k < t:  # the row never fills: one pass per root, as mp_eval_cs builds its moduli
-                assert arena.metrics.base_products == sum(range(2, k + 2))
 
 
 def test_interp_cs_makes_no_scalar_loop(monkeypatch):

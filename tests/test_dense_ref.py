@@ -104,6 +104,24 @@ def test_kron_matches_schoolbook():
             assert got == exact
 
 
+@pytest.mark.parametrize("q", (97, 469762049, 2**61 - 1))
+def test_kron_around_the_split_sizes(q):
+    # the shorter operand at, below and above the 8-byte bound over
+    # 469762049 (83) and BLOCK: one 8-byte product, two halves on 8-byte
+    # slots, or wide slots; full products, lower and upper slices, and the
+    # largest coefficients q - 1 against the exact count
+    rng = random.Random(f"kron-split-{q}")
+    for m in (63, 64, 83, 84, 127, 128):
+        for la, lb in ((m, m), (m, 2 * m + 1), (3 * m, m)):
+            fa, gb = rand_poly(rng, q, la), rand_poly(rng, q, lb)
+            n = la + lb - 1
+            assert [v % q for v in _kron(fa, gb, q, 0, n)] == schoolbook_mul(Zq(q), fa, gb)
+            for s, r in ((0, m), (m - 1, m), (n - m, m + 4), (-3, n // 2)):
+                _kron_case(q, fa, gb, s, r)
+        top = _kron([q - 1] * m, [q - 1] * m, q, 0, 2 * m - 1)
+        assert top == [(q - 1) ** 2 * min(k + 1, 2 * m - 1 - k) for k in range(2 * m - 1)], (q, m)
+
+
 def _slot_switches(q, cap=1100):
     """Lengths m <= cap of the shorter operand at which _kron's slot widens."""
     return [m for m in range(2, cap + 1) if _slot_bytes(q, m) != _slot_bytes(q, m - 1)]
@@ -113,7 +131,7 @@ def test_kron_at_each_slot_width_switch():
     # operands on both sides of every switch of the kernel's own width
     # rule: random ones against the schoolbook product, and all q - 1 (the
     # largest coefficient each slot must hold) against the exact count
-    assert _slot_bytes(469762049, 63) == 8 < _slot_bytes(469762049, 64)
+    assert _slot_bytes(469762049, 83) == 8 < _slot_bytes(469762049, 84)
     assert _slot_switches(97) == [] and _slot_bytes(97, 1100) == 4
     rng = random.Random("kron-switch")
     seen = set()

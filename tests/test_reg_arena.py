@@ -221,7 +221,6 @@ RAW_WRITERS = {
     "bilinear_inplace._madd": "writes block rows at an offset and stride and claims them itself (_claim_rows)",
     "bilinear_inplace._sw2": "writes 2 x 2 blocks at offsets and strides and claims its registers itself (check_span)",
     "dense_ref._butterflies": "strides through raw regs under ntt's or _otfft's span",
-    "cs_rorw._build_modulus": "one row per root or group of roots under its vzero(dst)",
 }
 
 
