@@ -37,6 +37,7 @@ from .coeff_ring import RootOfUnity, Zq
 from .errors import (
     BadLength,
     BadOrder,
+    BadParams,
     DuplicatePoint,
     NonUnitConstant,
     NonUnitLeading,
@@ -234,21 +235,46 @@ def _powers(w: int, k: int, q: int) -> list[int]:
     return table
 
 
-def _butterflies(regs, off, d, n, half, w, q, inverse=False, pairs=None, scale=None, lazy=False):
-    """One butterfly stage over logical [0, n) of a view (off, d) of regs.
+def _butterflies(regs, off, d, n, half, w, q, inverse=False, pairs=None, scale=None, lazy=False, stages=1):
+    """One butterfly stage over logical [0, n) of a view (off, d) of regs,
+    or with stages=2 the two stages half and half/2 in one pass.
 
     The pairs are (s + i, s + i + half) for every block start s = 0,
     2*half, ... below n and every i < pairs (default: half), with twiddle
     w^i.  Forward (DIF): (x, y) -> (x + y, (x - y) w^i).  Inverse (DIT):
     (x, y) -> (x + y w^i, x - y w^i), both multiplied by scale when it is
     given.  Each run of at most BLOCK pairs (see _pair_runs) is two
-    list-slice comprehensions.  A lazy inverse stage without scale leaves
-    x + y w^i unreduced, in (-q, 2q) for reduced inputs, so a later stage
-    must reduce every slot; any stage accepts unreduced inputs.
+    list-slice comprehensions.
+
+    Two stages are full ones (pairs is half): quads a, b, c, e at s + i +
+    j*half/2 for j < 4 and i < half/2, with J = w^(half/2).  Forward, stage
+    half and then stage half/2: (a + b + c + e, (a - b + c - e) w^2i,
+    (a - c + J(b - e)) w^i, (a - c - J(b - e)) w^3i).  Inverse, stage
+    half/2 and then stage half: with B, C, E = b w^2i, c w^i, e w^3i and
+    U = J(C - E), (a + B + C + E, a - B + U, a + B - C - E, a - B - U),
+    times scale when it is given.  Each run of at most BLOCK quads reads
+    and writes each of its four slices once.
+
+    A lazy inverse stage without scale leaves x + y w^i unreduced, in
+    (-q, 2q) for reduced inputs; a lazy inverse pass leaves its four sums
+    within 3q of the range of a (B, C, E and U are reduced), and a forward
+    pass leaves a + b + c + e, at most four times its inputs' bound, so a
+    later stage must reduce every slot.  A run whose twiddles are all 1
+    (every run of stages 2 and 1) reduces its four slots.  Any stage or
+    pass accepts unreduced inputs.
     """
     if pairs is None:
         pairs = half
     if ((n - 1) // (2 * half) + 1) * pairs < BLOCK:
+        if stages == 2:
+            # one stage at a time
+            if inverse:
+                _butterflies(regs, off, d, n, half >> 1, w * w % q, q, True)
+                _butterflies(regs, off, d, n, half, w, q, True, scale=scale)
+            else:
+                _butterflies(regs, off, d, n, half, w, q)
+                _butterflies(regs, off, d, n, half >> 1, w * w % q, q)
+            return
         # fewer pairs than one block do not pay for building lists (measured
         # slower up to 64 pairs, break-even at 128): one pair at a time
         for s in range(0, n, 2 * half):
@@ -269,12 +295,87 @@ def _butterflies(regs, off, d, n, half, w, q, inverse=False, pairs=None, scale=N
                 regs[jb] = y % q
                 t = t * w % q
         return
+    if stages == 2:
+        m = half >> 1
+        J = pow(w, m, q)
+        lead = 1 if scale is None else scale
+        for (s0, s1, s2, s3), tw in _pair_runs(off, d, n, 2 * half, 4, m, w, q, lead):
+            A, B, C, E = regs[s0], regs[s1], regs[s2], regs[s3]
+            o0, o1, o2, o3 = [], [], [], []
+            # one loop per run appending to four lists beats one list
+            # comprehension per slot: each quad is read once, into locals
+            p0, p1, p2, p3 = o0.append, o1.append, o2.append, o3.append
+            if tw is None and not inverse:
+                for a, b, c, e in zip(A, B, C, E):
+                    x = a + c
+                    y = b + e
+                    z = a - c
+                    v = (b - e) * J % q
+                    p0((x + y) % q)
+                    p1((x - y) % q)
+                    p2((z + v) % q)
+                    p3((z - v) % q)
+            elif tw is None:
+                for a, b, c, e in zip(A, B, C, E):
+                    x = a + b
+                    y = a - b
+                    r = c + e
+                    u = (c - e) * J % q
+                    p0((x + r) % q)
+                    p1((y + u) % q)
+                    p2((x - r) % q)
+                    p3((y - u) % q)
+            else:
+                k = len(A)
+                T1, T2, T3 = [t if type(t) is list else [t] * k for t in tw]
+                quads = zip(A, B, C, E, T1, T2, T3)
+                if not inverse:
+                    for a, b, c, e, t1, t2, t3 in quads:
+                        x = a + c
+                        y = b + e
+                        z = a - c
+                        v = (b - e) * J % q
+                        p0(x + y)
+                        p1((x - y) * t2 % q)
+                        p2((z + v) * t1 % q)
+                        p3((z - v) * t3 % q)
+                elif lazy and scale is None:
+                    for a, b, c, e, t1, t2, t3 in quads:
+                        b = b * t2 % q
+                        c = c * t1 % q
+                        e = e * t3 % q
+                        x = a + b
+                        y = a - b
+                        r = c + e
+                        u = (c - e) * J % q
+                        p0(x + r)
+                        p1(y + u)
+                        p2(x - r)
+                        p3(y - u)
+                else:
+                    for a, b, c, e, t1, t2, t3 in quads:
+                        a = a * lead
+                        b = b * t2 % q
+                        c = c * t1 % q
+                        e = e * t3 % q
+                        x = a + b
+                        y = a - b
+                        r = c + e
+                        u = (c - e) * J % q
+                        p0((x + r) % q)
+                        p1((y + u) % q)
+                        p2((x - r) % q)
+                        p3((y - u) % q)
+            regs[s0], regs[s1], regs[s2], regs[s3] = o0, o1, o2, o3
+        return
     # x + y w = 2x - (x - y w), so one product per pair; y w is reduced
     # first so that the difference stays a one-digit int
     two = None if scale is None else 2 * scale % q
-    for lo, hi, tw in _pair_runs(off, d, n, half, pairs, w, q):
+    for (lo, hi), tw in _pair_runs(off, d, n, 2 * half, 2, pairs, w, q):
         xs = regs[lo]
         ys = regs[hi]
+        if tw is not None:
+            tw = tw[0]
         if not inverse:
             regs[lo] = [(x + y) % q for x, y in zip(xs, ys)]
             if tw is None:
@@ -309,36 +410,45 @@ def _butterflies(regs, off, d, n, half, w, q, inverse=False, pairs=None, scale=N
         regs[hi] = hs
 
 
-def _pair_runs(off, d, n, half, pairs, w, q):
-    """Yield (lo slice, hi slice, twiddles) runs of at most BLOCK pairs
-    covering the stage _butterflies describes; twiddles is None when all
-    are 1, an int when one twiddle serves the whole run, else a list.
+def _pair_runs(off, d, n, size, parts, count, w, q, lead=1):
+    """Yield (slices, twiddles) runs of at most BLOCK butterflies covering
+    the blocks [s, s + size), s = 0, size, ... below n, of a pass: for
+    every i < count, one butterfly on the parts slots s + i + j*size/parts
+    (j < parts) with the twiddles lead * w^(j*i), 0 < j < parts.  slices
+    holds one slice per slot; twiddles is None when all are 1, else a
+    list of parts - 1 entries, ints when one set serves the whole run,
+    else lists.
 
-    Contiguous runs take up to BLOCK consecutive i of one block, with a
-    BLOCK-entry table of powers of w scaled once per run offset; when the
-    blocks are many and short, strided runs take one i across up to BLOCK
-    blocks with a single twiddle.  The layout needing fewer runs is used.
+    Contiguous runs take up to BLOCK consecutive i of one block, with
+    BLOCK-entry tables of powers of w^j scaled once per run offset; when
+    the blocks are many and short, strided runs take one i across up to
+    BLOCK blocks with scalar twiddles.  The layout needing fewer runs is
+    used.
     """
-    size = 2 * half
+    gap = size // parts
     blocks = (n - 1) // size + 1
-    if blocks * (-(-pairs // BLOCK)) <= pairs * (-(-blocks // BLOCK)):
-        table = _powers(w, min(BLOCK, pairs), q)
-        step = table[-1] * w % q
-        cur = 1
-        for j0 in range(0, pairs, BLOCK):
-            b = min(BLOCK, pairs - j0)
-            tw = table if cur == 1 else [cur * t % q for t in table]
+    if blocks * (-(-count // BLOCK)) <= count * (-(-blocks // BLOCK)):
+        k = min(BLOCK, count)
+        tables = [_powers(pow(w, j, q), k, q) for j in range(1, parts)]
+        steps = _powers(pow(w, k, q), parts, q)[1:]
+        # the run offset j0 scales table j by lead * w^(j0 j)
+        scales = [lead] * (parts - 1)
+        for j0 in range(0, count, BLOCK):
+            b = min(BLOCK, count - j0)
+            tw = tables if j0 == 0 and lead == 1 else [[c * t % q for t in table] for c, table in zip(scales, tables)]
             for s in range(j0, n, size):
-                yield _slc(off, d, s, s + b), _slc(off, d, s + half, s + half + b), tw
-            cur = cur * step % q
+                yield [_slc(off, d, s + j, s + j + b) for j in range(0, size, gap)], tw
+            scales = [c * t % q for c, t in zip(scales, steps)]
         return
     t = 1
     span = BLOCK * size
-    for i in range(pairs):
-        tw = None if t == 1 else t
+    for i in range(count):
+        tw = [lead * c % q for c in _powers(t, parts, q)[1:]]
+        if tw.count(1) == len(tw):
+            tw = None
         for s in range(i, n, span):
             e = min(n, s + span)
-            yield _slc(off, d, s, e, size), _slc(off, d, s + half, e, size), tw
+            yield [_slc(off, d, s + j, e, size) for j in range(0, size, gap)], tw
         t = t * w % q
 
 
@@ -346,20 +456,23 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
     """Replace view by its DFT at bit-reversed powers of root, in place.
 
     No permutation pass: forward output slot j holds f(omega**[j]_k) where
-    [j]_k is the k-bit reversal of j.  "inv" undoes "fwd" exactly.
-    Scalar budget: each stage holds one twiddle table of at most BLOCK
-    entries, its scaled copy, and the lists of one block of at most BLOCK
-    butterflies, so at most 6 * BLOCK scalars whatever the length.
+    [j]_k is the k-bit reversal of j.  "inv" undoes "fwd" exactly.  The
+    stages go two per pass (radix 4, see _butterflies); an odd count
+    leaves one radix-2 stage, the last one forward and the first inverse.
+    Scalar budget: each pass holds three twiddle tables of at most BLOCK
+    entries and their scaled copies, and the four input and four output
+    lists of one run of at most BLOCK quads, so at most 14 * BLOCK scalars
+    whatever the length.
     """
     n = len(view)
+    if direction not in ("fwd", "inv"):
+        raise BadParams(f"unknown direction {direction!r}")
     if n & (n - 1):
         raise BadLength(f"length {n} is not a power of two")
     if root.order != n:
         raise BadOrder(f"root order {root.order} != length {n}")
     if view.rlo != 0 or view.rhi != n:
         raise BadLength("ntt requires a fully backed view")
-    if direction not in ("fwd", "inv"):
-        raise BadLength(f"unknown direction {direction!r}")
     if n <= 1:
         return
     view.span(0, n)
@@ -369,21 +482,24 @@ def ntt(view: PolyView, root: RootOfUnity, direction: str = "fwd"):
     off, d = view.off, view.dir
     if direction == "fwd":
         half = n >> 1
-        while half:
-            _butterflies(regs, off, d, n, half, pow(root.omega, n // (2 * half), q), q)
-            half >>= 1
+        while half > 1:
+            _butterflies(regs, off, d, n, half, pow(root.omega, n // (2 * half), q), q, stages=2)
+            half >>= 2
+        if half:
+            # the odd stage, whose only twiddle is 1
+            _butterflies(regs, off, d, n, 1, q - 1, q)
         return
     winv = pow(root.omega, q - 2, q)
-    half = 1
-    lazy = True
+    # the top stage of the first pass: the odd stage goes alone
+    half = 1 if (n.bit_length() - 1) % 2 else 2
     while half < n:
-        # the halving from each stage is deferred to the last one, which
-        # scales by 1/n; every other stage leaves its sums unreduced, which
-        # keeps them one-digit ints for the next stage when q < 2^29
+        # the halving from each stage is deferred to the last pass, which
+        # scales by 1/n and reduces; every other one leaves its sums
+        # unreduced, ints of at most two digits when q < 2^29
         scale = pow(n, q - 2, q) if 2 * half == n else None
-        _butterflies(regs, off, d, n, half, pow(winv, n // (2 * half), q), q, inverse=True, scale=scale, lazy=lazy)
-        lazy = not lazy
-        half <<= 1
+        stages = 1 if half == 1 else 2
+        _butterflies(regs, off, d, n, half, pow(winv, n // (2 * half), q), q, inverse=True, scale=scale, lazy=True, stages=stages)
+        half <<= 2
 
 
 def _slot_bytes(q: int, m: int) -> int:

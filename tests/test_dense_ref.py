@@ -27,6 +27,7 @@ from polyarena.dense_ref import (
 from polyarena.errors import (
     BadLength,
     BadOrder,
+    BadParams,
     DuplicatePoint,
     NonUnitConstant,
     NonUnitLeading,
@@ -435,6 +436,12 @@ def test_ntt_examples_and_inverse():
     with pytest.raises(BadLength):
         arena3, (w,) = build_arena(RING97, RW_RW, ([1, 2, 3], INOUT))
         ntt(w, RING97.find_principal_root(4), "fwd")
+    # an unknown direction is a bad parameter, refused before any write
+    arena4, (w,) = build_arena(RING97, RW_RW, ([1, 2, 3, 4], INOUT))
+    with pytest.raises(BadParams):
+        ntt(w, root, "backward")
+    assert arena4.regs == [1, 2, 3, 4]
+    assert arena4.metrics.summary() == "extra_algebraic=0 pointer_depth=0 base_products=0"
 
 
 def test_ntt_pointwise_is_schoolbook():

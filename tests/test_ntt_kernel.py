@@ -1,7 +1,8 @@
 """The blocked butterfly kernel: the NTT and the cumulative FFT product.
 
-Sizes straddle the kernel's block width (BLOCK/2, BLOCK, 2*BLOCK), primes
-run from 97 to one above 2^64, and views are plain, reversed and offset.
+Sizes straddle the kernel's block width (BLOCK/2, BLOCK, 2*BLOCK) and reach
+the benchmark's 2^15 points, primes run from 97 to one above 2^64, and
+views are plain, reversed and offset.
 The pinned metrics were taken from the per-butterfly implementation the
 kernel replaced.
 """
@@ -14,7 +15,7 @@ from helpers import RING_FFT, WriteLog, distinct_nonzero, rand_poly
 from polyarena import Zq
 from polyarena import cs_rwrw
 from polyarena.cs_rwrw import cumulative_fft_mul, partial_ft
-from polyarena.dense_ref import BLOCK, bit_reverse, horner_eval, ntt, schoolbook_mul
+from polyarena.dense_ref import BLOCK, _butterflies, bit_reverse, horner_eval, ntt, schoolbook_mul
 from polyarena.errors import PaddingWrite, PermissionDenied
 from polyarena.reg_arena import INOUT, INPUT_ONLY, RO_RW, RW_RW, SCRATCH, build_arena
 
@@ -60,11 +61,77 @@ def test_ntt_is_evaluation_at_bit_reversed_powers(q):
             before = list(arena.regs)
             ntt(view, root, "fwd")
             out = view.tolist()
+            # every slot ends reduced, whatever the passes left unreduced
+            assert all(0 <= x < q for x in out), (q, n, kind)
             assert {j: out[j] for j in slots} == expected, (q, n, kind)
             outputs.append(out)
             ntt(view, root, "inv")
             assert arena.regs == before, (q, n, kind)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("q", (469762049, 12 * 2**64 + 1))
+def test_two_stage_pass_is_its_two_stages(q):
+    """A radix-4 pass equals its two radix-2 stages mod q, in every layout
+    (contiguous and strided runs, with and without twiddles), forward,
+    inverse and scaled inverse, on plain and reversed register order."""
+    ring = Zq(q)
+    rng = random.Random(f"radix4-{q}")
+    n = 4 * BLOCK
+    scale = rng.randrange(2, q)
+    half = 2
+    while half < n:
+        w = ring.find_principal_root(2 * half).omega
+        for inverse, sc in ((False, None), (True, None), (True, scale)):
+            for off, d in ((0, 1), (n - 1, -1)):
+                regs = rand_poly(rng, q, n)
+                want = list(regs)
+                _butterflies(regs, off, d, n, half, w, q, inverse, scale=sc, lazy=True, stages=2)
+                if inverse:
+                    _butterflies(want, off, d, n, half >> 1, w * w % q, q, True)
+                    _butterflies(want, off, d, n, half, w, q, True, scale=sc)
+                else:
+                    _butterflies(want, off, d, n, half, w, q)
+                    _butterflies(want, off, d, n, half >> 1, w * w % q, q)
+                assert [x % q for x in regs] == want, (half, inverse, sc, d)
+        half <<= 1
+
+
+@pytest.mark.parametrize("k", [13, 14, 15])
+def test_ntt_at_benchmark_sizes(k):
+    """2^13 to 2^15 points over the benchmark's prime, both stage parities:
+    sampled slots against Horner, and the inverse restores every register."""
+    ring = RING_FFT
+    q, n = ring.q, 1 << k
+    rng = random.Random(f"ntt-big-{k}")
+    root = ring.find_principal_root(n)
+    f = rand_poly(rng, q, n)
+    slots = sorted({0, n - 1, *rng.sample(range(n), 22)})
+    expected = [horner_eval(ring, f, pow(root.omega, bit_reverse(j, k), q)) for j in slots]
+    for kind in ("plain", "reversed"):
+        arena, view = _view_of(ring, f, kind)
+        before = list(arena.regs)
+        ntt(view, root, "fwd")
+        assert [view.get(j) for j in slots] == expected, kind
+        ntt(view, root, "inv")
+        assert arena.regs == before, kind
+
+
+@pytest.mark.parametrize("N", [24577, 32767])
+def test_truncated_transform_at_benchmark_lengths(N):
+    """_otfft at the two transform lengths of the benchmark's FFT products
+    (inputs of 12289 and 16384 coefficients) round-trips."""
+    ring = RING_FFT
+    q = ring.q
+    p = (N - 1).bit_length()
+    w = ring.find_principal_root(1 << p).omega
+    f = rand_poly(random.Random(f"tft-big-{N}"), q, N)
+    arena, view = _view_of(ring, f, "plain", perm=SCRATCH)
+    before = list(arena.regs)
+    cs_rwrw._otfft(view, None, 1 << p, w, False)
+    assert view.get(N - 1) == horner_eval(ring, f, pow(w, bit_reverse(N - 1, p), q))
+    cs_rwrw._otfft(view, None, 1 << p, w, True)
+    assert arena.regs == before
 
 
 @pytest.mark.parametrize("layout", ["input_only", "scratch_then_input"])
